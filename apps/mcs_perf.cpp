@@ -1,11 +1,13 @@
 // mcs_perf — reproducible simulator-throughput driver (see
 // bench/perf_harness.hpp and DESIGN.md §9).
 //
-//   mcs_perf                   full scenarios, 3 repeats, BENCH_PR3.json
+//   mcs_perf                   full scenarios, 3 repeats, stdout only
 //   mcs_perf --smoke           CI-sized phases (~seconds total)
 //   mcs_perf --repeats=5       more repeats for quieter numbers
 //   mcs_perf --scenario=<id>   run one scenario only
-//   mcs_perf --out=<path>      report path ("" or "-" prints to stdout only)
+//   mcs_perf --out=<path>      also write the JSON report to <path>; no
+//                              file is written without it, so a committed
+//                              report is only replaced on purpose
 //   mcs_perf --baseline=<path> fail (exit 1) on events/sec regression
 //   mcs_perf --tolerance=0.2   allowed fractional drop vs the baseline
 //   mcs_perf --speedup-floor=X fail (exit 1) when the large-system pair's
@@ -51,7 +53,7 @@ int run(const mcs::util::Args& args) {
   const bool smoke = args.get_flag("smoke");
   const int repeats = static_cast<int>(args.get_int("repeats", 3));
   const std::string only = args.get("scenario", "");
-  const std::string out_path = args.get("out", "BENCH_PR3.json");
+  const std::string out_path = args.get("out", "");
   const std::string baseline = args.get("baseline", "");
   const double tolerance = args.get_double("tolerance", 0.2);
   const double speedup_floor = args.get_double("speedup-floor", 0.0);
@@ -242,9 +244,8 @@ int run(const mcs::util::Args& args) {
   }
 
   // Compare BEFORE writing: with --out and --baseline naming the same
-  // file (e.g. both defaulting to a committed BENCH_PR3.json), writing
-  // first would overwrite the reference and the gate would compare the
-  // run against itself.
+  // file (e.g. a committed BENCH_PR3.json), writing first would overwrite
+  // the reference and the gate would compare the run against itself.
   std::vector<std::string> violations;
   if (!baseline.empty())
     violations = mcs::bench::compare_to_baseline(report, baseline, tolerance);
@@ -265,7 +266,7 @@ int run(const mcs::util::Args& args) {
       violations.emplace_back(msg);
     }
   }
-  if (!out_path.empty() && out_path != "-") {
+  if (!out_path.empty()) {
     mcs::bench::write_report_json_file(report, out_path);
     std::printf("wrote %s\n", out_path.c_str());
   }

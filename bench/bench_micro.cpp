@@ -72,19 +72,35 @@ void BM_AliasTableSample(benchmark::State& state) {
 }
 BENCHMARK(BM_AliasTableSample);
 
+/// Model kernel inputs. Arg 0: Table 1 org_a, whose 992 ordered cluster
+/// pairs collapse to 9 paper / 11 refined pair classes. Arg 1: 128
+/// clusters, m=8, h=2 on a fat-tree ICN2 (16,256 pairs, 1 / 3 classes).
+/// Arg 2: the same clusters on a 16x8 torus ICN2, which has no class
+/// table (one route walk per pair; refined model only).
+mcs::topo::SystemConfig model_system(std::int64_t arg) {
+  if (arg == 0) return mcs::topo::SystemConfig::table1_org_a();
+  auto config = mcs::topo::SystemConfig::homogeneous(8, 2, 128);
+  if (arg == 2) {
+    config.icn2.kind = mcs::topo::Icn2Kind::kTorus;
+    config.icn2.torus_rows = 16;
+    config.icn2.torus_cols = 8;
+  }
+  return config;
+}
+
 void BM_PaperModelPredict(benchmark::State& state) {
-  const mcs::model::PaperModel model(
-      mcs::topo::SystemConfig::table1_org_a(), mcs::model::NetworkParams{});
+  const mcs::model::PaperModel model(model_system(state.range(0)),
+                                     mcs::model::NetworkParams{});
   for (auto _ : state) benchmark::DoNotOptimize(model.predict(2e-4));
 }
-BENCHMARK(BM_PaperModelPredict);
+BENCHMARK(BM_PaperModelPredict)->ArgName("system")->Arg(0)->Arg(1);
 
 void BM_RefinedModelPredict(benchmark::State& state) {
-  const mcs::model::RefinedModel model(
-      mcs::topo::SystemConfig::table1_org_a(), mcs::model::NetworkParams{});
+  const mcs::model::RefinedModel model(model_system(state.range(0)),
+                                       mcs::model::NetworkParams{});
   for (auto _ : state) benchmark::DoNotOptimize(model.predict(2e-4));
 }
-BENCHMARK(BM_RefinedModelPredict);
+BENCHMARK(BM_RefinedModelPredict)->ArgName("system")->Arg(0)->Arg(1)->Arg(2);
 
 void BM_SimulatorThroughput(benchmark::State& state) {
   // Whole-simulation throughput on a mid-size system at moderate load;

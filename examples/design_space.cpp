@@ -11,6 +11,7 @@
 //   ./design_space [--nodes=512] [--threads=N]
 #include <cstdio>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include <mcs/mcs.hpp>
@@ -47,8 +48,13 @@ int main(int argc, char** argv) {
       const std::int64_t switches =
           2 * c * shape.switch_count() +
           mcs::topo::TreeShape{m, config.icn2_height()}.switch_count();
-      spec.systems.push_back(
-          {"m" + std::to_string(m) + "_h" + std::to_string(h), config});
+      // Appended piecewise: `"m" + std::to_string(m)` trips GCC 12's
+      // -Wrestrict false positive (GCC bug 105651) at -O3.
+      std::string id = "m";
+      id += std::to_string(m);
+      id += "_h";
+      id += std::to_string(h);
+      spec.systems.push_back({std::move(id), config});
       candidates.push_back({h, switches});
     }
   }

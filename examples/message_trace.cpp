@@ -7,6 +7,7 @@
 #include <algorithm>
 #include <cstdio>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include <mcs/mcs.hpp>
@@ -80,10 +81,14 @@ void print_segment(const char* title, const mcs::topo::Network& tree,
     const auto& ch = tree.channel(path[j]);
     const mcs::topo::SwitchId sw =
         ch.dst_switch >= 0 ? ch.dst_switch : ch.src_switch;
+    // Appended piecewise: `"L" + std::to_string(...)` trips GCC 12's
+    // -Wrestrict false positive (GCC bug 105651) at -O3.
+    std::string via = "L";
+    via += std::to_string(tree.switch_level(sw));
+    via += '#';
+    via += std::to_string(sw);
     table.add_row({std::to_string(j), kind_name(ch.kind),
-                   std::to_string(ch.level),
-                   "L" + std::to_string(tree.switch_level(sw)) + "#" +
-                       std::to_string(sw),
+                   std::to_string(ch.level), std::move(via),
                    mcs::util::TextTable::num(timing.header_done[j], 3),
                    mcs::util::TextTable::num(timing.tail_done[j], 3)});
   }

@@ -50,6 +50,20 @@ PaperModel::PaperModel(topo::SystemConfig config, NetworkParams params,
     clusters_.push_back(std::move(c));
   }
 
+  // Clusters of equal (height, N, P_o) are interchangeable in a pair.
+  const Labels kind =
+      classify(config_.cluster_count(), [&](int a, int b) {
+        const ClusterCache& ca = clusters_[static_cast<std::size_t>(a)];
+        const ClusterCache& cb = clusters_[static_cast<std::size_t>(b)];
+        return ca.height == cb.height && same_bits(ca.nodes, cb.nodes) &&
+               same_bits(ca.p_out, cb.p_out);
+      });
+  pairs_ = PairClasses::build(
+      config_.cluster_count(), kind.count * kind.count, [&](int i, int v) {
+        return kind.of[static_cast<std::size_t>(i)] * kind.count +
+               kind.of[static_cast<std::size_t>(v)];
+      });
+
   icn2_height_ = config_.icn2_height();
   const topo::TreeShape icn2{config_.m, icn2_height_};
   icn2_hop_prob_ = icn2.hop_distribution();
@@ -57,7 +71,7 @@ PaperModel::PaperModel(topo::SystemConfig config, NetworkParams params,
 }
 
 PaperModel::InternalResult PaperModel::internal_latency(
-    int cluster, double lambda_g) const {
+    int cluster, double lambda_g, std::vector<Stage>& stages) const {
   const ClusterCache& c = clusters_[static_cast<std::size_t>(cluster)];
   const double m_tcn = params_.message_flits * params_.t_cn();
   const double m_tcs = params_.message_flits * params_.t_cs();
@@ -69,7 +83,6 @@ PaperModel::InternalResult PaperModel::internal_latency(
       lambda_i1 * c.d_avg / (4.0 * c.height * c.nodes);
 
   InternalResult out;
-  std::vector<Stage> stages;
   for (int j = 1; j <= c.height; ++j) {
     const int stage_count = 2 * j - 1;  // K = 2j - 1 (Sec. 3.1.2)
     stages.assign(static_cast<std::size_t>(stage_count), Stage{m_tcs, eta});
@@ -90,8 +103,8 @@ PaperModel::InternalResult PaperModel::internal_latency(
   return out;
 }
 
-PaperModel::PairResult PaperModel::pair_latency(int i, int v,
-                                                double lambda_g) const {
+PaperModel::PairResult PaperModel::pair_latency(
+    int i, int v, double lambda_g, std::vector<Stage>& stages) const {
   const ClusterCache& ci = clusters_[static_cast<std::size_t>(i)];
   const ClusterCache& cv = clusters_[static_cast<std::size_t>(v)];
   const double m_tcn = params_.message_flits * params_.t_cn();
@@ -112,7 +125,6 @@ PaperModel::PairResult PaperModel::pair_latency(int i, int v,
   const double eta_i2 = lambda_i2 * icn2_d_avg_ / (4.0 * icn2_height_);
 
   PairResult out;
-  std::vector<Stage> stages;
   // Eqs. (26)-(27): merged (j, l, h) journey, P = P_j * P_l * P_h.
   for (int j = 1; j <= ci.height; ++j) {
     for (int l = 1; l <= cv.height; ++l) {
@@ -159,13 +171,19 @@ LatencyPrediction PaperModel::predict(double lambda_g) const {
   prediction.lambda_g = lambda_g;
 
   const int c_count = config_.cluster_count();
+  std::vector<Stage> stages;
+  std::vector<PairResult> pair_table;
+  pair_table.reserve(pairs_.rep.size());
+  for (const auto& [i, v] : pairs_.rep)
+    pair_table.push_back(pair_latency(i, v, lambda_g, stages));
+
   double weighted = 0.0;
   for (int i = 0; i < c_count; ++i) {
     const ClusterCache& ci = clusters_[static_cast<std::size_t>(i)];
     ClusterLatency cl;
     cl.p_outgoing = ci.p_out;
 
-    const InternalResult internal = internal_latency(i, lambda_g);
+    const InternalResult internal = internal_latency(i, lambda_g, stages);
     cl.w_source_internal = internal.w_source;
     cl.s_internal = internal.s_mean;
     cl.t_internal = internal.w_source + internal.s_mean + internal.r_mean;
@@ -178,7 +196,7 @@ LatencyPrediction PaperModel::predict(double lambda_g) const {
     double s_ext_sum = 0.0;
     for (int v = 0; v < c_count; ++v) {
       if (v == i) continue;
-      const PairResult pair = pair_latency(i, v, lambda_g);
+      const PairResult& pair = pair_table[pairs_(i, v)];
       t_ext_sum += pair.t_external;
       w_cd_sum += pair.w_conc_disp;
       w_src_sum += pair.w_source;

@@ -6,6 +6,8 @@
 #include <vector>
 
 #include "model/latency.hpp"
+#include "model/pair_classes.hpp"
+#include "model/service_recursion.hpp"
 
 namespace mcs::model {
 
@@ -43,8 +45,10 @@ class PaperModel final : public LatencyModel {
     double r_mean = 0.0;
     bool stable = true;
   };
-  [[nodiscard]] InternalResult internal_latency(int cluster,
-                                                double lambda_g) const;
+  /// `stages` is the caller's scratch buffer (reused, never shrunk), so
+  /// the per-pair evaluations of one predict() do not allocate.
+  [[nodiscard]] InternalResult internal_latency(
+      int cluster, double lambda_g, std::vector<Stage>& stages) const;
 
   /// T_{E1&I2}^{(i,v)} + W_s terms for one ordered cluster pair.
   struct PairResult {
@@ -54,11 +58,16 @@ class PaperModel final : public LatencyModel {
     double w_conc_disp = 0.0;  ///< 2 * W_s^{(i,v)} (Eq. 33, both buffers)
     bool stable = true;
   };
-  [[nodiscard]] PairResult pair_latency(int i, int v, double lambda_g) const;
+  [[nodiscard]] PairResult pair_latency(int i, int v, double lambda_g,
+                                        std::vector<Stage>& stages) const;
 
   topo::SystemConfig config_;
   NetworkParams params_;
   std::vector<ClusterCache> clusters_;
+  /// pair_latency() reads height, N and P_o of both clusters (plus shared
+  /// ICN2 constants), so pairs of equal (height, N, P_o) clusters share a
+  /// class (pair_classes.hpp).
+  PairClasses pairs_;
   std::vector<double> icn2_hop_prob_;  ///< P_{h,n_c}
   double icn2_d_avg_ = 0.0;
   int icn2_height_ = 0;

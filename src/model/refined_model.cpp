@@ -44,9 +44,11 @@ struct PhysStage {
 /// message transmission, base_k = M * t_k, released before the next hop.
 /// Returns the recursion result (with the M/D/1-style residual waits) and,
 /// via `zero_load`, the contention-free occupancy of the first channel.
+/// `stages` is the caller's scratch buffer.
 RecursionResult run_stages(const std::vector<PhysStage>& phys, int flits,
-                           FlowControl flow, double& zero_load) {
-  std::vector<Stage> stages(phys.size());
+                           FlowControl flow, double& zero_load,
+                           std::vector<Stage>& stages) {
+  stages.resize(phys.size());
   double run_max = 0.0;
   for (std::size_t idx = phys.size(); idx-- > 0;) {
     run_max = std::max(run_max, phys[idx].t);
@@ -59,6 +61,11 @@ RecursionResult run_stages(const std::vector<PhysStage>& phys, int flits,
 }
 
 }  // namespace
+
+struct RefinedModel::Scratch {
+  std::vector<PhysStage> phys;
+  std::vector<Stage> stages;
+};
 
 RefinedModel::RefinedModel(topo::SystemConfig config, NetworkParams params,
                            std::vector<double> p_out_override,
@@ -122,6 +129,49 @@ RefinedModel::RefinedModel(topo::SystemConfig config, NetworkParams params,
     const Icn2Funnel funnel = Icn2Funnel::compute(config_, p_out);
     icn2_down_coeff_ = funnel.down_coeff;
     icn2_up_coeff_ = funnel.up_coeff;
+
+    // Pair classes: icn2_segment() reads N_i, P_o^i, scale_i and the up
+    // funnel prefix up_i[1..h-1] of the source, the inbound coefficient
+    // and down prefix down_v[1..h-1] of the destination, and the NCA level
+    // h. Label both sides per level, then key each pair by all three.
+    const int c_count = config_.cluster_count();
+    const int levels = config_.icn2_height();
+    const auto prefix_equal = [](const std::vector<double>& a,
+                                 const std::vector<double>& b, int h) {
+      return std::equal(a.begin() + 1, a.begin() + h, b.begin() + 1,
+                        same_bits);
+    };
+    std::vector<Labels> src(static_cast<std::size_t>(levels) + 1);
+    std::vector<Labels> dst(src.size());
+    std::vector<std::size_t> offset(src.size() + 1, 0);  // key space of h
+    for (int h = 1; h <= levels; ++h) {
+      const auto hh = static_cast<std::size_t>(h);
+      src[hh] = classify(c_count, [&](int a, int b) {
+        const ClusterCache& ca = clusters_[static_cast<std::size_t>(a)];
+        const ClusterCache& cb = clusters_[static_cast<std::size_t>(b)];
+        return same_bits(ca.nodes, cb.nodes) &&
+               same_bits(ca.p_out, cb.p_out) &&
+               same_bits(ca.scale, cb.scale) &&
+               prefix_equal(icn2_up_coeff_[static_cast<std::size_t>(a)],
+                            icn2_up_coeff_[static_cast<std::size_t>(b)], h);
+      });
+      dst[hh] = classify(c_count, [&](int a, int b) {
+        return same_bits(clusters_[static_cast<std::size_t>(a)].in_coeff,
+                         clusters_[static_cast<std::size_t>(b)].in_coeff) &&
+               prefix_equal(icn2_down_coeff_[static_cast<std::size_t>(a)],
+                            icn2_down_coeff_[static_cast<std::size_t>(b)], h);
+      });
+      offset[hh + 1] = offset[hh] + src[hh].count * dst[hh].count;
+    }
+    icn2_pairs_ = PairClasses::build(
+        c_count, offset.back(), [&](int i, int v) {
+          const auto h = static_cast<std::size_t>(
+              icn2_->nca_level(static_cast<topo::EndpointId>(i),
+                               static_cast<topo::EndpointId>(v)));
+          return offset[h] +
+                 src[h].of[static_cast<std::size_t>(i)] * dst[h].count +
+                 dst[h].of[static_cast<std::size_t>(v)];
+        });
   } else {
     // Graph ICN2: per-channel rates straight from the routing tables.
     icn2_graph_ =
@@ -131,7 +181,7 @@ RefinedModel::RefinedModel(topo::SystemConfig config, NetworkParams params,
 }
 
 RefinedModel::SegmentResult RefinedModel::internal_segment(
-    int cluster, double lambda_g) const {
+    int cluster, double lambda_g, Scratch& scratch) const {
   const ClusterCache& c = clusters_[static_cast<std::size_t>(cluster)];
   const double tcn = c.net.t_cn();
   const double tcs = c.net.t_cs();
@@ -139,7 +189,7 @@ RefinedModel::SegmentResult RefinedModel::internal_segment(
   const double lambda_int = (1.0 - c.p_out) * lam;  // per-NIC rate
 
   SegmentResult out;
-  std::vector<PhysStage> phys;
+  std::vector<PhysStage>& phys = scratch.phys;
   for (int j = 1; j <= c.height; ++j) {
     phys.clear();
     phys.push_back({tcn, lambda_int});  // injection channel
@@ -155,7 +205,8 @@ RefinedModel::SegmentResult RefinedModel::internal_segment(
     phys.push_back({tcn, lambda_int});  // ejection channel
     double zero_load = 0.0;
     const RecursionResult rec =
-        run_stages(phys, params_.message_flits, flow_, zero_load);
+        run_stages(phys, params_.message_flits, flow_, zero_load,
+                   scratch.stages);
     out.stable = out.stable && rec.stable;
     const double pj = c.hop_prob[static_cast<std::size_t>(j - 1)];
     out.s_mean += pj * rec.s0;
@@ -166,7 +217,7 @@ RefinedModel::SegmentResult RefinedModel::internal_segment(
 }
 
 RefinedModel::SegmentResult RefinedModel::ecn1_outbound_segment(
-    int cluster, double lambda_g) const {
+    int cluster, double lambda_g, Scratch& scratch) const {
   const ClusterCache& c = clusters_[static_cast<std::size_t>(cluster)];
   const double tcn = c.net.t_cn();
   const double tcs = c.net.t_cs();
@@ -174,7 +225,7 @@ RefinedModel::SegmentResult RefinedModel::ecn1_outbound_segment(
   const double funnel = c.nodes * per_node;  // whole cluster's outbound
 
   SegmentResult out;
-  std::vector<PhysStage> phys;
+  std::vector<PhysStage>& phys = scratch.phys;
   for (int j = 1; j <= c.height; ++j) {
     phys.clear();
     phys.push_back({tcn, per_node});
@@ -198,7 +249,8 @@ RefinedModel::SegmentResult RefinedModel::ecn1_outbound_segment(
     phys.push_back({tcn, funnel});  // ejection into the concentrator
     double zero_load = 0.0;
     const RecursionResult rec =
-        run_stages(phys, params_.message_flits, flow_, zero_load);
+        run_stages(phys, params_.message_flits, flow_, zero_load,
+                   scratch.stages);
     out.stable = out.stable && rec.stable;
     const double pj = c.conc_prob[static_cast<std::size_t>(j - 1)];
     out.s_mean += pj * rec.s0;
@@ -209,7 +261,7 @@ RefinedModel::SegmentResult RefinedModel::ecn1_outbound_segment(
 }
 
 RefinedModel::SegmentResult RefinedModel::icn2_segment(
-    int i, int v, double lambda_g) const {
+    int i, int v, double lambda_g, Scratch& scratch) const {
   const ClusterCache& ci = clusters_[static_cast<std::size_t>(i)];
   const ClusterCache& cv = clusters_[static_cast<std::size_t>(v)];
   const double tcn = icn2_params_.t_cn();
@@ -218,13 +270,15 @@ RefinedModel::SegmentResult RefinedModel::icn2_segment(
   const double out_rate = ci.nodes * ci.p_out * (ci.scale * lambda_g);
   const double in_rate = cv.in_coeff * lambda_g;
 
-  std::vector<PhysStage> phys;
+  std::vector<PhysStage>& phys = scratch.phys;
+  phys.clear();
 
   if (icn2_graph_) {
     // Graph ICN2: walk the deterministic route i -> v; every channel's
     // rate is its routing-table flow coefficient (graph_load.hpp). The
-    // switch segment comes by reference — predict() visits all C*(C-1)
-    // pairs, so this loop must not allocate.
+    // switch segment comes by reference and `phys` is the call's scratch
+    // — predict() visits all C*(C-1) pairs, so this loop must not
+    // allocate.
     auto coeff_stage = [&](topo::ChannelId c, double t) {
       phys.push_back({t, icn2_coeff_[static_cast<std::size_t>(c)] *
                              lambda_g});
@@ -261,8 +315,8 @@ RefinedModel::SegmentResult RefinedModel::icn2_segment(
 
   SegmentResult out;
   double zero_load = 0.0;
-  const RecursionResult rec =
-      run_stages(phys, params_.message_flits, flow_, zero_load);
+  const RecursionResult rec = run_stages(phys, params_.message_flits, flow_,
+                                         zero_load, scratch.stages);
   out.stable = rec.stable;
   out.s_mean = rec.s0;
   out.s_zero = zero_load;
@@ -272,7 +326,7 @@ RefinedModel::SegmentResult RefinedModel::icn2_segment(
 }
 
 RefinedModel::SegmentResult RefinedModel::ecn1_inbound_segment(
-    int cluster, double lambda_g) const {
+    int cluster, double lambda_g, Scratch& scratch) const {
   const ClusterCache& c = clusters_[static_cast<std::size_t>(cluster)];
   const double tcn = c.net.t_cn();
   const double tcs = c.net.t_cs();
@@ -280,7 +334,7 @@ RefinedModel::SegmentResult RefinedModel::ecn1_inbound_segment(
   const double per_node = c.in_per_node * lambda_g;
 
   SegmentResult out;
-  std::vector<PhysStage> phys;
+  std::vector<PhysStage>& phys = scratch.phys;
   for (int j = 1; j <= c.height; ++j) {
     phys.clear();
     phys.push_back({tcn, funnel});  // dispatcher injection channel
@@ -299,7 +353,8 @@ RefinedModel::SegmentResult RefinedModel::ecn1_inbound_segment(
     phys.push_back({tcn, per_node});
     double zero_load = 0.0;
     const RecursionResult rec =
-        run_stages(phys, params_.message_flits, flow_, zero_load);
+        run_stages(phys, params_.message_flits, flow_, zero_load,
+                   scratch.stages);
     out.stable = out.stable && rec.stable;
     const double pj = c.conc_prob[static_cast<std::size_t>(j - 1)];
     out.s_mean += pj * rec.s0;
@@ -307,6 +362,22 @@ RefinedModel::SegmentResult RefinedModel::ecn1_inbound_segment(
     out.r_mean += pj * pipeline_r(2 * j, c.net, flow_);
   }
   return out;
+}
+
+std::vector<RefinedModel::SegmentResult> RefinedModel::icn2_class_legs(
+    double lambda_g, Scratch& scratch) const {
+  std::vector<SegmentResult> legs;
+  legs.reserve(icn2_pairs_.rep.size());
+  for (const auto& [i, v] : icn2_pairs_.rep)
+    legs.push_back(icn2_segment(i, v, lambda_g, scratch));
+  return legs;
+}
+
+RefinedModel::SegmentResult RefinedModel::icn2_leg(
+    int i, int v, double lambda_g,
+    const std::vector<SegmentResult>& class_legs, Scratch& scratch) const {
+  return icn2_graph_ ? icn2_segment(i, v, lambda_g, scratch)
+                     : class_legs[icn2_pairs_(i, v)];
 }
 
 ModelBreakdown RefinedModel::breakdown(double lambda_g) const {
@@ -332,10 +403,15 @@ ModelBreakdown RefinedModel::breakdown(double lambda_g) const {
     return t;
   };
 
-  // Inbound legs are destination properties; compute once (as predict()).
+  // Inbound legs are destination properties and ICN2 legs class
+  // properties; compute once (as predict()).
+  Scratch scratch;
   std::vector<SegmentResult> seg3(static_cast<std::size_t>(c_count));
   for (int v = 0; v < c_count; ++v)
-    seg3[static_cast<std::size_t>(v)] = ecn1_inbound_segment(v, lambda_g);
+    seg3[static_cast<std::size_t>(v)] =
+        ecn1_inbound_segment(v, lambda_g, scratch);
+  const std::vector<SegmentResult> class_legs =
+      icn2_class_legs(lambda_g, scratch);
 
   for (int i = 0; i < c_count; ++i) {
     const ClusterCache& ci = clusters_[static_cast<std::size_t>(i)];
@@ -345,12 +421,12 @@ ModelBreakdown RefinedModel::breakdown(double lambda_g) const {
     cb.p_outgoing = ci.p_out;
 
     // Station 0 — source ICN1 NIC (internal messages).
-    cb.stations[0] =
-        station((1.0 - ci.p_out) * lam, internal_segment(i, lambda_g));
+    cb.stations[0] = station((1.0 - ci.p_out) * lam,
+                             internal_segment(i, lambda_g, scratch));
 
     // Station 1 — source ECN1 NIC (external leg 1).
-    cb.stations[1] =
-        station(ci.p_out * lam, ecn1_outbound_segment(i, lambda_g));
+    cb.stations[1] = station(ci.p_out * lam,
+                             ecn1_outbound_segment(i, lambda_g, scratch));
 
     // Station 2 — concentrator: service is the ICN2 leg averaged over
     // destination clusters with weights N_v / (N - N_i), arrivals the
@@ -360,7 +436,8 @@ ModelBreakdown RefinedModel::breakdown(double lambda_g) const {
       if (v == i) continue;
       const ClusterCache& cv = clusters_[static_cast<std::size_t>(v)];
       const double w = cv.nodes / (total_nodes_ - ci.nodes);
-      const SegmentResult seg2 = icn2_segment(i, v, lambda_g);
+      const SegmentResult seg2 =
+          icn2_leg(i, v, lambda_g, class_legs, scratch);
       seg2_avg.s_mean += w * seg2.s_mean;
       seg2_avg.s_zero += w * seg2.s_zero;
       seg2_avg.r_mean += w * seg2.r_mean;
@@ -431,17 +508,22 @@ LatencyPrediction RefinedModel::predict(double lambda_g) const {
   prediction.lambda_g = lambda_g;
   const int c_count = config_.cluster_count();
 
-  // Per-cluster inbound legs are destination properties; compute once.
+  // Per-cluster inbound legs are destination properties and ICN2 legs
+  // class properties; compute once.
+  Scratch scratch;
   std::vector<SegmentResult> seg3(static_cast<std::size_t>(c_count));
   std::vector<double> w_disp(static_cast<std::size_t>(c_count));
   for (int v = 0; v < c_count; ++v) {
     const ClusterCache& cv = clusters_[static_cast<std::size_t>(v)];
-    seg3[static_cast<std::size_t>(v)] = ecn1_inbound_segment(v, lambda_g);
+    seg3[static_cast<std::size_t>(v)] =
+        ecn1_inbound_segment(v, lambda_g, scratch);
     const SegmentResult& s3 = seg3[static_cast<std::size_t>(v)];
     w_disp[static_cast<std::size_t>(v)] =
         mg1_wait(cv.in_coeff * lambda_g, s3.s_mean,
                  draper_ghosh_variance(s3.s_mean, s3.s_zero));
   }
+  const std::vector<SegmentResult> class_legs =
+      icn2_class_legs(lambda_g, scratch);
 
   double weighted = 0.0;
   for (int i = 0; i < c_count; ++i) {
@@ -451,7 +533,7 @@ LatencyPrediction RefinedModel::predict(double lambda_g) const {
     cl.p_outgoing = ci.p_out;
 
     // Internal messages: M/G/1 NIC queue with per-queue arrival rate.
-    const SegmentResult internal = internal_segment(i, lambda_g);
+    const SegmentResult internal = internal_segment(i, lambda_g, scratch);
     cl.s_internal = internal.s_mean;
     cl.w_source_internal =
         mg1_wait((1.0 - ci.p_out) * lam, internal.s_mean,
@@ -460,7 +542,7 @@ LatencyPrediction RefinedModel::predict(double lambda_g) const {
     cl.stable = internal.stable && std::isfinite(cl.t_internal);
 
     // External messages: three chained segments.
-    const SegmentResult seg1 = ecn1_outbound_segment(i, lambda_g);
+    const SegmentResult seg1 = ecn1_outbound_segment(i, lambda_g, scratch);
     cl.w_source_external =
         mg1_wait(ci.p_out * lam, seg1.s_mean,
                  draper_ghosh_variance(seg1.s_mean, seg1.s_zero));
@@ -476,7 +558,8 @@ LatencyPrediction RefinedModel::predict(double lambda_g) const {
       if (v == i) continue;
       const ClusterCache& cv = clusters_[static_cast<std::size_t>(v)];
       const double w = cv.nodes / (total_nodes_ - ci.nodes);
-      const SegmentResult seg2 = icn2_segment(i, v, lambda_g);
+      const SegmentResult seg2 =
+          icn2_leg(i, v, lambda_g, class_legs, scratch);
       const SegmentResult& s3 = seg3[static_cast<std::size_t>(v)];
       cl.stable = cl.stable && seg2.stable && s3.stable;
       s2_mean += w * seg2.s_mean;

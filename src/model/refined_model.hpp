@@ -33,6 +33,7 @@
 #include "model/breakdown.hpp"
 #include "model/graph_load.hpp"
 #include "model/latency.hpp"
+#include "model/pair_classes.hpp"
 #include "topology/fat_tree.hpp"
 #include "topology/graph.hpp"
 
@@ -86,14 +87,30 @@ class RefinedModel final : public LatencyModel {
     bool stable = true;
   };
 
-  [[nodiscard]] SegmentResult internal_segment(int cluster,
-                                               double lambda_g) const;
+  /// Work buffers of one predict()/breakdown() call. The call owns them
+  /// and passes them down, so the per-pair loop reuses them instead of
+  /// allocating while the model itself stays an immutable, shareable
+  /// object (defined in the .cpp).
+  struct Scratch;
+
+  [[nodiscard]] SegmentResult internal_segment(int cluster, double lambda_g,
+                                               Scratch& scratch) const;
   [[nodiscard]] SegmentResult ecn1_outbound_segment(int cluster,
-                                                    double lambda_g) const;
-  [[nodiscard]] SegmentResult icn2_segment(int i, int v,
-                                           double lambda_g) const;
+                                                    double lambda_g,
+                                                    Scratch& scratch) const;
+  [[nodiscard]] SegmentResult icn2_segment(int i, int v, double lambda_g,
+                                           Scratch& scratch) const;
   [[nodiscard]] SegmentResult ecn1_inbound_segment(int cluster,
-                                                   double lambda_g) const;
+                                                   double lambda_g,
+                                                   Scratch& scratch) const;
+  /// The ICN2 leg of every pair class (fat-tree ICN2; empty on graphs).
+  [[nodiscard]] std::vector<SegmentResult> icn2_class_legs(
+      double lambda_g, Scratch& scratch) const;
+  /// The (i, v) ICN2 leg: a lookup in `class_legs` on the fat tree, one
+  /// route walk per pair on graph ICN2s.
+  [[nodiscard]] SegmentResult icn2_leg(
+      int i, int v, double lambda_g,
+      const std::vector<SegmentResult>& class_legs, Scratch& scratch) const;
 
   topo::SystemConfig config_;
   NetworkParams params_;
@@ -116,6 +133,10 @@ class RefinedModel final : public LatencyModel {
   // over k^l (sigma, port) combinations.
   std::vector<std::vector<double>> icn2_down_coeff_;  ///< [v][l]
   std::vector<std::vector<double>> icn2_up_coeff_;    ///< [i][l]
+  /// Fat-tree ICN2 pair classes (pair_classes.hpp). Graph ICN2s have
+  /// none: per-channel flow under real routing keeps nearly every pair
+  /// distinct (DESIGN.md §3.2).
+  PairClasses icn2_pairs_;
 };
 
 }  // namespace mcs::model

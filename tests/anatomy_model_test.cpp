@@ -37,10 +37,22 @@ topo::SystemConfig hetero_system() {
   return cfg;
 }
 
+topo::SystemConfig torus_system() {
+  topo::SystemConfig cfg = topo::SystemConfig::homogeneous(4, 2, 8);
+  cfg.icn2.kind = topo::Icn2Kind::kTorus;
+  return cfg;
+}
+
 TEST(ModelBreakdown, StationTermsExactlyMatchPredict) {
+  // The fat-tree systems read the ICN2 leg from the pair-class table (16
+  // homogeneous clusters collapse to a handful of classes); the torus
+  // evaluates every pair. Both paths must agree with predict() bit for bit.
   for (const topo::SystemConfig& system :
-       {homogeneous_system(), hetero_system()}) {
+       {homogeneous_system(), hetero_system(), torus_system(),
+        topo::SystemConfig::homogeneous(/*m=*/4, /*height=*/2,
+                                        /*clusters=*/16)}) {
     const model::RefinedModel refined(system, model::NetworkParams{});
+    const auto total = static_cast<double>(system.total_nodes());
     for (double lambda : {1e-5, 5e-5, 2e-4}) {
       const model::LatencyPrediction p = refined.predict(lambda);
       const model::ModelBreakdown b = refined.breakdown(lambda);
@@ -53,6 +65,20 @@ TEST(ModelBreakdown, StationTermsExactlyMatchPredict) {
         // Source-side waits are the exact same M/G/1 evaluations.
         EXPECT_EQ(cb.stations[0].wait, cl.w_source_internal);
         EXPECT_EQ(cb.stations[1].wait, cl.w_source_external);
+        // The v-averaged ICN2 leg: service and concentrator wait, plus
+        // the destinations' dispatcher waits with predict()'s weights.
+        EXPECT_EQ(cb.stations[1].s_mean + cb.stations[2].s_mean,
+                  cl.s_external);
+        const auto n_i = static_cast<double>(
+            system.cluster_size(static_cast<int>(i)));
+        double w_disp_avg = 0.0;
+        for (std::size_t v = 0; v < p.clusters.size(); ++v) {
+          if (v == i) continue;
+          const auto n_v = static_cast<double>(
+              system.cluster_size(static_cast<int>(v)));
+          w_disp_avg += n_v / (total - n_i) * b.clusters[v].stations[3].wait;
+        }
+        EXPECT_EQ(cb.stations[2].wait + w_disp_avg, cl.w_conc_disp);
       }
     }
   }

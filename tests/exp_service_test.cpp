@@ -339,9 +339,12 @@ TEST(Checkpoint, JournalRoundTripsAndSortsByGridIndex) {
 TEST(Checkpoint, AppendedRowsLoadSortedAndDeduplicated) {
   const std::string path = scratch_dir("append") + "/j.journal";
   CheckpointWriter writer(path, "tiny", 0, 1);
-  for (int i = 199; i >= 0; --i)
-    writer.add(i, "d" + std::to_string(i),
-               "mcs-row-payload v1 p=" + std::to_string(i));
+  for (int i = 199; i >= 0; --i) {
+    // A named suffix: `"lit" + std::to_string(i)` trips GCC 12's
+    // -Wrestrict false positive (GCC bug 105651) at -O3.
+    const std::string n = std::to_string(i);
+    writer.add(i, "d" + n, "mcs-row-payload v1 p=" + n);
+  }
   // Re-record one index (the resume-then-recompute pattern): the fresh
   // entry must supersede the stale one.
   writer.add(42, "d42-fresh", "mcs-row-payload v1 p=fresh");

@@ -135,8 +135,13 @@ INSTANTIATE_TEST_SUITE_P(
                       TreeShape{6, 2}, TreeShape{8, 1}, TreeShape{8, 2},
                       TreeShape{8, 3}),
     [](const ::testing::TestParamInfo<TreeShape>& param_info) {
-      return "m" + std::to_string(param_info.param.m) + "n" +
-             std::to_string(param_info.param.n);
+      // Appended piecewise: `"m" + std::to_string(...)` trips GCC 12's
+      // -Wrestrict false positive (GCC bug 105651) at -O3.
+      std::string name = "m";
+      name += std::to_string(param_info.param.m);
+      name += 'n';
+      name += std::to_string(param_info.param.n);
+      return name;
     });
 
 TEST(FatTree, KnownSmallTopologyLayout) {

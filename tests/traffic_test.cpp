@@ -188,7 +188,7 @@ TEST_F(TrafficTest, SamplerMatchesPOutgoingForAllPatternKinds) {
       int external = 0;
       for (int i = 0; i < kDraws; ++i) {
         const std::int64_t src = topo_.global_id(
-            cluster, static_cast<std::int64_t>(i) % n_v);
+            cluster, static_cast<topo::EndpointId>(i % n_v));
         external += topo_.locate(sampler.sample(src, cluster, rng)).first !=
                     cluster;
       }
