@@ -10,11 +10,6 @@
 //                              report is only replaced on purpose
 //   mcs_perf --baseline=<path> fail (exit 1) on events/sec regression
 //   mcs_perf --tolerance=0.2   allowed fractional drop vs the baseline
-//   mcs_perf --speedup-floor=X fail (exit 1) when the large-system pair's
-//                              parallel speedup (large_system_par4 /
-//                              large_system_seq events/sec) lands below X;
-//                              self-skips with a note on hosts with < 4
-//                              cores, where the workers only time-slice
 //   mcs_perf --probe-out=<p>   flight recorder: one extra UNTIMED pass per
 //   mcs_perf --trace-out=<p>   scenario with probes/tracing attached
 //                              (.json probes / Chrome trace_event JSON);
@@ -48,20 +43,17 @@ int run(const mcs::util::Args& args) {
   // Strict option validation: a typo like --basline would otherwise
   // silently skip the regression gate.
   args.require_known({"smoke", "repeats", "scenario", "out", "baseline",
-                      "tolerance", "speedup-floor", "probe-out",
-                      "trace-out", "explain", "log-level"});
+                      "tolerance", "probe-out", "trace-out", "explain",
+                      "log-level"});
   const bool smoke = args.get_flag("smoke");
   const int repeats = static_cast<int>(args.get_int("repeats", 3));
   const std::string only = args.get("scenario", "");
   const std::string out_path = args.get("out", "");
   const std::string baseline = args.get("baseline", "");
   const double tolerance = args.get_double("tolerance", 0.2);
-  const double speedup_floor = args.get_double("speedup-floor", 0.0);
   if (repeats < 1) throw mcs::ConfigError("--repeats must be >= 1");
   if (tolerance < 0.0 || tolerance >= 1.0)
     throw mcs::ConfigError("--tolerance must be in [0, 1)");
-  if (speedup_floor < 0.0)
-    throw mcs::ConfigError("--speedup-floor must be >= 0");
 
   std::vector<mcs::bench::PerfScenario> scenarios =
       mcs::bench::perf_scenarios(smoke);
@@ -125,10 +117,6 @@ int run(const mcs::util::Args& args) {
       const mcs::topo::MultiClusterTopology topology(scenario.system);
       const mcs::model::NetworkParams params;
       mcs::sim::SimConfig cfg = scenario.sim;
-      // Parallel scenarios support probes only (trace/anatomy span
-      // streams are inherently total-order) — their buffers stay empty
-      // and the scenario keeps trace_dropped/probe placement honest.
-      const bool parallel_scenario = scenario.sim.parallel > 0;
       if (!probe_out.empty()) {
         probe_series.emplace_back();
         cfg.probes = &probe_series.back();
@@ -137,22 +125,11 @@ int run(const mcs::util::Args& args) {
         trace_buffers.emplace_back(mcs::obs::TraceConfig{},
                                    static_cast<int>(i));
         trace_buffers.back().set_label(scenario.id);
-        if (parallel_scenario)
-          std::fprintf(stderr,
-                       "mcs_perf: note: '%s' runs in parallel mode — "
-                       "trace skipped (probes only)\n",
-                       scenario.id.c_str());
-        else
-          cfg.trace = &trace_buffers.back();
+        cfg.trace = &trace_buffers.back();
       }
-      if (explain && parallel_scenario)
-        std::fprintf(stderr,
-                     "mcs_perf: note: '%s' runs in parallel mode — "
-                     "anatomy skipped (probes only)\n",
-                     scenario.id.c_str());
-      if (explain && !parallel_scenario) cfg.anatomy = &anatomies[i];
+      if (explain) cfg.anatomy = &anatomies[i];
       const mcs::sim::SimResult result =
-          mcs::sim::run_simulation(topology, params, scenario.lambda, cfg);
+          mcs::sim::Simulator(topology, params, scenario.lambda, cfg).run();
       if (result.events_processed != report.measurements[i].events)
         throw mcs::ConfigError(
             "instrumented pass of '" + scenario.id +
@@ -186,7 +163,6 @@ int run(const mcs::util::Args& args) {
     if (explain) {
       for (std::size_t i = 0; i < scenarios.size(); ++i) {
         const mcs::bench::PerfScenario& scenario = scenarios[i];
-        if (scenario.sim.parallel > 0) continue;  // no anatomy captured
         const mcs::model::RefinedModel refined(
             scenario.system, mcs::model::NetworkParams{}, {},
             scenario.sim.flow_control);
@@ -218,54 +194,12 @@ int run(const mcs::util::Args& args) {
 
   report.manifest.complete();
 
-  // Parallel speedup: the large-system pair runs the identical 256-node
-  // workload single-threaded and through the parallel mode, so the
-  // events/sec ratio is the speedup. Printed whenever both were measured;
-  // enforced only via --speedup-floor AND on hosts with >= 4 cores — on
-  // fewer cores the 4 workers time-slice and the ratio measures the
-  // scheduler, not the simulator, so the gate self-skips with a note.
-  const auto find_measurement =
-      [&](const std::string& id) -> const mcs::bench::PerfMeasurement* {
-    for (const mcs::bench::PerfMeasurement& m : report.measurements)
-      if (m.id == id) return &m;
-    return nullptr;
-  };
-  const mcs::bench::PerfMeasurement* large_seq =
-      find_measurement("large_system_seq");
-  const mcs::bench::PerfMeasurement* large_par =
-      find_measurement("large_system_par4");
-  double speedup = 0.0;
-  if (large_seq != nullptr && large_par != nullptr &&
-      large_seq->events_per_sec > 0.0) {
-    speedup = large_par->events_per_sec / large_seq->events_per_sec;
-    std::printf("parallel speedup (large_system_par4 / large_system_seq): "
-                "%.2fx on %d core(s)\n",
-                speedup, report.threads_available);
-  }
-
   // Compare BEFORE writing: with --out and --baseline naming the same
   // file (e.g. a committed BENCH_PR3.json), writing first would overwrite
   // the reference and the gate would compare the run against itself.
   std::vector<std::string> violations;
   if (!baseline.empty())
     violations = mcs::bench::compare_to_baseline(report, baseline, tolerance);
-  if (speedup_floor > 0.0) {
-    if (report.threads_available < 4) {
-      std::printf("speedup gate skipped: %d core(s) available, need >= 4\n",
-                  report.threads_available);
-    } else if (speedup <= 0.0) {
-      violations.emplace_back(
-          "--speedup-floor set but the large_system_seq/large_system_par4 "
-          "pair was not measured (check --scenario filters)");
-    } else if (speedup < speedup_floor) {
-      char msg[160];
-      std::snprintf(msg, sizeof(msg),
-                    "parallel speedup %.2fx below the %.2fx floor on %d "
-                    "cores (large_system_par4 vs large_system_seq)",
-                    speedup, speedup_floor, report.threads_available);
-      violations.emplace_back(msg);
-    }
-  }
   if (!out_path.empty()) {
     mcs::bench::write_report_json_file(report, out_path);
     std::printf("wrote %s\n", out_path.c_str());

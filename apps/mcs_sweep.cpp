@@ -19,13 +19,6 @@
 //   --replications=R  override the scenario replication count
 //   --warmup=N --measured=N  override the simulation phases
 //   --paper-scale     Sec. 4 phases: 10k warm-up / 100k measured
-//   --parallel-run=K  run every simulation through the conservative
-//                     per-cluster parallel mode with K worker threads
-//                     (DESIGN.md §16; bit-identical for any K >= 1, but a
-//                     distinct deterministic stream from the default
-//                     single-threaded simulator — so it keys the result
-//                     cache digest). Probes work; --trace-out/--explain
-//                     are rejected. 0 (default) = single-threaded.
 //   --no-sim          models only (fast, deterministic)
 //   --knee            add the model saturation-knee column
 //   --find-saturation bisect each (system, params, pattern, relay, flow)

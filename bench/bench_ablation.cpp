@@ -9,6 +9,8 @@
 // funnels and the ICN2 path simultaneously; store-and-forward decouples
 // them at the cost of three full drains).
 //
+// Not an INI: loads are fractions of a run-time knee; INI loads are absolute.
+//
 // Flags: --org=a|b, --measured=N, --m-flits, --flit-bytes.
 #include <cmath>
 #include <cstdio>

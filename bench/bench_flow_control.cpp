@@ -4,6 +4,8 @@
 // store-and-forward decouples channel holds, so it degrades more
 // gracefully toward saturation.
 //
+// Not an INI: loads are fractions of a run-time knee; INI loads are absolute.
+//
 // Flags: --org=a|b, --measured=N, --m-flits=..., --no-sim.
 #include <cstdio>
 

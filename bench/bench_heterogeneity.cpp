@@ -3,6 +3,8 @@
 // vary how the nodes are partitioned into clusters, then compare mean
 // latency (model + simulation) and the saturation point.
 //
+// Not an INI: loads are fractions of a run-time knee; INI loads are absolute.
+//
 // Flags: --measured=N, --no-sim.
 #include <cstdio>
 

@@ -1,16 +1,12 @@
 // E-T1: regenerate Table 1 ("System organizations for validation"),
 // extended with the derived quantities the model consumes: per-cluster
 // switch counts (Eq. 2), outgoing probabilities (Eq. 13), mean distances
-// (Eqs. 8-9) and the ICN2 shape — then evaluate the Table 1 operating
-// grid (both organizations x message lengths x flit sizes x loads) from
-// the checked-in scenarios/table1.ini through the SweepRunner.
-//
-// Flags: --scenario=PATH (defaults to scenarios/table1.ini),
-// --threads=N, --orgs-only (skip the operating grid).
+// (Eqs. 8-9) and the ICN2 shape. No scenario emits these; the Table 1
+// operating grid itself is `mcs_sweep table1`.
 #include <cstdio>
 #include <map>
 
-#include "harness.hpp"
+#include <mcs/mcs.hpp>
 
 namespace {
 
@@ -59,26 +55,10 @@ void print_org(const char* name, const mcs::topo::SystemConfig& cfg) {
 
 }  // namespace
 
-int main(int argc, char** argv) {
-  const mcs::util::Args args(argc, argv);
+int main() {
   print_org("A (N=1120, C=32, m=8)",
             mcs::topo::SystemConfig::table1_org_a());
   print_org("B (N=544, C=16, m=4)",
             mcs::topo::SystemConfig::table1_org_b());
-  if (args.get_flag("orgs-only")) return 0;
-
-  // The operating grid lives in a declarative scenario, shared verbatim
-  // with `mcs_sweep table1`.
-  const std::string path =
-      args.get("scenario", mcs::bench::scenario_path("table1"));
-  const mcs::exp::SweepRunner runner(mcs::exp::load_scenario(path));
-  mcs::exp::SweepRunOptions options;
-  options.threads = static_cast<int>(args.get_int("threads", 0));
-  const mcs::exp::SweepResult result = runner.run(options);
-
-  std::printf("=== Table 1 operating grid (%s) ===\n", path.c_str());
-  mcs::exp::to_table(result).print();
-  std::printf("\n%zu grid rows on %d threads in %.2fs\n", result.rows.size(),
-              result.threads, result.wall_seconds);
   return 0;
 }

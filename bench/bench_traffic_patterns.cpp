@@ -10,6 +10,8 @@
 //     cluster targets its shifted neighbor; the model consumes its
 //     all-external P_o).
 //
+// Not an INI: loads are fractions of a run-time knee; INI loads are absolute.
+//
 // Flags: --measured=N, --lambda=..., --no-sim, --threads=N,
 // --scenario=PATH.
 #include <cstdio>

@@ -1,8 +1,5 @@
 #include "harness.hpp"
 
-#include <cstdio>
-#include <filesystem>
-
 namespace mcs::bench {
 
 SweepOptions options_from_args(const util::Args& args) {
@@ -16,98 +13,12 @@ SweepOptions options_from_args(const util::Args& args) {
   opt.seed = static_cast<std::uint64_t>(
       args.get_int("seed", static_cast<long>(opt.seed)));
   opt.run_sim = !args.get_flag("no-sim");
-  opt.cut_through = args.get_flag("cut-through");
   opt.threads = static_cast<int>(args.get_int("threads", 0));
-  opt.results_dir = args.get("results-dir", opt.results_dir);
   return opt;
-}
-
-std::vector<double> lambda_grid(double step, int count) {
-  // Two sub-step points sample the low-load steady region (where the
-  // paper reports model/simulation agreement), then the paper's axis
-  // grid proper.
-  std::vector<double> grid = {0.25 * step, 0.5 * step};
-  for (int i = 1; i <= count; ++i) grid.push_back(step * i);
-  return grid;
-}
-
-exp::ScenarioSpec panel_spec(const FigurePanel& panel,
-                             const SweepOptions& options) {
-  exp::ScenarioSpec spec;
-  spec.name = panel.id;
-  spec.systems = {{panel.id, panel.config}};
-  spec.message_flits = {panel.message_flits};
-  spec.flit_bytes = panel.flit_sizes;
-  spec.loads = panel.lambdas;
-  spec.relay_modes = {options.cut_through ? sim::RelayMode::kCutThrough
-                                          : sim::RelayMode::kStoreForward};
-  spec.seed = options.seed;
-  spec.replications = 1;
-  spec.warmup = options.warmup;
-  spec.measured = options.measured;
-  spec.run_sim = options.run_sim;
-  return spec;
 }
 
 std::string scenario_path(const std::string& name) {
   return exp::default_scenario_dir() + "/" + name + ".ini";
-}
-
-int run_panel(const FigurePanel& panel, const SweepOptions& options) {
-  std::filesystem::create_directories(options.results_dir);
-
-  const exp::SweepRunner runner(panel_spec(panel, options));
-  exp::SweepRunOptions run_options;
-  run_options.threads = options.threads;
-
-  std::printf("=== %s ===\n", panel.title.c_str());
-  std::printf(
-      "system: N=%lld, C=%d, m=%d | M=%d flits | relay=%s | sim: %lld "
-      "measured after %lld warm-up\n",
-      static_cast<long long>(panel.config.total_nodes()),
-      panel.config.cluster_count(), panel.config.m, panel.message_flits,
-      options.cut_through ? "cut-through" : "store-and-forward",
-      static_cast<long long>(options.run_sim ? options.measured : 0),
-      static_cast<long long>(options.run_sim ? options.warmup : 0));
-  for (const double flit_bytes : panel.flit_sizes) {
-    model::NetworkParams params;
-    params.message_flits = panel.message_flits;
-    params.flit_bytes = flit_bytes;
-    std::printf("L_m = %.0f bytes: t_cn=%.3f, t_cs=%.3f\n", flit_bytes,
-                params.t_cn(), params.t_cs());
-  }
-
-  const exp::SweepResult result = runner.run(run_options);
-
-  exp::to_table(result).print();
-  std::printf("(* = non-stationary run: mean drifts for the whole window;"
-              " the load is past the sustainable point)\n");
-
-  // The figure CSV keeps its original per-panel schema (consumed by the
-  // plotting scripts); the full-schema CSV is available via mcs_sweep.
-  util::CsvWriter csv(
-      options.results_dir + "/" + panel.id + ".csv",
-      {"flit_bytes", "lambda", "paper_latency", "paper_stable",
-       "refined_latency", "refined_stable", "sim_latency", "sim_ci95",
-       "sim_state"});  // sim_state: 0 steady, 1 saturated, 2 non-stationary
-  for (const exp::SweepRow& row : result.rows) {
-    const bool has_sim = row.sim_run && row.completed > 0;
-    csv.add_row({util::TextTable::num(row.flit_bytes, 0),
-                 util::TextTable::sci(row.lambda, 6),
-                 util::TextTable::num(row.paper_latency, 6),
-                 row.paper_stable ? "1" : "0",
-                 util::TextTable::num(row.refined_latency, 6),
-                 row.refined_stable ? "1" : "0",
-                 util::TextTable::num(has_sim ? row.sim_latency : -1.0, 6),
-                 util::TextTable::num(has_sim ? row.sim_ci : 0.0, 6),
-                 std::to_string(row.sim_state)});
-  }
-
-  std::printf("\n%s: %zu points on %d threads in %.2fs; wrote %s/%s.csv\n\n",
-              panel.id.c_str(), result.rows.size(), result.threads,
-              result.wall_seconds, options.results_dir.c_str(),
-              panel.id.c_str());
-  return result.saturated_points;
 }
 
 }  // namespace mcs::bench

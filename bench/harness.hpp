@@ -1,13 +1,10 @@
-// Shared sweep driver for the figure-regeneration benches: builds a
-// ScenarioSpec for one figure panel and runs it through the exp::
-// SweepRunner (models and simulator replications in parallel), prints the
-// series as a table (the textual equivalent of the paper's plots) and
-// writes CSV under results/.
+// Shared flag parsing for the bench binaries: phase sizes, seed, the
+// simulation switch and the sweep worker count, plus the path of the
+// checked-in scenario specs.
 #pragma once
 
 #include <cstdint>
 #include <string>
-#include <vector>
 
 #include <mcs/mcs.hpp>
 
@@ -18,39 +15,12 @@ struct SweepOptions {
   std::int64_t measured = 30'000;
   std::uint64_t seed = 20060814;
   bool run_sim = true;
-  bool cut_through = false;
   int threads = 0;  ///< sweep workers; 0 = hardware concurrency
-  std::string results_dir = "results";
 };
 
 /// Parse the common bench flags: --measured, --warmup, --seed,
-/// --paper-scale (10k/100k phases as in Sec. 4), --no-sim, --cut-through,
-/// --threads, --results-dir.
+/// --paper-scale (10k/100k phases as in Sec. 4), --no-sim, --threads.
 SweepOptions options_from_args(const util::Args& args);
-
-/// One panel of Figs. 3-4: a system organization, a message length, the
-/// two flit sizes and the offered-traffic grid of the paper's x-axis.
-struct FigurePanel {
-  std::string id;     ///< e.g. "fig3_m32" (also the CSV stem)
-  std::string title;  ///< e.g. "Fig. 3 (left): N=1120, m=8, M=32"
-  topo::SystemConfig config;
-  int message_flits = 32;
-  std::vector<double> flit_sizes = {256, 512};
-  std::vector<double> lambdas;
-};
-
-/// Evenly spaced grid {step, 2*step, ..., count*step} (the paper's axes),
-/// led by two sub-step points sampling the steady low-load region.
-[[nodiscard]] std::vector<double> lambda_grid(double step, int count);
-
-/// Translate the panel + options into the equivalent ScenarioSpec (the
-/// same expansion `mcs_sweep` performs on a scenarios/*.ini file).
-[[nodiscard]] exp::ScenarioSpec panel_spec(const FigurePanel& panel,
-                                           const SweepOptions& options);
-
-/// Run the panel through the SweepRunner; returns the number of saturated
-/// (or non-stationary) simulation points.
-int run_panel(const FigurePanel& panel, const SweepOptions& options);
 
 /// Absolute path of a checked-in scenario spec (scenarios/<name>.ini).
 [[nodiscard]] std::string scenario_path(const std::string& name);

@@ -7,7 +7,6 @@
 #include <limits>
 #include <sstream>
 
-#include "sim/parallel_sim.hpp"
 #include "util/contracts.hpp"
 #include "util/error.hpp"
 
@@ -29,10 +28,8 @@ topo::SystemConfig torus_system() {
 }
 
 topo::SystemConfig large_system() {
-  // The parallel-speedup workload (DESIGN.md §16): 16 clusters x 16 nodes
-  // = 256 endpoints, so the per-cluster partitions offer 16-way
-  // parallelism and each round carries enough local work to amortize the
-  // barrier.
+  // 16 clusters x 16 nodes = 256 endpoints: the largest perf system, so
+  // per-event costs that grow with the channel or node count show here.
   return topo::SystemConfig::homogeneous(4, 2, 16);
 }
 
@@ -128,26 +125,11 @@ std::vector<PerfScenario> perf_scenarios(bool smoke) {
     scenarios.push_back(std::move(s));
   }
   {
-    // The large-system pair: the same 256-node workload single-threaded
-    // and through the conservative parallel mode with 4 workers, so
-    // events/sec(par4) / events/sec(seq) IS the parallel speedup —
-    // mcs_perf prints it and (on >= 4 cores) gates on it.
     PerfScenario s;
     s.id = "large_system_seq";
     s.description = "homogeneous m=4 h=2 C=16 (N=256), single-threaded";
     s.system = large_system();
     s.sim = base;
-    s.lambda = 2e-4;
-    scenarios.push_back(std::move(s));
-  }
-  {
-    PerfScenario s;
-    s.id = "large_system_par4";
-    s.description =
-        "homogeneous m=4 h=2 C=16 (N=256), parallel mode, 4 workers";
-    s.system = large_system();
-    s.sim = base;
-    s.sim.parallel = 4;
     s.lambda = 2e-4;
     scenarios.push_back(std::move(s));
   }
@@ -167,32 +149,15 @@ PerfMeasurement measure(const PerfScenario& scenario, int repeats) {
 
   for (int r = 0; r < repeats; ++r) {
     // Construction (route tables, channel layout) stays outside the timed
-    // region in both modes; only run() is measured.
-    sim::SimResult result;
-    double seconds = 0.0;
-    if (scenario.sim.parallel > 0) {
-      sim::ParallelSimulator simulator(topology, params, scenario.lambda,
-                                       scenario.sim);
-      // mcs-lint: allow(raw-entropy) wall time IS the measurement here;
-      // the harness cross-checks event counts, not times, for
-      // bit-identity.
-      const auto start = std::chrono::steady_clock::now();
-      result = simulator.run();
-      // mcs-lint: allow(raw-entropy) same timing measurement as above.
-      const auto end = std::chrono::steady_clock::now();
-      seconds = std::chrono::duration<double>(end - start).count();
-    } else {
-      sim::Simulator simulator(topology, params, scenario.lambda,
-                               scenario.sim);
-      // mcs-lint: allow(raw-entropy) wall time IS the measurement here;
-      // the harness cross-checks event counts, not times, for
-      // bit-identity.
-      const auto start = std::chrono::steady_clock::now();
-      result = simulator.run();
-      // mcs-lint: allow(raw-entropy) same timing measurement as above.
-      const auto end = std::chrono::steady_clock::now();
-      seconds = std::chrono::duration<double>(end - start).count();
-    }
+    // region; only run() is measured.
+    sim::Simulator simulator(topology, params, scenario.lambda, scenario.sim);
+    // mcs-lint: allow(raw-entropy) wall time IS the measurement here; the
+    // harness cross-checks event counts, not times, for bit-identity.
+    const auto start = std::chrono::steady_clock::now();
+    const sim::SimResult result = simulator.run();
+    const std::chrono::duration<double> elapsed =
+        // mcs-lint: allow(raw-entropy) same timing measurement as above.
+        std::chrono::steady_clock::now() - start;
 
     if (r == 0) {
       m.events = result.events_processed;
@@ -206,7 +171,7 @@ PerfMeasurement measure(const PerfScenario& scenario, int repeats) {
       MCS_ASSERT(m.worms == result.worms_spawned);
       MCS_ASSERT(m.latency_mean == result.latency.mean);
     }
-    m.best_seconds = std::min(m.best_seconds, seconds);
+    m.best_seconds = std::min(m.best_seconds, elapsed.count());
   }
 
   m.events_per_sec = static_cast<double>(m.events) / m.best_seconds;

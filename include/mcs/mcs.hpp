@@ -43,7 +43,6 @@
 #include "sim/engine.hpp"
 #include "sim/event_queue.hpp"
 #include "sim/metrics.hpp"
-#include "sim/parallel_sim.hpp"
 #include "sim/replication.hpp"
 #include "sim/simulator.hpp"
 #include "sim/traffic.hpp"

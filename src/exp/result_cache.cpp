@@ -116,11 +116,6 @@ std::string row_digest(const ScenarioSpec& spec, const SweepRow& row,
   c.kv("warmup", spec.warmup);
   c.kv("measured", spec.measured);
   c.kv("run_sim", spec.run_sim);
-  // The parallel mode produces its own deterministic stream (distinct
-  // from the single-threaded one), but any worker count K >= 1 yields the
-  // same bits — so the digest keys on "parallel on", never on K. Keyed
-  // only when nonzero so every pre-existing digest stays valid.
-  if (spec.parallel > 0) c.kv("parallel", 1);
   c.kv("run_paper", spec.run_paper_model);
   c.kv("run_refined", spec.run_refined_model);
   c.kv("find_knee", spec.find_knee);

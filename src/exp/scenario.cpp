@@ -62,7 +62,7 @@ const std::vector<std::string>& sweep_keys() {
       "measured",  "message_flits", "flit_bytes", "loads",
       "load_grid", "models",     "sim",          "knee",
       "find_saturation",         "relay",        "flow",
-      "alpha_net", "alpha_sw",   "beta_net",     "parallel"};
+      "alpha_net", "alpha_sw",   "beta_net"};
   return keys;
 }
 
@@ -322,9 +322,6 @@ void ScenarioSpec::validate() const {
     throw ConfigError("ScenarioSpec: replications must be >= 1");
   if (warmup < 0) throw ConfigError("ScenarioSpec: warmup must be >= 0");
   if (measured < 1) throw ConfigError("ScenarioSpec: measured must be >= 1");
-  if (parallel < 0)
-    throw ConfigError("ScenarioSpec: parallel must be >= 0 "
-                      "(0 = single-threaded simulator)");
   if (!run_sim && !run_paper_model && !run_refined_model &&
       !find_sim_saturation)
     throw ConfigError("ScenarioSpec: nothing to evaluate "
@@ -504,9 +501,6 @@ ScenarioSpec parse_scenario(std::istream& in, const std::string& source) {
           spec.warmup = parse_int(source, line_no, value);
         } else if (key == "measured") {
           spec.measured = parse_int(source, line_no, value);
-        } else if (key == "parallel") {
-          spec.parallel =
-              static_cast<int>(parse_int(source, line_no, value));
         } else if (key == "message_flits") {
           for (const std::string& v : split_list(value))
             spec.message_flits.push_back(
@@ -518,9 +512,9 @@ ScenarioSpec parse_scenario(std::istream& in, const std::string& source) {
           for (const std::string& v : split_list(value))
             spec.loads.push_back(parse_double(source, line_no, v));
         } else if (key == "load_grid") {
-          // step : count, expanding to {s/4, s/2, s, 2s, ..., count*s}
-          // (the bench harness's lambda_grid: two sub-step points sample
-          // the steady low-load region, then the paper's axis grid).
+          // step : count, expanding to {s/4, s/2, s, 2s, ..., count*s}:
+          // two sub-step points sample the steady low-load region, then
+          // the paper's axis grid.
           const std::vector<std::string> parts = split_list(value, ':');
           if (parts.size() != 2)
             fail(source, line_no, "load_grid wants '<step> : <count>'");

@@ -37,9 +37,7 @@
 // `local_fraction`, `cluster_shift`). `loads`/`load_grid` lines may
 // repeat and accumulate grid points; the other list keys
 // (`message_flits`, `flit_bytes`, `models`, `relay`, `flow`) set the
-// whole list and may appear only once. `parallel = K` routes every
-// simulation through the conservative per-cluster parallel mode with K
-// worker threads (0, the default, keeps the single-threaded simulator).
+// whole list and may appear only once.
 //
 // Heterogeneous technology and load (DESIGN.md §10): a `[system]` section
 // may be followed by `[cluster.<i>]` sub-sections overriding cluster i's
@@ -135,14 +133,6 @@ struct ScenarioSpec {
   int replications = 1;
   std::int64_t warmup = 3'000;
   std::int64_t measured = 30'000;
-  /// `[sweep] parallel = K` (or mcs_sweep --parallel-run=K): run every
-  /// simulation — replications and saturation searches alike — through
-  /// the conservative per-cluster parallel mode with K worker threads
-  /// (DESIGN.md §16). 0 = the classic single-threaded simulator. The
-  /// parallel mode's results are bit-identical for any K >= 1 but form
-  /// their own deterministic stream, so this knob is part of the result
-  /// cache digest.
-  int parallel = 0;
 
   // --- what to evaluate --------------------------------------------------
   bool run_sim = true;

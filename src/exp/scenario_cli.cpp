@@ -143,8 +143,6 @@ void apply_spec_flags(const util::Args& args, ScenarioSpec& spec) {
   }
   spec.warmup = args.get_int("warmup", spec.warmup);
   spec.measured = args.get_int("measured", spec.measured);
-  spec.parallel =
-      static_cast<int>(args.get_int("parallel-run", spec.parallel));
   if (args.get_flag("no-sim")) spec.run_sim = false;
   if (args.get_flag("knee")) spec.find_knee = true;
   if (args.get_flag("find-saturation")) spec.find_sim_saturation = true;
@@ -155,7 +153,7 @@ void apply_spec_flags(const util::Args& args, ScenarioSpec& spec) {
 std::vector<std::string> spec_flag_names() {
   return {"seed",          "replications",   "paper-scale",
           "warmup",        "measured",       "no-sim",
-          "parallel-run",  "knee",          "find-saturation", "icn2",
+          "knee",          "find-saturation", "icn2",
           "icn2-degree",   "icn2-switches",  "icn2-seed",
           "load-scale",    "icn2-alpha-net", "icn2-alpha-sw",
           "icn2-beta-net"};

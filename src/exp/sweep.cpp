@@ -15,7 +15,6 @@
 #include "model/paper_model.hpp"
 #include "model/refined_model.hpp"
 #include "model/saturation.hpp"
-#include "sim/parallel_sim.hpp"
 #include "sim/replication.hpp"
 #include "util/error.hpp"
 #include "util/log.hpp"
@@ -346,11 +345,6 @@ SweepResult SweepRunner::run(const SweepRunOptions& options) const {
         "sweep: probes/traces/explain cannot combine with "
         "cache/checkpoint/shard modes — a restored row has nothing to "
         "observe, so the captures would be silently partial");
-  if (spec_.parallel > 0 && (options.collect_traces || options.explain))
-    throw ConfigError(
-        "sweep: parallel simulation supports probes only — trace and "
-        "anatomy span streams are inherently total-order (drop "
-        "--trace-out/--explain or set parallel = 0)");
 
   SweepResult result;
   result.manifest = obs::RunManifest::begin();
@@ -705,13 +699,11 @@ SweepResult SweepRunner::run(const SweepRunOptions& options) const {
           cfg.flow_control = row.flow;
           cfg.warmup_messages = spec_.warmup;
           cfg.measured_messages = spec_.measured;
-          cfg.parallel = spec_.parallel;
           cfg.pattern =
               patterns[static_cast<std::size_t>(row.pattern_idx)].pattern;
           // Replication 0 carries the row's flight recorder; observation
           // is bit-invisible to results, so rep 0 stays comparable to the
-          // uninstrumented replications. (Parallel rows never reach here
-          // with traces/anatomy — validated before task submission.)
+          // uninstrumented replications.
           if (rep == 0) {
             if (!row_probes.empty()) cfg.probes = &row_probes[r];
             if (!row_traces.empty()) cfg.trace = &row_traces[r];
@@ -719,7 +711,7 @@ SweepResult SweepRunner::run(const SweepRunOptions& options) const {
           }
 
           sim_runs[r][static_cast<std::size_t>(rep)] =
-              sim::run_simulation(topology, params, row.lambda, cfg);
+              sim::Simulator(topology, params, row.lambda, cfg).run();
           if (incremental) complete_row(r);
         }));
         ++result.sim_tasks;
@@ -768,7 +760,6 @@ SweepResult SweepRunner::run(const SweepRunOptions& options) const {
       cfg.flow_control = mg.flow;
       cfg.warmup_messages = spec_.warmup;
       cfg.measured_messages = spec_.measured;
-      cfg.parallel = spec_.parallel;
       cfg.pattern =
           patterns[static_cast<std::size_t>(sg.pattern_idx)].pattern;
       cfg.warmup_deletion = spec_.search_warmup;

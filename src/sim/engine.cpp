@@ -121,9 +121,9 @@ void WormholeEngine::grow_stride(std::int32_t needed_len) {
   drain_cur_.resize(stride_);
 }
 
-WormId WormholeEngine::alloc_row(std::int32_t msg,
-                                 std::span<const GlobalChannelId> path,
-                                 double enqueue_time) {
+WormId WormholeEngine::spawn(std::int32_t msg,
+                             std::span<const GlobalChannelId> path,
+                             double now) {
   MCS_EXPECTS(!path.empty());
   // A wormhole worm must be able to span its whole path; see the header
   // comment. Store-and-forward holds one channel at a time.
@@ -145,46 +145,15 @@ WormId WormholeEngine::alloc_row(std::int32_t msg,
   }
   Worm& w = worms_[static_cast<std::size_t>(id)];
   std::copy_n(path.data(), path.size(), path_pool_.data() + row(id));
-  w.enqueue_time = enqueue_time;
+  w.enqueue_time = now;
   w.msg = msg;
   w.hop = 0;
   w.len = static_cast<std::int32_t>(path.size());
   w.next_waiter = Worm::kNoWorm;
-  w.flags = 0;
   ++live_worms_;
-  return id;
-}
-
-void WormholeEngine::retire_row(WormId id) {
-  --live_worms_;
-  free_worms_.push_back(id);
-}
-
-WormId WormholeEngine::spawn(std::int32_t msg,
-                             std::span<const GlobalChannelId> path,
-                             double now) {
-  const WormId id = alloc_row(msg, path, now);
   ++spawned_;
-  request(id, now);
-  return id;
-}
 
-WormId WormholeEngine::adopt(std::int32_t msg,
-                             std::span<const GlobalChannelId> path,
-                             std::span<const double> acquire,
-                             std::int32_t hop, double enqueue_time,
-                             double at) {
-  MCS_EXPECTS(port_ != nullptr);
-  MCS_EXPECTS(hop > 0 && hop < static_cast<std::int32_t>(path.size()));
-  MCS_EXPECTS(acquire.size() == static_cast<std::size_t>(hop));
-  const WormId id = alloc_row(msg, path, enqueue_time);
-  Worm& w = worms_[static_cast<std::size_t>(id)];
-  // The remote acquire instants feed finish_header's drain recurrence
-  // (start row 0) and the channel accounting exactly as local ones do.
-  std::copy_n(acquire.data(), acquire.size(), acquire_pool_.data() + row(id));
-  w.hop = hop;
-  w.flags = Worm::kPendingRequest;
-  queue_.push(at, EventKind::kHeaderAdvance, id);
+  request(id, now);
   return id;
 }
 
@@ -217,24 +186,6 @@ void WormholeEngine::acquire(WormId id, double now) {
   MCS_ASSERT(ch.holder == Worm::kNoWorm);
   ch.holder = id;
   acquire_pool_[row(id) + hop] = now;
-  if (port_ != nullptr && w.hop + 1 < w.len &&
-      !port_->local_channel(path_pool_[row(id) + hop + 1])) {
-    // The next channel belongs to another partition. Ship the worm NOW,
-    // timestamped one crossing ahead — the receiver requests the remote
-    // channel exactly when the header would reach it, and the crossing is
-    // the conservative lookahead that keeps the rounds safe.
-    port_->handoff(id, now + crossing_[static_cast<std::size_t>(c)]);
-    if (flow_control_ == FlowControl::kWormhole) {
-      // The channels held here keep their (now stale) holder until the
-      // remote finish_header sends their releases back; the row itself
-      // is done locally.
-      retire_row(id);
-      return;
-    }
-    // Store-and-forward still owes the local account + release of c when
-    // the message finishes crossing it; header_advanced stops there.
-    w.flags |= Worm::kMigrated;
-  }
   // Wormhole: the header crosses in one flit time. Store-and-forward: the
   // entire message crosses before anything else happens (see crossing_).
   queue_.push(now + crossing_[static_cast<std::size_t>(c)],
@@ -263,25 +214,12 @@ void WormholeEngine::handle(const Event& event) {
 
 void WormholeEngine::header_advanced(WormId id, double now) {
   Worm& w = worms_[static_cast<std::size_t>(id)];
-  if (w.flags & Worm::kPendingRequest) {
-    // Adopted worm: its header just finished crossing the sender's last
-    // channel; w.hop already names the local channel to contend for.
-    w.flags = static_cast<std::uint8_t>(w.flags & ~Worm::kPendingRequest);
-    request(id, now);
-    return;
-  }
   if (flow_control_ == FlowControl::kStoreAndForward) {
     // The full message crossed this channel: release it immediately, then
     // queue for the next hop (or deliver).
     const auto hop = static_cast<std::size_t>(w.hop);
     account(path_pool_[row(id) + hop], acquire_pool_[row(id) + hop], now);
     release(path_pool_[row(id) + hop], now);
-    if (w.flags & Worm::kMigrated) {
-      // The worm itself continues in another partition (shipped at grant
-      // time); only this local release was still owed.
-      retire_row(id);
-      return;
-    }
     ++w.hop;
     if (w.hop < w.len) {
       request(id, now);
@@ -379,14 +317,7 @@ void WormholeEngine::finish_header(WormId id, double now) {
   for (std::size_t j = 0; j < hops; ++j) {
     const double rel = std::max(prev[j] + svc[j], now);
     account(path[j], acquire[j], rel);
-    if (port_ == nullptr || port_->local_channel(path[j]))
-      queue_.push(rel, EventKind::kRelease, path[j]);
-    else
-      // A hop acquired before the worm migrated here: its owner frees it.
-      // With M >= path + 1 flits the drain recurrence guarantees
-      // rel >= now + min service, the release leg of the lookahead bound
-      // (parallel_sim.cpp derives both legs).
-      port_->remote_release(path[j], rel);
+    queue_.push(rel, EventKind::kRelease, path[j]);
     done = std::max(done, rel);
   }
   queue_.push(done, EventKind::kWormDone, id);

@@ -51,18 +51,8 @@ struct Worm {
   std::int32_t hop = 0;       ///< next channel index to acquire
   std::int32_t len = 0;       ///< path length in channels
   std::int32_t next_waiter = kNoWorm;  ///< intrusive FIFO link
-  /// Partition-mode lifecycle bits (always 0 in single-threaded runs).
-  std::uint8_t flags = 0;
 
   static constexpr std::int32_t kNoWorm = -1;
-  /// Store-and-forward worm handed off to another partition: its pending
-  /// kHeaderAdvance still owes the local account + release, then the row
-  /// is recycled instead of advancing.
-  static constexpr std::uint8_t kMigrated = 1;
-  /// Adopted worm whose first local kHeaderAdvance means "request hop"
-  /// (the header finished crossing the REMOTE previous channel), not
-  /// "advance past a locally crossed one".
-  static constexpr std::uint8_t kPendingRequest = 2;
 };
 
 class WormholeEngine {
@@ -75,42 +65,10 @@ class WormholeEngine {
     virtual ~Listener() = default;
   };
 
-  /// Partition boundary of the conservative parallel mode (DESIGN.md §16).
-  /// When a port is attached the engine owns only the channels for which
-  /// local_channel() is true; a worm granted its last local channel before
-  /// a remote one is shipped out via handoff() AT GRANT TIME — one full
-  /// crossing before the header actually reaches the remote channel, which
-  /// is exactly the conservative lookahead the round synchronizer banks on
-  /// — and releases of remotely-held channels computed by finish_header
-  /// are forwarded via remote_release(). With no port attached (the
-  /// default) every branch below is dead and the engine's event stream is
-  /// byte-identical to every release since PR 3.
-  class PartitionPort {
-   public:
-    /// Does this engine's partition own global channel c?
-    [[nodiscard]] virtual bool local_channel(GlobalChannelId c) const = 0;
-    /// Ship worm `id` to the owner of its next (remote) channel. `at` is
-    /// the instant the header finishes crossing the just-granted channel;
-    /// the receiver must adopt() the worm and request its next hop then.
-    /// The worm record and its path/acquire rows are valid during the
-    /// call; the engine recycles the row after (wormhole) or once the
-    /// local store-and-forward crossing completes (kMigrated).
-    virtual void handoff(WormId id, double at) = 0;
-    /// finish_header computed that remote channel c frees at `at`.
-    virtual void remote_release(GlobalChannelId c, double at) = 0;
-
-   protected:
-    ~PartitionPort() = default;
-  };
-
   /// `channel_service[c]` is the flit transfer time of global channel c.
   WormholeEngine(std::vector<double> channel_service, int message_flits,
                  EventQueue& queue, Listener& listener,
                  FlowControl flow_control = FlowControl::kWormhole);
-
-  /// Attach the partition boundary (parallel mode only; call before any
-  /// spawn). The port must outlive the engine.
-  void set_partition_port(PartitionPort* port) { port_ = port; }
 
   /// Pre-size the worm pools: rows for `expected_worms` concurrently live
   /// worms of up to `max_path_len` hops. Purely an allocation hint — the
@@ -121,16 +79,6 @@ class WormholeEngine {
   /// queue) and is granted immediately when that channel is idle.
   WormId spawn(std::int32_t msg, std::span<const GlobalChannelId> path,
                double now);
-
-  /// Adopt a worm migrating in from another partition: restore its path
-  /// and the acquire times of the hops it already crossed remotely
-  /// (`acquire` holds entries [0, hop)), and schedule the request of
-  /// channel path[hop] at `at` — the instant its header finishes crossing
-  /// the sender's last channel. Does not count toward total_spawned()
-  /// (the physical worm was spawned once, at its origin).
-  WormId adopt(std::int32_t msg, std::span<const GlobalChannelId> path,
-               std::span<const double> acquire, std::int32_t hop,
-               double enqueue_time, double at);
 
   /// Dispatch kHeaderAdvance / kRelease / kWormDone events.
   void handle(const Event& event);
@@ -201,11 +149,6 @@ class WormholeEngine {
   void release(GlobalChannelId c, double now);
   void finish_header(WormId w, double now);
   void account(GlobalChannelId c, double from, double to);
-  /// Allocate (or recycle) a worm row; shared by spawn() and adopt().
-  WormId alloc_row(std::int32_t msg, std::span<const GlobalChannelId> path,
-                   double enqueue_time);
-  /// Recycle a row whose worm left this partition (no kWormDone fires).
-  void retire_row(WormId id);
 
   std::vector<double> service_;
   /// Header-crossing time per channel: service_[c] under wormhole,
@@ -216,7 +159,6 @@ class WormholeEngine {
   FlowControl flow_control_;
   EventQueue& queue_;
   Listener& listener_;
-  PartitionPort* port_ = nullptr;  ///< null in single-threaded mode
 
   std::vector<ChannelState> channels_;
   std::vector<Worm> worms_;

@@ -1,10 +1,8 @@
-// Shared structural state of a multi-cluster simulation: the canonical
-// network registry (ICN1_0, ECN1_0, ..., ICN2) with its global channel
-// numbering and service-time table, the in-flight message record, and the
-// memoized route tables. Factored out of Simulator so the parallel
-// per-cluster simulator (parallel_sim.hpp) builds the EXACT same channel
-// id space and routes without duplicating the construction logic — the
-// sequential golden fingerprints pin that the extraction changed nothing.
+// Structural state of a multi-cluster simulation: the canonical network
+// registry (ICN1_0, ECN1_0, ..., ICN2) with its global channel numbering
+// and service-time table, the in-flight message record, and the memoized
+// route tables. Simulator owns one of each; keeping them here leaves the
+// simulator with the event loop and statistics.
 #pragma once
 
 #include <cstdint>
@@ -37,8 +35,7 @@ struct Net {
   GlobalChannelId base;
 };
 
-/// In-flight message; recycled through a free list (and shipped by value
-/// across partition mailboxes in parallel mode).
+/// In-flight message; recycled through a free list.
 struct MsgRec {
   double gen_time = 0.0;
   std::int32_t src_cluster = 0;

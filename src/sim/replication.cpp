@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <limits>
 
-#include "sim/parallel_sim.hpp"
 #include "util/error.hpp"
 #include "util/rng.hpp"
 #include "util/stats.hpp"
@@ -21,7 +20,7 @@ SimResult run_one(const topo::MultiClusterTopology& topology,
                   const SimConfig& base, std::int64_t r) {
   SimConfig cfg = base;
   cfg.seed = util::derive_seed(base.seed, {static_cast<std::uint64_t>(r)});
-  return run_simulation(topology, params, lambda_g, cfg);
+  return Simulator(topology, params, lambda_g, cfg).run();
 }
 
 /// Derive every aggregate of `result` from result.runs (walked in

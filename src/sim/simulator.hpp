@@ -72,16 +72,6 @@ struct SimConfig {
   bool collect_channel_stats = false;
   TrafficPattern pattern;
 
-  /// Worker threads for the partitioned per-cluster event loops
-  /// (parallel_sim.hpp): 0 selects the classic single-threaded simulator
-  /// (byte-identical to every release since PR 3), >= 1 the conservative
-  /// parallel mode. The parallel mode has its OWN pinned deterministic
-  /// order — results are bit-identical across `parallel` worker counts
-  /// (1, 2, 8, ... all agree) but are a different pinned stream than the
-  /// single-threaded mode's, because the event-sequence numbering and the
-  /// warmup accounting are sharded per cluster (DESIGN.md §16).
-  int parallel = 0;
-
   // --- observability (DESIGN.md §12) -------------------------------------
   // Caller-owned observers; both default off. The contract is hard:
   // attaching them never consumes RNG, never pushes or reorders events,

@@ -134,6 +134,12 @@ def test_usage_errors(h):
     proc = h.run("mcs_sweep", SCENARIO, "--resume", expect=1)
     check("--resume" in proc.stderr,
           f"--resume without --checkpoint must be rejected: {proc.stderr}")
+
+    # The removed parallel single-run flag must fail loudly, not silently
+    # run the serial simulator.
+    proc = h.run("mcs_sweep", SCENARIO, "--parallel-run=2", expect=2)
+    check("unknown option '--parallel-run'" in proc.stderr,
+          f"removed --parallel-run must be an unknown flag: {proc.stderr}")
     return "usage and option errors rejected with the right exit codes"
 
 

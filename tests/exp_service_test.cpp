@@ -184,6 +184,18 @@ TEST(RowDigest, SensitiveToEveryKeyedInput) {
   EXPECT_NE(row_digest(spec, moved, "fp"), base);
 }
 
+// The digest of a bundled scenario's row, pinned: any change to the key
+// set or its encoding orphans every existing --cache entry and
+// --checkpoint journal, so it must be deliberate (and update this pin).
+TEST(RowDigest, PinnedForBundledSmokeScenario) {
+  const ScenarioSpec spec =
+      load_scenario(default_scenario_dir() + "/smoke.ini");
+  const SweepPlan plan = SweepRunner(spec).plan("fixed-fingerprint");
+  ASSERT_FALSE(plan.digests.empty());
+  EXPECT_EQ(plan.digests.front(),
+            "5229cd79abc043a7ea08b0b0944d2473bf39b5492c5d11f38b3ab47299ac029c");
+}
+
 // --- result cache --------------------------------------------------------
 
 TEST(ResultCacheService, WarmRunExecutesZeroSimulationsByteIdentically) {

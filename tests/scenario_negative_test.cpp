@@ -46,6 +46,15 @@ TEST(ScenarioNegative, UnknownSweepKeyGetsSuggestion) {
       << msg;
 }
 
+// A scenario written for the removed parallel single-run mode must fail
+// loudly, not silently run the serial simulator.
+TEST(ScenarioNegative, RemovedParallelKeyIsUnknown) {
+  const std::string msg = error_of("[sweep]\nparallel = 2\nloads = 0.001\n" +
+                                   std::string(kMinimalSystem));
+  EXPECT_NE(msg.find("unknown [sweep] key 'parallel'"), std::string::npos)
+      << msg;
+}
+
 TEST(ScenarioNegative, UnknownSystemKeyGetsSuggestion) {
   const std::string msg = error_of(
       "[sweep]\nloads = 0.001\n[system a]\npreset = table1_org_a\n"

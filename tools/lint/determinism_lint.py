@@ -13,10 +13,10 @@ break bit-identity:
                               The ORDERED-REDUCTION idiom is recognized
                               and exempt: a loop that only gathers into
                               containers which are std::sort/stable_sort-ed
-                              right after the loop (the mailbox-merge
-                              pattern — gather, sort into a pinned total
-                              order, then consume) imposes its own order,
-                              so hash order cannot reach the output
+                              right after the loop (gather, sort into a
+                              pinned total order, then consume) imposes
+                              its own order, so hash order cannot reach
+                              the output
   pointer-key                 pointer values as associative-container keys
                               (address order varies run to run under ASLR
                               and allocator state)
@@ -362,8 +362,8 @@ def loop_is_unordered(header: str, unordered: set) -> bool:
 def gather_is_sorted_after(body: str, code_after: str) -> bool:
     """The ordered-reduction exemption: every sink in the loop body is a
     container method call whose receiver is std::sort/stable_sort-ed
-    within SORT_WINDOW chars after the loop (the mailbox-merge pattern:
-    gather in arbitrary order, sort into a pinned total order, consume).
+    within SORT_WINDOW chars after the loop (gather in arbitrary order,
+    sort into a pinned total order, consume).
     Stream/printf sinks disqualify — their order is already emitted."""
     if STREAM_SINK_RE.search(body):
         return False

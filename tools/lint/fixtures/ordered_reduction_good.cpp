@@ -1,8 +1,7 @@
 // Fixture: unordered-iter MUST stay silent on the ordered-reduction
-// idiom (the parallel engine's mailbox merge): gather entries from an
-// unordered container in arbitrary hash order, sort them into a pinned
-// total order, THEN consume. The sort imposes the output order, so hash
-// order never reaches a result.
+// idiom: gather entries from an unordered container in arbitrary hash
+// order, sort them into a pinned total order, THEN consume. The sort
+// imposes the output order, so hash order never reaches a result.
 #include <algorithm>
 #include <cstdint>
 #include <string>

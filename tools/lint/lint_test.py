@@ -86,10 +86,11 @@ class RuleFixtureTests(unittest.TestCase):
 
 
 class OrderedReductionTests(unittest.TestCase):
-    """The gather/sort/consume idiom (the parallel engine's mailbox
-    merge) is an ordered reduction: hash order never reaches the output,
-    so unordered-iter must stay silent — but only when a sort on every
-    sink actually follows."""
+    """The gather/sort/consume idiom (collect from an unordered container,
+    sort into a pinned total order, then fold or emit) is an ordered
+    reduction: hash order never reaches the output, so unordered-iter
+    must stay silent — but only when a sort on every sink actually
+    follows."""
 
     GATHER = (
         "#include <algorithm>\n"
