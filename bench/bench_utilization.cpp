@@ -4,11 +4,11 @@
 // message rate with the flow-conservation prediction, and report measured
 // utilizations (which expose the d-mod-k concentrator funnel).
 //
-// Flags: --org=a|b, --lambda=..., --measured=N.
+// Flags: --org=a|b, --lambda=..., --seed=S, --warmup=N, --measured=N.
 #include <cstdio>
 #include <map>
 
-#include "harness.hpp"
+#include <mcs/mcs.hpp>
 
 namespace {
 
@@ -95,7 +95,6 @@ std::map<std::tuple<int, int, int>, double> analytic_class_rates(
 
 int main(int argc, char** argv) {
   const mcs::util::Args args(argc, argv);
-  const auto options = mcs::bench::options_from_args(args);
   const auto config = args.get("org", "a") == "b"
                           ? mcs::topo::SystemConfig::table1_org_b()
                           : mcs::topo::SystemConfig::table1_org_a();
@@ -105,9 +104,9 @@ int main(int argc, char** argv) {
       "lambda", 0.5 * mcs::model::find_saturation(refined).lambda_sat);
 
   mcs::sim::SimConfig cfg;
-  cfg.seed = options.seed;
-  cfg.warmup_messages = options.warmup;
-  cfg.measured_messages = options.measured;
+  cfg.seed = static_cast<std::uint64_t>(args.get_int("seed", 20060814));
+  cfg.warmup_messages = args.get_int("warmup", 3'000);
+  cfg.measured_messages = args.get_int("measured", 30'000);
   cfg.collect_channel_stats = true;
   const mcs::topo::MultiClusterTopology topology(config);
   mcs::sim::Simulator sim(topology, params, lambda, cfg);

@@ -60,7 +60,7 @@ const std::vector<std::string>& sweep_keys() {
   static const std::vector<std::string> keys = {
       "name",      "seed",       "replications", "warmup",
       "measured",  "message_flits", "flit_bytes", "loads",
-      "load_grid", "models",     "sim",          "knee",
+      "load_grid", "knee_loads", "models",       "sim",          "knee",
       "find_saturation",         "relay",        "flow",
       "alpha_net", "alpha_sw",   "beta_net"};
   return keys;
@@ -371,6 +371,9 @@ ScenarioSpec parse_scenario(std::istream& in, const std::string& source) {
   // copy-paste error (it would silently multiply the grid). loads and
   // load_grid are accumulative by design and may repeat.
   std::vector<std::string> seen_list_keys;
+  // The first load key seen (loads / load_grid / knee_loads), for the
+  // error that rejects mixing absolute and knee-relative loads.
+  std::string load_key;
 
   auto flush_section = [&] {
     if (in_system())
@@ -483,11 +486,21 @@ ScenarioSpec parse_scenario(std::istream& in, const std::string& source) {
 
       case Section::kSweep: {
         if (key == "message_flits" || key == "flit_bytes" ||
-            key == "models" || key == "relay" || key == "flow") {
+            key == "models" || key == "relay" || key == "flow" ||
+            key == "knee_loads") {
           for (const std::string& seen : seen_list_keys)
             if (seen == key)
               fail(source, line_no, "duplicate [sweep] key '" + key + "'");
           seen_list_keys.push_back(key);
+        }
+        if (key == "loads" || key == "load_grid" || key == "knee_loads") {
+          // Absolute and knee-relative loads cannot share one grid: the
+          // runner scales every load point by the knee or none.
+          const bool relative = key == "knee_loads";
+          const std::string& other = relative ? load_key : key;
+          if (!load_key.empty() && (load_key == "knee_loads") != relative)
+            fail(source, line_no, "knee_loads cannot be combined with " + other);
+          if (load_key.empty()) load_key = key;
         }
         if (key == "name") {
           spec.name = value;
@@ -526,6 +539,17 @@ ScenarioSpec parse_scenario(std::istream& in, const std::string& source) {
           spec.loads.push_back(0.5 * step);
           for (long long i = 1; i <= count; ++i)
             spec.loads.push_back(step * static_cast<double>(i));
+        } else if (key == "knee_loads") {
+          spec.knee_relative_loads = true;
+          for (const std::string& v : split_list(value)) {
+            const double f = parse_double(source, line_no, v);
+            if (f <= 0.0)
+              fail(source, line_no, "knee_loads fractions must be > 0, got '" +
+                                        v + "'");
+            spec.loads.push_back(f);
+          }
+          if (spec.loads.empty())
+            fail(source, line_no, "knee_loads lists no fractions");
         } else if (key == "models") {
           spec.run_paper_model = false;
           spec.run_refined_model = false;

@@ -36,8 +36,18 @@
 // plus the kind's parameters (`hotspot_fraction`, `hotspot_node`,
 // `local_fraction`, `cluster_shift`). `loads`/`load_grid` lines may
 // repeat and accumulate grid points; the other list keys
-// (`message_flits`, `flit_bytes`, `models`, `relay`, `flow`) set the
-// whole list and may appear only once.
+// (`message_flits`, `flit_bytes`, `models`, `relay`, `flow`,
+// `knee_loads`) set the whole list and may appear only once.
+//
+// Knee-relative loads: `knee_loads = 0.2, 0.5, 0.9` replaces
+// `loads`/`load_grid` (mixing them is an error) with fractions (> 0) of a
+// reference knee. For each (message_flits, flit_bytes) point the
+// reference knee is the smallest refined-model knee over the scenario's
+// systems, under uniform traffic and wormhole flow control
+// (model::find_saturation with default arguments). Every system,
+// pattern, relay and flow row of that point shares it, so organizations
+// are compared at identical absolute loads. SweepRunner resolves it once;
+// rows, digests, caches and journals carry the absolute lambda.
 //
 // Heterogeneous technology and load (DESIGN.md §10): a `[system]` section
 // may be followed by `[cluster.<i>]` sub-sections overriding cluster i's
@@ -126,7 +136,10 @@ struct ScenarioSpec {
   std::vector<PatternEntry> patterns;  ///< empty -> single uniform pattern
   std::vector<sim::RelayMode> relay_modes = {sim::RelayMode::kStoreForward};
   std::vector<sim::FlowControl> flow_controls = {sim::FlowControl::kWormhole};
-  std::vector<double> loads;  ///< offered traffic lambda_g per node
+  /// Offered traffic lambda_g per node, or with knee_relative_loads
+  /// fractions of the reference knee (the `knee_loads` key).
+  std::vector<double> loads;
+  bool knee_relative_loads = false;
 
   // --- per-task simulation setup -----------------------------------------
   std::uint64_t seed = 20060814;
@@ -197,7 +210,7 @@ struct ScenarioSpec {
 
 /// Directory of the checked-in scenario specs: the build-time
 /// MCS_SCENARIO_DIR (absolute source path) when defined, else the
-/// relative "scenarios". Shared by mcs_sweep and the benches.
+/// relative "scenarios". Shared by mcs_sweep and mcs_merge.
 [[nodiscard]] std::string default_scenario_dir();
 
 }  // namespace mcs::exp

@@ -4,6 +4,7 @@
 #include <atomic>
 #include <chrono>
 #include <cstdio>
+#include <limits>
 #include <map>
 #include <memory>
 #include <tuple>
@@ -89,7 +90,10 @@ struct Expansion {
 /// grid_index % shard_count == shard_index (the deterministic shard
 /// partition rule; 0/1 keeps everything). Groups are built over the kept
 /// rows only, so a shard never constructs models it has no rows for.
-Expansion expand_grid(const ScenarioSpec& spec, int shard_index,
+/// `knees` (flits-major, empty for absolute loads) scales each load
+/// fraction to the row's absolute lambda.
+Expansion expand_grid(const ScenarioSpec& spec,
+                      const std::vector<double>& knees, int shard_index,
                       int shard_count) {
   Expansion ex;
   ex.patterns = spec.patterns;
@@ -144,6 +148,10 @@ Expansion expand_grid(const ScenarioSpec& spec, int shard_index,
                 row.relay = spec.relay_modes[static_cast<std::size_t>(ri)];
                 row.flow = spec.flow_controls[static_cast<std::size_t>(wi)];
                 row.lambda = spec.loads[static_cast<std::size_t>(li)];
+                if (!knees.empty())
+                  row.lambda *= knees[static_cast<std::size_t>(fi) *
+                                          spec.flit_bytes.size() +
+                                      static_cast<std::size_t>(bi)];
 
                 const auto key = std::make_tuple(sys, fi, bi, pi, wi);
                 auto [it, inserted] =
@@ -212,10 +220,9 @@ Expansion expand_grid(const ScenarioSpec& spec, int shard_index,
   return ex;
 }
 
-/// Fold one row's replications into its aggregate columns — fixed
-/// replication order, so the result is identical whether this runs in the
-/// end-of-sweep serial loop or inside the row's last finishing task
-/// (incremental checkpoint mode).
+/// Fold one row's replications into its aggregate columns in fixed
+/// replication order, so the result does not depend on which task
+/// finishes the row.
 void aggregate_sim_row(SweepRow& row, const std::vector<sim::SimResult>& runs,
                        int reps) {
   row.sim_run = true;
@@ -308,10 +315,30 @@ SweepRunner::SweepRunner(ScenarioSpec spec) : spec_(std::move(spec)) {
     for (const PatternEntry& entry : spec_.patterns)
       entry.pattern.validate(topology);
   }
+  // Knee-relative loads: the reference knee of each (flits, bytes) point
+  // is the smallest uniform-traffic wormhole refined knee over the
+  // systems, so every organization runs at the same absolute loads.
+  if (spec_.knee_relative_loads) {
+    for (const int flits : spec_.message_flits) {
+      for (const double bytes : spec_.flit_bytes) {
+        model::NetworkParams params = spec_.base_params;
+        params.message_flits = flits;
+        params.flit_bytes = bytes;
+        double knee = std::numeric_limits<double>::infinity();
+        for (const SystemEntry& system : spec_.systems)
+          knee = std::min(
+              knee, model::find_saturation(
+                        model::RefinedModel(system.config, params))
+                        .lambda_sat);
+        knees_.push_back(knee);
+      }
+    }
+  }
 }
 
 SweepPlan SweepRunner::plan(const std::string& fingerprint) const {
-  Expansion ex = expand_grid(spec_, /*shard_index=*/0, /*shard_count=*/1);
+  Expansion ex =
+      expand_grid(spec_, knees_, /*shard_index=*/0, /*shard_count=*/1);
   SweepPlan result;
   result.rows = std::move(ex.rows);
   const std::string fp =
@@ -350,8 +377,8 @@ SweepResult SweepRunner::run(const SweepRunOptions& options) const {
   result.manifest = obs::RunManifest::begin();
 
   // --- expansion: topologies, rows, model groups -------------------------
-  Expansion ex =
-      expand_grid(spec_, options.shard_index, options.shard_count);
+  Expansion ex = expand_grid(spec_, knees_, options.shard_index,
+                             options.shard_count);
   const std::vector<PatternEntry>& patterns = ex.patterns;
   std::vector<ModelGroup>& groups = ex.groups;
   std::vector<SearchGroup>& search_groups = ex.search_groups;
@@ -430,12 +457,6 @@ SweepResult SweepRunner::run(const SweepRunOptions& options) const {
     }
     journal->add_batch(preload);
   }
-
-  // Incremental mode: rows are finalized (aggregated + journaled +
-  // cached) the moment their last task finishes, instead of in the
-  // end-of-sweep serial loop. Only worth the bookkeeping when there is a
-  // journal or cache to feed.
-  const bool incremental = journal != nullptr || cache != nullptr;
 
   // --- execution ---------------------------------------------------------
   std::unique_ptr<ThreadPool> owned_pool;
@@ -574,33 +595,29 @@ SweepResult SweepRunner::run(const SweepRunOptions& options) const {
   // Per-row countdown of the tasks still owing output to the row (sim
   // replications + its model-group task + its search-group task, when
   // submitted). The task that decrements a counter to zero finalizes the
-  // row: aggregate, journal, cache. Restored rows start at zero and are
-  // never finalized again.
+  // row: aggregate, then journal and cache when they exist. Restored rows
+  // start at zero and are never finalized again.
   std::vector<std::vector<sim::SimResult>> sim_runs;
   if (spec_.run_sim) sim_runs.resize(rows.size());
-  std::unique_ptr<std::atomic<int>[]> pending;
-  if (incremental) {
-    pending.reset(new std::atomic<int>[rows.size()]);
-    for (std::size_t r = 0; r < rows.size(); ++r)
-      pending[r].store(
-          restored[r] ? 0 : (spec_.run_sim ? reps : 0),
-          std::memory_order_relaxed);
-    for (std::size_t g = 0; g < groups.size(); ++g) {
-      if (!model_submitted[g]) continue;
-      for (const std::size_t r : groups[g].row_indices)
-        if (!restored[r])
-          pending[r].fetch_add(1, std::memory_order_relaxed);
-    }
-    for (std::size_t g = 0; g < search_groups.size(); ++g) {
-      if (!search_submitted[g]) continue;
-      for (const std::size_t r : search_groups[g].row_indices)
-        if (!restored[r])
-          pending[r].fetch_add(1, std::memory_order_relaxed);
-    }
+  const std::unique_ptr<std::atomic<int>[]> pending(
+      new std::atomic<int>[rows.size()]);
+  for (std::size_t r = 0; r < rows.size(); ++r)
+    pending[r].store(restored[r] ? 0 : (spec_.run_sim ? reps : 0),
+                     std::memory_order_relaxed);
+  for (std::size_t g = 0; g < groups.size(); ++g) {
+    if (!model_submitted[g]) continue;
+    for (const std::size_t r : groups[g].row_indices)
+      if (!restored[r]) pending[r].fetch_add(1, std::memory_order_relaxed);
+  }
+  for (std::size_t g = 0; g < search_groups.size(); ++g) {
+    if (!search_submitted[g]) continue;
+    for (const std::size_t r : search_groups[g].row_indices)
+      if (!restored[r]) pending[r].fetch_add(1, std::memory_order_relaxed);
   }
   const auto finalize_row = [&](std::size_t r) {
     SweepRow& row = rows[r];
     if (spec_.run_sim) aggregate_sim_row(row, sim_runs[r], reps);
+    if (!journal && !cache) return;
     const std::string payload = encode_row_payload(row);
     if (journal) journal->add(row.grid_index, digests[r], payload);
     if (cache) cache->store(digests[r], payload);
@@ -618,8 +635,8 @@ SweepResult SweepRunner::run(const SweepRunOptions& options) const {
       if (!model_submitted[g]) continue;
       ModelGroup& group = groups[g];
       pool->submit(instrument('m', [this, &group, &rows, &row_breakdown,
-                                    &restored, &complete_row, explain_model,
-                                    incremental] {
+                                    &restored, &complete_row,
+                                    explain_model] {
         if (group.refined_supported) {
           const topo::SystemConfig& config =
               spec_.systems[static_cast<std::size_t>(group.system_idx)]
@@ -659,9 +676,8 @@ SweepResult SweepRunner::run(const SweepRunOptions& options) const {
             }
           }
         }
-        if (incremental)
-          for (const std::size_t r : group.row_indices)
-            if (!restored[r]) complete_row(r);
+        for (const std::size_t r : group.row_indices)
+          if (!restored[r]) complete_row(r);
       }));
     }
   }
@@ -678,8 +694,8 @@ SweepResult SweepRunner::run(const SweepRunOptions& options) const {
       for (int rep = 0; rep < reps; ++rep) {
         pool->submit(instrument('s', [this, &row, &topology, &patterns,
                                       &sim_runs, &row_probes, &row_traces,
-                                      &row_anatomy, &complete_row, r, rep,
-                                      incremental] {
+                                      &row_anatomy, &complete_row, r,
+                                      rep] {
           model::NetworkParams params = spec_.base_params;
           params.message_flits = row.message_flits;
           params.flit_bytes = row.flit_bytes;
@@ -712,7 +728,7 @@ SweepResult SweepRunner::run(const SweepRunOptions& options) const {
 
           sim_runs[r][static_cast<std::size_t>(rep)] =
               sim::Simulator(topology, params, row.lambda, cfg).run();
-          if (incremental) complete_row(r);
+          complete_row(r);
         }));
         ++result.sim_tasks;
       }
@@ -732,8 +748,7 @@ SweepResult SweepRunner::run(const SweepRunOptions& options) const {
     const topo::MultiClusterTopology& topology =
         *ex.topologies[static_cast<std::size_t>(mg.system_idx)];
     pool->submit(instrument('k', [this, &sg, &mg, &topology, &patterns,
-                                  &rows, &restored, &complete_row,
-                                  incremental] {
+                                  &rows, &restored, &complete_row] {
       const topo::SystemConfig& config =
           spec_.systems[static_cast<std::size_t>(mg.system_idx)].config;
       // Analytical seed knee, same preference order as the model tasks
@@ -779,9 +794,8 @@ SweepResult SweepRunner::run(const SweepRunOptions& options) const {
                                 ? found.ratio
                                 : -1.0;
       }
-      if (incremental)
-        for (const std::size_t r : sg.row_indices)
-          if (!restored[r]) complete_row(r);
+      for (const std::size_t r : sg.row_indices)
+        if (!restored[r]) complete_row(r);
     }));
   }
 
@@ -793,16 +807,8 @@ SweepResult SweepRunner::run(const SweepRunOptions& options) const {
   // runs of the same shard leave byte-identical journals.
   if (journal) journal->finalize();
 
-  // --- aggregation (fixed grid order: thread-count invariant) ------------
-  // Incremental mode already aggregated each row in its finalizing task
-  // (same per-row fold, same replication order — bit-identical values);
-  // restored rows carry their outputs from the payload either way.
-  if (!incremental && spec_.run_sim) {
-    for (std::size_t r = 0; r < rows.size(); ++r) {
-      if (restored[r]) continue;
-      aggregate_sim_row(rows[r], sim_runs[r], reps);
-    }
-  }
+  // Every computed row was aggregated by its finalizing task; restored
+  // rows carry their outputs from the payload.
   for (const SweepRow& row : rows)
     if (row.sim_state != 0) ++result.saturated_points;
 

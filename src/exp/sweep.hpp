@@ -4,8 +4,8 @@
 //
 // Determinism contract: each simulation task's seed is derived from the
 // scenario seed and the task's grid coordinates alone (splitmix64 chain),
-// and aggregation walks rows/replications in fixed grid order, so the
-// SweepResult is bit-identical for any thread count, including 1.
+// and each row folds its replications in fixed order, so the SweepResult
+// is bit-identical for any thread count, including 1.
 #pragma once
 
 #include <cstdint>
@@ -222,7 +222,8 @@ struct SweepPlan {
 
 class SweepRunner {
  public:
-  /// Validates the spec (and each pattern against each system topology).
+  /// Validates the spec (and each pattern against each system topology)
+  /// and, for knee-relative loads, resolves the reference knees.
   explicit SweepRunner(ScenarioSpec spec);
 
   [[nodiscard]] const ScenarioSpec& spec() const { return spec_; }
@@ -238,6 +239,9 @@ class SweepRunner {
 
  private:
   ScenarioSpec spec_;
+  /// Reference knee per (flits, bytes) point, flits-major; empty unless
+  /// spec_.knee_relative_loads.
+  std::vector<double> knees_;
 };
 
 }  // namespace mcs::exp

@@ -2,10 +2,10 @@
 
 #include <algorithm>
 #include <map>
+#include <memory>
 #include <tuple>
 
 #include "model/graph_load.hpp"
-#include "model/icn2_funnel.hpp"
 #include "topology/tree_math.hpp"
 #include "util/contracts.hpp"
 
@@ -148,63 +148,64 @@ std::vector<ClassLoad> analyze_bottlenecks(const topo::SystemConfig& config,
     }
   }
 
-  // ICN2: exact pairwise funnel coefficients (out_coeff is already
-  // load-scale-weighted). Injection carries each concentrator's outbound
-  // flow; ejection its inbound flow — distinct under skewed load.
-  const Icn2Funnel funnel = Icn2Funnel::compute(config);
-  const topo::TreeShape icn2{config.m, config.icn2_height()};
-  double total_external = 0.0;
-  double worst_out = 0.0, worst_in = 0.0;
-  int worst_out_cluster = 0, worst_in_cluster = 0;
-  for (int i = 0; i < c_count; ++i) {
-    total_external += out_funnel[static_cast<std::size_t>(i)];
-    if (out_funnel[static_cast<std::size_t>(i)] > worst_out) {
-      worst_out = out_funnel[static_cast<std::size_t>(i)];
-      worst_out_cluster = i;
-    }
-    if (in_funnel[static_cast<std::size_t>(i)] > worst_in) {
-      worst_in = in_funnel[static_cast<std::size_t>(i)];
-      worst_in_cluster = i;
-    }
-  }
-  const auto conc_of = [&](int cluster) {
-    return "concentrator of the " +
-           std::to_string(config.cluster_size(cluster)) + "-node cluster";
+  // ICN2: per-channel flow from the routing tables (GraphLoad), for the
+  // fat tree and the graph kinds alike, grouped into (kind, level)
+  // classes. A class's worst rate is its routed per-channel maximum; the
+  // hottest channel is named by the cluster sending (injection, ascent)
+  // or receiving (ejection, descent) the most flow through it.
+  const std::unique_ptr<topo::Network> icn2 = topo::make_icn2(config);
+  const GraphLoad flow = GraphLoad::compute(*icn2, config);
+  struct Icn2Class {
+    std::int64_t channels = 0;
+    double total = 0.0;
+    std::size_t worst = 0;  ///< channel id of the routed maximum
   };
-  add(NetworkLayer::kIcn2, ChannelKind::kInjection, 0, c_count,
-      total_external, worst_out, occ_icn2, conc_of(worst_out_cluster));
-  add(NetworkLayer::kIcn2, ChannelKind::kEjection, 0, c_count,
-      total_external, worst_in, occ_icn2, conc_of(worst_in_cluster));
-  for (int l = 1; l < icn2.n; ++l) {
-    double total_up = 0.0, total_down = 0.0;
-    double worst_up = 0.0, worst_down = 0.0;
-    int worst_down_v = 0;
+  std::map<std::pair<int, int>, Icn2Class> icn2_classes;
+  for (std::size_t c = 0; c < icn2->channel_count(); ++c) {
+    const topo::Channel& ch = icn2->channel(static_cast<topo::ChannelId>(c));
+    Icn2Class& cls = icn2_classes[{static_cast<int>(ch.kind), ch.level}];
+    if (cls.channels++ == 0 || flow.coeff[c] > flow.coeff[cls.worst])
+      cls.worst = c;
+    cls.total += flow.coeff[c];
+  }
+  const auto from_source = [](ChannelKind kind) {
+    return kind == ChannelKind::kInjection || kind == ChannelKind::kUp;
+  };
+  // Per-cluster flow through each class's worst channel.
+  std::map<std::size_t, std::vector<double>> share;
+  for (const auto& [key, cls] : icn2_classes)
+    share[cls.worst].assign(static_cast<std::size_t>(c_count), 0.0);
+  std::vector<topo::ChannelId> path;
+  for (int i = 0; i < c_count; ++i) {
     for (int v = 0; v < c_count; ++v) {
-      const double down =
-          funnel.down_coeff[static_cast<std::size_t>(v)]
-                           [static_cast<std::size_t>(l)] *
-          lambda_g;
-      const double up = funnel.up_coeff[static_cast<std::size_t>(v)]
-                                       [static_cast<std::size_t>(l)] *
-                        lambda_g;
-      // Leaf groups share their funnel channel; count it once per group
-      // by dividing the per-endpoint view by the group size when
-      // totalling (each group member reports the same shared channel).
-      total_down += down / config.m * 2;  // k endpoints share; k = m/2
-      total_up += up;
-      worst_up = std::max(worst_up, up);
-      if (down > worst_down) {
-        worst_down = down;
-        worst_down_v = v;
+      if (v == i) continue;
+      path.clear();
+      icn2->route_into(static_cast<topo::EndpointId>(i),
+                       static_cast<topo::EndpointId>(v), path);
+      for (const topo::ChannelId c : path) {
+        const auto it = share.find(static_cast<std::size_t>(c));
+        if (it == share.end()) continue;
+        const int cluster = from_source(icn2->channel(c).kind) ? i : v;
+        it->second[static_cast<std::size_t>(cluster)] +=
+            flow.inter[static_cast<std::size_t>(i) *
+                           static_cast<std::size_t>(c_count) +
+                       static_cast<std::size_t>(v)];
       }
     }
-    add(NetworkLayer::kIcn2, ChannelKind::kUp, l, icn2.node_count(),
-        total_up, worst_up, occ_icn2, "ICN2 ascent");
-    add(NetworkLayer::kIcn2, ChannelKind::kDown, l, icn2.node_count(),
-        total_down, worst_down, occ_icn2,
-        "ICN2 descent toward the leaf group of the " +
-            std::to_string(config.cluster_size(worst_down_v)) +
-            "-node cluster");
+  }
+  // Indexed by ChannelKind.
+  const char* const verb[] = {"injection from", "ejection toward",
+                              "ascent from", "descent toward"};
+  for (const auto& [key, cls] : icn2_classes) {
+    const auto kind = static_cast<ChannelKind>(key.first);
+    const std::vector<double>& by_cluster = share[cls.worst];
+    const auto top = static_cast<int>(
+        std::max_element(by_cluster.begin(), by_cluster.end()) -
+        by_cluster.begin());
+    add(NetworkLayer::kIcn2, kind, key.second, cls.channels,
+        cls.total * lambda_g, flow.coeff[cls.worst] * lambda_g, occ_icn2,
+        std::string("ICN2 ") + verb[key.first] + " the " +
+            std::to_string(config.cluster_size(top)) + "-node cluster");
   }
 
   std::vector<ClassLoad> out;

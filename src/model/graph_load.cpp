@@ -26,7 +26,7 @@ std::vector<double> inbound_coefficients(const topo::SystemConfig& config,
   return in;
 }
 
-GraphLoad GraphLoad::compute(const topo::ChannelGraph& graph,
+GraphLoad GraphLoad::compute(const topo::Network& graph,
                              const topo::SystemConfig& config,
                              const std::vector<double>& p_outgoing,
                              const std::vector<double>& inter_override) {

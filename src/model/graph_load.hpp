@@ -1,20 +1,21 @@
-// Generic per-channel flow model for a graph-shaped ICN2 — the
-// topology-agnostic replacement for the fat-tree funnel (icn2_funnel.hpp).
+// Generic per-channel flow model for any ICN2 network, routed from its
+// deterministic routing tables.
 //
 // The analytical framework only needs, for every ICN2 channel, the
-// message rate crossing it (the coefficient of lambda_g). For a tree that
-// rate follows from the d-mod-k convergence combinatorics; for an
-// arbitrary graph it follows directly from the deterministic routing
-// tables: walk the route of every ordered cluster pair (i, v), weighted
+// message rate crossing it (the coefficient of lambda_g). For a tree the
+// refined model takes that rate from the d-mod-k convergence
+// combinatorics (icn2_funnel.hpp); here it follows directly from the
+// routes: walk the route of every ordered cluster pair (i, v), weighted
 // by the inter-cluster traffic matrix, and accumulate onto the channels
-// it crosses. The result feeds the same M/G/1 stage recursion the refined
-// model applies to the tree.
+// it crosses. The refined model feeds the result of a graph ICN2 to the
+// same M/G/1 stage recursion it applies to the tree; the bottleneck
+// analyzer reads it for every ICN2 kind.
 #pragma once
 
 #include <vector>
 
-#include "topology/graph.hpp"
 #include "topology/multi_cluster.hpp"
+#include "topology/network.hpp"
 
 namespace mcs::model {
 
@@ -35,7 +36,7 @@ struct GraphLoad {
   /// per cluster, as for locality-skewed patterns; `inter_override`
   /// (row-major C x C, diagonal ignored) replaces the whole matrix.
   [[nodiscard]] static GraphLoad compute(
-      const topo::ChannelGraph& graph, const topo::SystemConfig& config,
+      const topo::Network& graph, const topo::SystemConfig& config,
       const std::vector<double>& p_outgoing = {},
       const std::vector<double>& inter_override = {});
 };

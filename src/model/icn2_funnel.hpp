@@ -1,5 +1,5 @@
 // Exact d-mod-k traffic concentration in the ICN2 (coefficients of
-// lambda_g), shared by the refined model and the bottleneck analyzer.
+// lambda_g), consumed by the refined model for a fat-tree ICN2.
 //
 // Under the destination-digit (d-mod-k) up-port rule, every path toward a
 // given endpoint — and, through the shared sigma digits, toward all of its

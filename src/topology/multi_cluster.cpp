@@ -136,6 +136,13 @@ ChannelGraph make_icn2_graph(const SystemConfig& config) {
   throw ConfigError("make_icn2_graph: unknown ICN2 kind");
 }
 
+std::unique_ptr<Network> make_icn2(const SystemConfig& config) {
+  if (config.icn2.kind == Icn2Kind::kFatTree)
+    return std::make_unique<FatTree>(
+        TreeShape{config.m, config.icn2_height()});
+  return std::make_unique<ChannelGraph>(make_icn2_graph(config));
+}
+
 SystemConfig SystemConfig::table1_org_a() {
   SystemConfig cfg;
   cfg.m = 8;
@@ -274,11 +281,7 @@ MultiClusterTopology::MultiClusterTopology(SystemConfig config)
   first_global_.push_back(next_global);
   total_nodes_ = next_global;
 
-  if (config_.icn2.kind == Icn2Kind::kFatTree)
-    icn2_ = std::make_unique<FatTree>(TreeShape{config_.m,
-                                                config_.icn2_height()});
-  else
-    icn2_ = std::make_unique<ChannelGraph>(make_icn2_graph(config_));
+  icn2_ = make_icn2(config_);
   MCS_ENSURES(icn2_->total_endpoints() >= c);
 }
 

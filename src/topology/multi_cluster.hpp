@@ -136,6 +136,10 @@ struct SystemConfig {
 /// kFatTree or the graph parameters are infeasible.
 [[nodiscard]] ChannelGraph make_icn2_graph(const SystemConfig& config);
 
+/// Build the configured ICN2, fat tree or graph kind; endpoint i is
+/// cluster i's concentrator (a fat tree may have spare endpoints).
+[[nodiscard]] std::unique_ptr<Network> make_icn2(const SystemConfig& config);
+
 /// Fully constructed topology: per-cluster ICN1 and ECN1 fat trees (the
 /// ECN1 carries the concentrator as an extra endpoint) plus the global
 /// ICN2 — the configured fat tree or channel graph — whose endpoint i is

@@ -5,7 +5,10 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <map>
+#include <vector>
 
 #include "model/icn2_funnel.hpp"
 #include "sim/simulator.hpp"
@@ -49,7 +52,7 @@ TEST_F(BottleneckTest, Icn2DownFunnelIsTheOrgABottleneck) {
 
 TEST_F(BottleneckTest, LoadAtUnitUtilizationMatchesObservedSimKnee) {
   // The flow bound for Org A (M=32, L_m=256) sits near 2.1e-4 — the knee
-  // the simulator exhibits (DESIGN.md §6 discussion, EXPERIMENTS.md).
+  // the simulator exhibits (DESIGN.md §6).
   const double bound = load_at_worst_utilization(org_a_, params_, 1.0);
   EXPECT_GT(bound, 1.6e-4);
   EXPECT_LT(bound, 2.6e-4);
@@ -61,6 +64,63 @@ TEST_F(BottleneckTest, BoundScalesInverselyWithMessageLength) {
   EXPECT_NEAR(load_at_worst_utilization(org_a_, m64, 1.0),
               0.5 * load_at_worst_utilization(org_a_, params_, 1.0),
               1e-7);
+}
+
+TEST(BottleneckIcn2Test, UpWorstIsTheRoutedMaximum) {
+  // Org B's ICN2 ascent classes: the worst rate is the hottest routed up
+  // channel at that level, not a per-leaf-group average.
+  const auto cfg = topo::SystemConfig::table1_org_b();
+  const topo::MultiClusterTopology topology(cfg);
+  const topo::Network& icn2 = topology.icn2();
+  const auto n_total = static_cast<double>(cfg.total_nodes());
+  std::vector<double> rate(icn2.channel_count(), 0.0);
+  for (int i = 0; i < cfg.cluster_count(); ++i) {
+    const auto ni = static_cast<double>(cfg.cluster_size(i));
+    for (int v = 0; v < cfg.cluster_count(); ++v) {
+      if (v == i) continue;
+      const double w = ni * cfg.p_outgoing(i) *
+                       static_cast<double>(cfg.cluster_size(v)) /
+                       (n_total - ni);
+      for (const topo::ChannelId c : icn2.route(i, v))
+        rate[static_cast<std::size_t>(c)] += w;
+    }
+  }
+  std::map<int, double> routed_max;  // level -> hottest up channel
+  for (std::size_t c = 0; c < rate.size(); ++c) {
+    const topo::Channel& ch = icn2.channel(static_cast<topo::ChannelId>(c));
+    if (ch.kind == topo::ChannelKind::kUp)
+      routed_max[ch.level] = std::max(routed_max[ch.level], rate[c]);
+  }
+
+  int up_classes = 0;
+  for (const auto& load : analyze_bottlenecks(cfg, NetworkParams{}, 1.0)) {
+    if (load.net != NetworkLayer::kIcn2 ||
+        load.kind != topo::ChannelKind::kUp)
+      continue;
+    ++up_classes;
+    const double want = routed_max.at(load.level);
+    EXPECT_NEAR(load.worst_rate, want, 1e-12 * want)
+        << "ICN2 up level " << load.level;
+  }
+  EXPECT_EQ(up_classes, static_cast<int>(routed_max.size()));
+}
+
+TEST(BottleneckIcn2Test, GraphIcn2IsAnalyzed) {
+  // A torus ICN2 has no funnel combinatorics; its classes come from the
+  // routed per-channel flow like the tree's.
+  topo::SystemConfig cfg = topo::SystemConfig::homogeneous(4, 2, 16);
+  cfg.icn2.kind = topo::Icn2Kind::kTorus;
+  cfg.icn2.torus_rows = 4;
+  cfg.icn2.torus_cols = 4;
+  std::vector<ClassLoad> loads;
+  ASSERT_NO_THROW(loads = analyze_bottlenecks(cfg, NetworkParams{}, 1e-4));
+  bool saw_icn2 = false;
+  for (const auto& load : loads) {
+    saw_icn2 = saw_icn2 || load.net == NetworkLayer::kIcn2;
+    EXPECT_LE(load.mean_utilization, load.worst_utilization + 1e-12);
+  }
+  EXPECT_TRUE(saw_icn2);
+  EXPECT_GT(load_at_worst_utilization(cfg, NetworkParams{}, 1.0), 0.0);
 }
 
 TEST_F(BottleneckTest, MeanUtilizationNeverExceedsWorst) {

@@ -337,11 +337,23 @@ TEST(Scenario, ErrorsNameSourceAndLine) {
   }
 }
 
+TEST(Scenario, KneeLoadsParseAsFractions) {
+  const ScenarioSpec spec = parse_scenario_string(
+      "[sweep]\nknee_loads = 0.25, 0.5\n[system a]\npreset = "
+      "table1_org_a\n");
+  EXPECT_TRUE(spec.knee_relative_loads);
+  ASSERT_EQ(spec.loads.size(), 2u);
+  EXPECT_EQ(spec.loads[0], 0.25);
+  EXPECT_EQ(spec.loads[1], 0.5);
+  EXPECT_EQ(spec.grid_size(), 2);
+}
+
 TEST(Scenario, CheckedInScenariosParse) {
   // Every spec shipped under scenarios/ must stay loadable.
   for (const char* name :
        {"table1", "fig3_m32", "fig3_m64", "fig4_m32", "fig4_m64",
-        "traffic_patterns"}) {
+        "traffic_patterns", "model_ablation", "relay_ablation",
+        "flow_control", "heterogeneity"}) {
     const std::string path =
         std::string(MCS_SCENARIO_DIR) + "/" + name + ".ini";
     EXPECT_NO_THROW({

@@ -286,6 +286,46 @@ TEST(ShardMerge, ThreeShardsMergeByteIdenticalToUnsharded) {
   expect_outputs_byte_identical(whole, merged, dir);
 }
 
+// A knee_loads scenario resolves its knee in every runner, so shards,
+// merge and plan() all see the unsharded run's absolute lambda.
+TEST(ShardMerge, KneeLoadsShardMergeAndPlanMatchUnsharded) {
+  const std::string dir = scratch_dir("knee_shard");
+  ScenarioSpec spec = tiny_spec();
+  spec.loads = {0.3, 0.6};
+  spec.knee_relative_loads = true;
+  const SweepRunner runner(spec);
+
+  SweepRunOptions plain;
+  plain.fingerprint = "fp";
+  const SweepResult whole = runner.run(plain);
+
+  std::vector<std::string> journals;
+  for (int i = 0; i < 2; ++i) {
+    SweepRunOptions options;
+    options.fingerprint = "fp";
+    options.shard_index = i;
+    options.shard_count = 2;
+    options.checkpoint_path =
+        dir + "/shard" + std::to_string(i) + ".journal";
+    journals.push_back(options.checkpoint_path);
+    (void)runner.run(options);
+  }
+  const SweepResult merged =
+      merge_journals(SweepRunner(spec), journals, "fp");
+  EXPECT_EQ(merged.cached_rows, 4);
+  expect_rows_identical(whole, merged);
+  expect_outputs_byte_identical(whole, merged, dir);
+
+  const SweepPlan plan = runner.plan("fp");
+  ASSERT_EQ(plan.rows.size(), whole.rows.size());
+  for (std::size_t r = 0; r < plan.rows.size(); ++r) {
+    EXPECT_EQ(plan.rows[r].grid_index, whole.rows[r].grid_index);
+    EXPECT_EQ(plan.rows[r].lambda, whole.rows[r].lambda);
+    EXPECT_EQ(plan.digests[r], row_digest(runner.spec(), whole.rows[r], "fp"));
+  }
+  EXPECT_EQ(whole.rows[0].lambda, 0.3 * whole.rows[0].knee_lambda);
+}
+
 TEST(ShardMerge, IncompleteCampaignFailsLoudly) {
   const std::string dir = scratch_dir("incomplete");
   const SweepRunner runner(tiny_spec());

@@ -2,12 +2,15 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <set>
 #include <sstream>
 #include <thread>
 
 #include "exp/scenario.hpp"
 #include "exp/sweep_io.hpp"
+#include "model/refined_model.hpp"
+#include "model/saturation.hpp"
 #include "util/error.hpp"
 
 namespace mcs::exp {
@@ -125,6 +128,51 @@ TEST(SweepRunner, GridExpansionMatchesSpec) {
   }
   // The tornado pattern sends everything across the ICN2.
   EXPECT_EQ(result.rows[2].external_share, 1.0);
+}
+
+// Knee-relative loads scale the smallest uniform-traffic wormhole refined
+// knee over the systems, per (flits, bytes) point; every pattern, relay
+// and flow row of the point shares it.
+TEST(SweepRunner, KneeLoadsScaleTheSmallestRefinedKnee) {
+  const topo::SystemConfig small = topo::SystemConfig::homogeneous(4, 1, 2);
+  topo::SystemConfig skewed;
+  skewed.m = 4;
+  skewed.cluster_heights = {2, 2, 3, 3};
+  ScenarioSpec spec = tiny_spec();
+  spec.systems = {{"small", small}, {"skewed", skewed}};
+  spec.message_flits = {16, 32};
+  spec.relay_modes = {sim::RelayMode::kStoreForward,
+                      sim::RelayMode::kCutThrough};
+  spec.flow_controls = {sim::FlowControl::kWormhole,
+                        sim::FlowControl::kStoreAndForward};
+  spec.loads = {0.25, 0.5};
+  spec.knee_relative_loads = true;
+  spec.run_sim = false;
+  const SweepResult result = SweepRunner(spec).run();
+  ASSERT_EQ(result.rows.size(), static_cast<std::size_t>(spec.grid_size()));
+
+  for (const int flits : spec.message_flits) {
+    model::NetworkParams params;
+    params.message_flits = flits;
+    const double knee_small =
+        model::find_saturation(model::RefinedModel(small, params)).lambda_sat;
+    const double knee_skewed =
+        model::find_saturation(model::RefinedModel(skewed, params))
+            .lambda_sat;
+    // The second system sets the reference, so "first system" would fail.
+    ASSERT_LT(knee_skewed, knee_small);
+    int rows = 0;
+    for (const SweepRow& row : result.rows) {
+      if (row.message_flits != flits) continue;
+      ++rows;
+      EXPECT_EQ(row.lambda,
+                spec.loads[static_cast<std::size_t>(row.load_idx)] *
+                    knee_skewed)
+          << row_label(row);
+    }
+    EXPECT_EQ(rows, 2 * 2 * 2 * 2 * 2);  // systems x patterns x relays x
+                                         // flows x loads
+  }
 }
 
 TEST(SweepRunner, SharedExternalPoolWorks) {

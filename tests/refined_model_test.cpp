@@ -63,7 +63,7 @@ TEST_F(RefinedModelTest, ZeroLoadMultiStageUsesSwitchBottleneck) {
 TEST_F(RefinedModelTest, SaturatesEarlierThanPaperModel) {
   // The refined model sees the d-mod-k concentrator funnel that the
   // paper's uniform channel rates average away, so its saturation point
-  // is strictly lower (DESIGN.md §6; EXPERIMENTS.md discusses this).
+  // is strictly lower (DESIGN.md §3.2 and §6).
   const RefinedModel refined(org_a_, params_);
   const PaperModel paper(org_a_, params_);
   const SaturationResult rs = find_saturation(refined);

@@ -55,6 +55,35 @@ TEST(ScenarioNegative, RemovedParallelKeyIsUnknown) {
       << msg;
 }
 
+TEST(ScenarioNegative, KneeLoadsRejectNonPositiveAndEmptyLists) {
+  for (const char* bad : {"0", "-0.5", "0.5, 0"}) {
+    const std::string msg = error_of(std::string("[sweep]\nknee_loads = ") +
+                                     bad + "\n" + kMinimalSystem);
+    EXPECT_NE(msg.find("knee_loads fractions must be > 0"), std::string::npos)
+        << bad << ": " << msg;
+  }
+  const std::string msg =
+      error_of("[sweep]\nknee_loads = ,\n" + std::string(kMinimalSystem));
+  EXPECT_NE(msg.find("knee_loads lists no fractions"), std::string::npos)
+      << msg;
+}
+
+// Absolute and knee-relative loads cannot share one grid, in either key
+// order; the error names both keys.
+TEST(ScenarioNegative, KneeLoadsDoNotMixWithAbsoluteLoads) {
+  for (const std::string key : {"loads", "load_grid"}) {
+    const std::string line =
+        key + (key == "loads" ? " = 0.001\n" : " = 1e-4 : 2\n");
+    const std::string want = "knee_loads cannot be combined with " + key;
+    for (const std::string& sweep :
+         {"knee_loads = 0.5\n" + line, line + "knee_loads = 0.5\n"}) {
+      const std::string msg =
+          error_of("[sweep]\n" + sweep + std::string(kMinimalSystem));
+      EXPECT_NE(msg.find(want), std::string::npos) << sweep << ": " << msg;
+    }
+  }
+}
+
 TEST(ScenarioNegative, UnknownSystemKeyGetsSuggestion) {
   const std::string msg = error_of(
       "[sweep]\nloads = 0.001\n[system a]\npreset = table1_org_a\n"
