@@ -104,7 +104,7 @@ int main(int argc, char** argv) {
     }
 
     std::printf("%s: merged %zu grid rows from %zu journal(s) "
-                "(%d saturated/non-stationary points)\n",
+                "(%d saturated or mixed points)\n",
                 result.name.c_str(), result.rows.size(), journals.size(),
                 result.saturated_points);
     return 0;

@@ -293,7 +293,7 @@ int main(int argc, char** argv) {
                    std::to_string(result.grid_size) + " grid rows]";
     std::printf(
         "%s: %zu grid rows (%d restored from cache/journal), %lld sim runs "
-        "on %d threads in %.2fs (%d saturated/non-stationary points)%s\n",
+        "on %d threads in %.2fs (%d saturated or mixed points)%s\n",
         result.name.c_str(), result.rows.size(), result.cached_rows,
         static_cast<long long>(result.sim_tasks), result.threads,
         result.wall_seconds, result.saturated_points, shard_note.c_str());

@@ -286,9 +286,7 @@ void aggregate_sim_row(SweepRow& row, const std::vector<sim::SimResult>& runs,
   if (n_internal + n_external > 0)
     row.external_share = static_cast<double>(n_external) /
                          static_cast<double>(n_internal + n_external);
-  // CI comparable to the mean: queues grew for the whole measurement
-  // window — the offered load is past the sustainable point.
-  if (row.sim_ci > 0.3 * row.sim_latency) row.sim_state = 2;
+  if (row.saturated > 0) row.sim_state = 2;
 }
 
 }  // namespace

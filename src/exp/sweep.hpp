@@ -85,10 +85,11 @@ struct SweepRow {
   bool sim_run = false;
   int replications = 0;
   int completed = 0;  ///< replications that reached steady completion
-  int saturated = 0;  ///< replications that hit a saturation cap
+  int saturated = 0;  ///< replications that hit a cap or drifted
   /// Distinct saturation-cause tokens ("events"/"time"/"worms"/
-  /// "generated") over the saturated replications, joined with '+' in
-  /// first-occurrence replication order; empty when none saturated.
+  /// "generated"/"drift") over the saturated replications, joined with
+  /// '+' in first-occurrence replication order; empty when none
+  /// saturated.
   std::string saturation_causes;
   double sim_latency = -1.0;
   double sim_ci = 0.0;  ///< 95% half-width (across reps, or batch means)
@@ -100,8 +101,9 @@ struct SweepRow {
   double sim_p50 = -1.0;
   double sim_p95 = -1.0;
   double sim_p99 = -1.0;
-  /// 0 steady, 1 saturated (no replication completed), 2 non-stationary
-  /// (CI comparable to the mean: load past the sustainable point).
+  /// 0 steady, 1 saturated (no replication completed), 2 mixed: some
+  /// replications ended on a saturation verdict (a cap or drift) while
+  /// the others completed; the latency columns cover the completed ones.
   int sim_state = 0;
 };
 

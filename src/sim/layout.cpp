@@ -169,6 +169,10 @@ StopCauseText stop_cause_text(int cause_index) {
     case 4:
       return {"generated",
               "generation cap exceeded before measured messages drained"};
+    case 5:
+      return {"drift",
+              "measured latency drifting upward (queues growing without "
+              "bound)"};
     default: return {"", ""};
   }
 }

@@ -120,10 +120,10 @@ class RouteTables {
   std::vector<GlobalChannelId> path_scratch_;
 };
 
-/// (short token, human-readable reason) for each saturation cap, indexed
-/// by the simulator's StopCause value. The long strings predate the token
-/// and are part of the reporting surface; the token is what
-/// replication/sweep aggregation carries forward.
+/// (short token, human-readable reason) for each saturation cap and the
+/// drift verdict, indexed by the simulator's StopCause value. The long
+/// strings predate the token and are part of the reporting surface; the
+/// token is what replication/sweep aggregation carries forward.
 struct StopCauseText {
   const char* cause;
   const char* reason;

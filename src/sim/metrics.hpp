@@ -51,11 +51,13 @@ struct SimResult {
   std::int64_t measured_external = 0;
 
   /// True when the run hit a resource cap before delivering every measured
-  /// message — the offered load is beyond the saturation point.
+  /// message, or its measured latency drifted upward (util::DriftTest) —
+  /// the offered load is beyond the saturation point.
   bool saturated = false;
   std::string saturation_reason;
-  /// Machine-readable token naming the cap behind saturation_reason:
-  /// "events", "time", "worms" or "generated"; empty when !saturated.
+  /// Machine-readable token naming the stop behind saturation_reason:
+  /// "events", "time", "worms", "generated" or "drift"; empty when
+  /// !saturated.
   /// Survives replication/sweep aggregation (unlike the long reason).
   std::string saturation_cause;
 

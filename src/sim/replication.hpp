@@ -23,13 +23,13 @@ struct ReplicationResult {
   util::ConfidenceInterval internal_latency;
   util::ConfidenceInterval external_latency;
   int completed = 0;  ///< replications that reached steady completion
-  int saturated = 0;  ///< replications that hit a saturation cap
+  int saturated = 0;  ///< replications that hit a cap or drifted
   /// Distinct saturation causes over the saturated replications
   /// (SimResult::saturation_cause tokens: "events", "time", "worms",
-  /// "generated"), in first-occurrence replication order. Empty when no
-  /// replication saturated. Before this existed, the per-run reasons were
-  /// silently dropped by aggregation and a saturated sweep row could not
-  /// say *which* cap it hit.
+  /// "generated", "drift"), in first-occurrence replication order. Empty
+  /// when no replication saturated. Before this existed, the per-run
+  /// reasons were silently dropped by aggregation and a saturated sweep
+  /// row could not say *which* cap it hit.
   std::vector<std::string> saturation_causes;
   /// True when no replication completed (completed == 0): the operating
   /// point is past saturation and the intervals above are NaN, never a

@@ -127,6 +127,7 @@ Simulator::StopCause Simulator::should_stop(double now) const {
   if (now > config_.max_time) return StopCause::kTime;
   if (engine_.waiting_worms() > waiting_cap_) return StopCause::kWorms;
   if (generated_ > generated_cap_) return StopCause::kGenerated;
+  if (drift_.fired()) return StopCause::kDrift;
   return StopCause::kNone;
 }
 
@@ -158,16 +159,19 @@ SimResult Simulator::run() {
   }
 
   SimResult result;
+  const auto mark_saturated = [&result](StopCause cause) {
+    const StopCauseText text = stop_cause_text(static_cast<int>(cause));
+    result.saturated = true;
+    result.saturation_reason = text.reason;
+    result.saturation_cause = text.cause;
+  };
   double now = 0.0;
   while (delivered_measured_ < config_.measured_messages) {
     MCS_ASSERT(!queue_.empty());
     if ((events_processed_ & 0xFFF) == 0) {
       const StopCause cause = should_stop(now);
       if (cause != StopCause::kNone) {
-        const StopCauseText text = stop_cause_text(static_cast<int>(cause));
-        result.saturated = true;
-        result.saturation_reason = text.reason;
-        result.saturation_cause = text.cause;
+        mark_saturated(cause);
         break;
       }
     }
@@ -184,6 +188,9 @@ SimResult Simulator::run() {
     // event flow is bit-identical with probes on or off.
     if (probes_ != nullptr && probes_->due(now)) record_probe(now);
   }
+  // The drift test may fire after the last cap check; reading it here
+  // keeps the verdict independent of the check cadence.
+  if (!result.saturated && drift_.fired()) mark_saturated(StopCause::kDrift);
   if (probes_ != nullptr &&
       (probes_->samples().empty() || now > probes_->samples().back().time)) {
     // Always close the series with the final state: short runs whose
@@ -480,6 +487,8 @@ void Simulator::finalize(std::int32_t msg_id, double now) {
     if (anatomy_ != nullptr)
       anatomy_->record_message(latency, m.anatomy_sum, m.internal);
     latency_.add(latency);
+    if (latency_.completed_batches() > drift_.batches())
+      drift_.add(latency_.last_batch_mean());
     measured_latencies_.push_back(latency);
     (m.internal ? internal_latency_ : external_latency_).add(latency);
     per_cluster_[static_cast<std::size_t>(m.src_cluster)].add(latency);

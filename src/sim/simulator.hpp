@@ -61,7 +61,9 @@ struct SimConfig {
   double warmup_fraction = 0.1;
 
   // Saturation guards: the run stops and is flagged `saturated` when any
-  // cap is hit before all measured messages are delivered.
+  // cap is hit before all measured messages are delivered, or as soon as
+  // the measured latency's batch means drift upward (util::DriftTest,
+  // DESIGN.md §11.5; its constants live with the test, not here).
   std::uint64_t max_events = 400'000'000;
   double max_time = std::numeric_limits<double>::infinity();
   /// Cap on simultaneously blocked worms; <= 0 selects 50 * total nodes.
@@ -113,13 +115,15 @@ class Simulator : private WormholeEngine::Listener {
   void handle_generate(std::int32_t node, double now);
   void spawn_segment(std::int32_t msg_id, double now);
   void finalize(std::int32_t msg_id, double now);
-  /// Which saturation cap (if any) the run has hit at `now`.
+  /// Which saturation cap (if any) the run has hit at `now`, or kDrift
+  /// once the drift test has fired. Values index stop_cause_text.
   enum class StopCause : std::uint8_t {
     kNone,
     kEvents,
     kTime,
     kWorms,
     kGenerated,
+    kDrift,
   };
   [[nodiscard]] StopCause should_stop(double now) const;
   /// Take one probe snapshot at `now` (config_.probes must be set).
@@ -171,6 +175,8 @@ class Simulator : private WormholeEngine::Listener {
   std::int64_t delivered_measured_ = 0;
   double measure_start_time_ = 0.0;
   util::BatchMeans latency_;
+  /// Fed each completed batch of latency_ (finalize()).
+  util::DriftTest drift_;
   util::BatchMeans internal_latency_;
   util::BatchMeans external_latency_;
   std::vector<double> measured_latencies_;  ///< for p50/p95/p99

@@ -132,7 +132,8 @@ void BatchMeans::add(double x) {
   total_.add(x);
   batch_sum_ += x;
   if (++in_batch_ == batch_size_) {
-    batches_.add(batch_sum_ / static_cast<double>(batch_size_));
+    last_batch_mean_ = batch_sum_ / static_cast<double>(batch_size_);
+    batches_.add(last_batch_mean_);
     ++batch_count_;
     in_batch_ = 0;
     batch_sum_ = 0.0;
@@ -160,6 +161,28 @@ ConfidenceInterval BatchMeans::interval() const {
     ci.half_width = student_t_975(batches.count() - 1) * se;
   }
   return ci;
+}
+
+bool DriftTest::add(double batch_mean) {
+  const auto k = static_cast<double>(batches_++);
+  if (fired_) return true;
+  sk_ += k;
+  skk_ += k * k;
+  sy_ += batch_mean;
+  syy_ += batch_mean * batch_mean;
+  sky_ += k * batch_mean;
+  if (batches_ < kMinBatches) return false;
+
+  const auto n = static_cast<double>(batches_);
+  const double sxx = skk_ - sk_ * sk_ / n;
+  const double sxy = sky_ - sk_ * sy_ / n;
+  const double mean = sy_ / n;
+  const double b = sxy / sxx;
+  const double rss = std::max(syy_ - sy_ * mean - b * sxy, 0.0);
+  const double se_b = std::sqrt(rss / (n - 2.0) / sxx);
+  const bool significant = se_b > 0.0 ? b / se_b > kMinT : b > 0.0;
+  fired_ = mean > 0.0 && significant && b * (n - 1.0) > kMinRise * mean;
+  return fired_;
 }
 
 Histogram::Histogram(double lo, double hi, std::size_t bins)

@@ -1,7 +1,7 @@
 // Online statistics for simulation output analysis: Welford moments,
 // batch-means confidence intervals, fixed-bin histograms, MSER-5
-// initial-transient detection, and the sequential-stopping precision
-// measure.
+// initial-transient detection, the online latency-drift test, and the
+// sequential-stopping precision measure.
 #pragma once
 
 #include <cstddef>
@@ -75,6 +75,8 @@ class BatchMeans {
   [[nodiscard]] std::size_t completed_batches() const {
     return batch_count_;
   }
+  /// Mean of the most recently completed batch (0 before the first).
+  [[nodiscard]] double last_batch_mean() const { return last_batch_mean_; }
   /// Batches entering interval(): the completed ones plus the trailing
   /// partial batch when it is at least half full (a near-complete batch
   /// carries real information; a sliver would only add noise).
@@ -90,6 +92,7 @@ class BatchMeans {
   std::size_t in_batch_ = 0;
   double batch_sum_ = 0.0;
   std::size_t batch_count_ = 0;
+  double last_batch_mean_ = 0.0;
   OnlineMoments batches_;
   OnlineMoments total_;
 };
@@ -119,6 +122,40 @@ struct Mser5Result {
 /// statistic is extrapolating, not measuring: `undetermined`).
 [[nodiscard]] Mser5Result mser5_cutoff(std::span<const double> xs,
                                        std::size_t batch = 5);
+
+/// Online test for upward drift of a stream of batch means (DESIGN.md
+/// §11.5): the verdict that an offered load cannot be sustained, read
+/// from the measured latencies alone. After each batch mean y_k
+/// (k = 0..K-1) it updates, from O(1) running sums, the OLS slope b of
+/// y_k against k, its standard error se_b, and the fitted rise over the
+/// window relative to the window mean, g = b (K-1) / mean(y). With at
+/// least kMinBatches batches it fires when
+///     t = b / se_b > kMinT   and   g > kMinRise;
+/// an exact upward line (se_b = 0, b > 0) reads as t = +infinity. The
+/// t-bound alone would fire on stationary streams: batch means past
+/// the knee, and near it, are strongly autocorrelated, so the OLS
+/// standard error understates the slope's spread. The magnitude bound
+/// asks for a rise larger than the level itself, which a stationary
+/// stream or a start-up transient settling onto a flat level does not
+/// produce. Once fired, the verdict is final.
+class DriftTest {
+ public:
+  static constexpr std::size_t kMinBatches = 5;
+  static constexpr double kMinT = 6.0;
+  static constexpr double kMinRise = 1.0;
+
+  /// Feed the next batch mean; returns fired().
+  bool add(double batch_mean);
+  [[nodiscard]] bool fired() const { return fired_; }
+  /// Batch means read so far.
+  [[nodiscard]] std::size_t batches() const { return batches_; }
+
+ private:
+  std::size_t batches_ = 0;
+  // Running sums over (k, y_k): sum k, sum k^2, sum y, sum y^2, sum k*y.
+  double sk_ = 0.0, skk_ = 0.0, sy_ = 0.0, syy_ = 0.0, sky_ = 0.0;
+  bool fired_ = false;
+};
 
 /// Exact sample quantile with linear interpolation between order
 /// statistics (type-7, the R/numpy default): q in [0, 1]. Partially sorts

@@ -14,6 +14,8 @@ tests cannot see from inside the process:
   * shard 0/3 + 1/3 + 2/3 merged byte-identical to the unsharded run,
   * warm-cache re-runs executing zero simulations with identical bytes,
   * SIGKILL mid-run followed by --resume completing identically,
+  * fig3_m32's overloaded rows stopped by the latency-drift test and its
+    rows below the knee steady, read from the parsed JSON rows,
   * a deliberate hang caught by the harness wall-clock timeout, the
     moral equivalent of a deadlock detector for the whole binary.
 
@@ -26,6 +28,7 @@ upload regardless of outcome.
 
 import argparse
 import json
+import math
 import os
 import shutil
 import signal
@@ -303,8 +306,44 @@ def test_perf_smoke_contract(h):
     return f"{len(doc['scenarios'])} perf scenarios measured"
 
 
+def test_fig3_drift_verdicts(h):
+    """fig3_m32 past the knee: every overloaded row is stopped by the
+    latency-drift test; every row below it completes with a latency.
+    Asserts on the parsed --json rows, not on the rendered table."""
+    h.run("mcs_sweep", "fig3_m32", "--threads=2", "--quiet",
+          "--json=fig3.json", "--stable-json")
+    rows = json.loads(h.read("fig3.json"))["rows"]
+    check(len(rows) == 24, f"expected 24 fig3_m32 rows, got {len(rows)}")
+    # Per L_m: (first overloaded load, last steady load) on the grid.
+    bounds = {256: (2.5e-4, 1.5e-4), 512: (1.5e-4, 1e-4)}
+    eps = 1e-9
+    drift = steady = 0
+    for row in rows:
+        label = f"L_m={row['flit_bytes']} lambda={row['lambda']:g}"
+        overloaded, last_steady = bounds[row["flit_bytes"]]
+        if row["lambda"] >= overloaded * (1 - eps):
+            check(row["sim_state"] == 1 and
+                  row.get("saturation_causes") == "drift",
+                  f"{label}: wanted saturated[drift], got state "
+                  f"{row['sim_state']} causes "
+                  f"{row.get('saturation_causes')!r}")
+            drift += 1
+        elif row["lambda"] <= last_steady * (1 + eps):
+            latency = row.get("sim_latency")
+            finite = (isinstance(latency, (int, float)) and
+                      math.isfinite(latency) and latency > 0)
+            check(row["sim_state"] == 0 and finite,
+                  f"{label}: wanted a steady row, got state "
+                  f"{row['sim_state']} latency {latency!r}")
+            steady += 1
+    check(drift == 14 and steady == 9,
+          f"expected 14 drift and 9 steady rows, got {drift} and {steady}")
+    return f"{drift} rows saturated[drift], {steady} steady rows"
+
+
 TESTS = [
     test_smoke_run_and_outputs,
+    test_fig3_drift_verdicts,
     test_usage_errors,
     test_typo_suggestions,
     test_malformed_scenario_rejected,

@@ -175,6 +175,59 @@ TEST(SweepRunner, KneeLoadsScaleTheSmallestRefinedKnee) {
   }
 }
 
+/// The sole row of a one-load org_a scenario at `knee_load` times the
+/// refined knee, store-and-forward relays, with reduced phases.
+SweepRow overloaded_org_a_row(const std::string& seed,
+                              const std::string& knee_load,
+                              const std::string& flow) {
+  std::string ini =
+      "[sweep]\nname = overloaded\nreplications = 1\n"
+      "warmup = 2000\nmeasured = 20000\nmessage_flits = 32\n"
+      "flit_bytes = 256\nmodels = none\nsim = true\n";
+  ini += "seed = " + seed + "\n";
+  ini += "knee_loads = " + knee_load + "\n";
+  ini += "flow = " + flow + "\n";
+  ini += "[system org_a]\npreset = table1_org_a\n";
+  const SweepResult result = SweepRunner(parse_scenario_string(ini)).run();
+  EXPECT_EQ(result.rows.size(), 1u);
+  return result.rows.front();
+}
+
+TEST(SweepRunner, DriftFlagsOverloadedRowsTheCiGuessPassedAsSteady) {
+  // Both loads are past the knee (the flow_control and relay_ablation
+  // scenarios' top rows, with shorter phases). Without the drift test
+  // each replication delivered every measured message with a batch-means
+  // CI under 30% of its mean, so the CI-width guess printed them as
+  // steady rows: 721.26 +- 198.07 and 577.42 +- 165.16.
+  const SweepRow saf =
+      overloaded_org_a_row("20060814", "1.2", "store_and_forward");
+  const SweepRow wormhole = overloaded_org_a_row("2", "1.15", "wormhole");
+  for (const SweepRow* row : {&saf, &wormhole}) {
+    EXPECT_EQ(row->sim_state, 1) << row_label(*row);
+    EXPECT_EQ(row->completed, 0) << row_label(*row);
+    EXPECT_EQ(row->saturation_causes, "drift") << row_label(*row);
+  }
+}
+
+TEST(SweepRunner, WideCiAloneDoesNotFlagACompletedRow) {
+  // tiny_spec's first row: two completed replications whose t-interval is
+  // wide only because t(0.975, 1 df) = 12.7. State 2 means some
+  // replications ended on a saturation verdict, not a wide CI.
+  ScenarioSpec spec = tiny_spec();
+  spec.patterns.resize(1);
+  spec.loads = {5e-4};
+  spec.run_paper_model = false;
+  spec.run_refined_model = false;
+  spec.find_knee = false;
+  const SweepResult result = SweepRunner(spec).run();
+  ASSERT_EQ(result.rows.size(), 1u);
+  const SweepRow& row = result.rows.front();
+  EXPECT_EQ(row.completed, 2);
+  EXPECT_GT(row.sim_ci, 0.3 * row.sim_latency);
+  EXPECT_EQ(row.sim_state, 0);
+  EXPECT_EQ(result.saturated_points, 0);
+}
+
 TEST(SweepRunner, SharedExternalPoolWorks) {
   ThreadPool pool(2);
   const SweepRunner runner(tiny_spec());

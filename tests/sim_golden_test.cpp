@@ -158,5 +158,24 @@ TEST(SimGolden, WormholeCutThroughRelay) {
             "events=41632 gen=2200 nint=703 next=1297");
 }
 
+TEST(SimGolden, DriftStopOverloaded) {
+  // 2.4x the refined knee (4.13e-3) of the tree system: the latency batch
+  // means climb from the first batch and the drift test stops the run
+  // after 8 of its 20 batches, long before the 8800-message generation
+  // cap. Without the test the run delivered all 2000 measured messages
+  // and reported a 736.8-cycle mean as a completed run.
+  topo::MultiClusterTopology topology(tree_system());
+  model::NetworkParams params;
+  Simulator sim(topology, params, 1e-2, golden_config());
+  const SimResult r = sim.run();
+  EXPECT_TRUE(r.saturated);
+  EXPECT_EQ(r.saturation_cause, "drift");
+  EXPECT_EQ("end=" + hex(r.end_time) +
+                " events=" + std::to_string(r.events_processed) +
+                " gen=" + std::to_string(r.generated) +
+                " delivered=" + std::to_string(r.delivered_measured),
+            "end=0x1.b04521f2a726p+11 events=20480 gen=1167 delivered=801");
+}
+
 }  // namespace
 }  // namespace mcs::sim

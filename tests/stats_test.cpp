@@ -166,6 +166,138 @@ TEST(BatchMeans, PartialBatchIntervalMatchesExplicitThreeBatches) {
   EXPECT_DOUBLE_EQ(got.mean, 2.6);  // total mean over all 10 observations
 }
 
+TEST(BatchMeans, LastBatchMeanIsTheMostRecentCompletedBatch) {
+  BatchMeans bm(4);
+  EXPECT_DOUBLE_EQ(bm.last_batch_mean(), 0.0);
+  for (double x : {1.0, 1.0, 1.0, 1.0, 3.0, 5.0}) bm.add(x);
+  EXPECT_DOUBLE_EQ(bm.last_batch_mean(), 1.0);  // {3, 5} is still partial
+  for (double x : {3.0, 5.0}) bm.add(x);
+  EXPECT_DOUBLE_EQ(bm.last_batch_mean(), 4.0);
+}
+
+// --- DriftTest: the online latency-drift verdict -------------------------
+
+/// Batch count at which the test first fires on `ys`; 0 when it never does.
+std::size_t first_fire(const std::vector<double>& ys) {
+  DriftTest test;
+  for (std::size_t k = 0; k < ys.size(); ++k)
+    if (test.add(ys[k])) return k + 1;
+  return 0;
+}
+
+double standard_normal(Rng& rng) {  // Box-Muller
+  constexpr double kTwoPi = 6.283185307179586;
+  return std::sqrt(-2.0 * std::log(rng.next_double_open_low())) *
+         std::cos(kTwoPi * rng.next_double());
+}
+
+TEST(DriftTest, StationaryAr1NeverFires) {
+  // phi = 0.9 mimics the strongly autocorrelated batch means of a
+  // near-knee run: the OLS t-statistic alone is badly inflated on such a
+  // stream (long excursions look like trends), so this pins the need for
+  // the magnitude bound. Level 100, stationary sd 15, started in steady
+  // state (DESIGN.md §11.5 gives the false-fire rate against the sd).
+  constexpr double kPhi = 0.9, kLevel = 100.0, kSd = 15.0;
+  const double innovation = kSd * std::sqrt(1.0 - kPhi * kPhi);
+  int t_alone_would_fire = 0;
+  for (std::uint64_t seed = 1; seed <= 40; ++seed) {
+    Rng rng(seed);
+    std::vector<double> ys;
+    double dev = kSd * standard_normal(rng);
+    for (int k = 0; k < 100; ++k) {
+      ys.push_back(kLevel + dev);
+      dev = kPhi * dev + innovation * standard_normal(rng);
+    }
+    EXPECT_EQ(first_fire(ys), 0u) << "seed " << seed;
+
+    // The same stream under the t-bound alone: refit after every batch.
+    for (std::size_t n = DriftTest::kMinBatches; n <= ys.size(); ++n) {
+      const auto m = static_cast<double>(n);
+      const double k_mean = (m - 1.0) / 2.0;
+      double y_mean = 0.0;
+      for (std::size_t k = 0; k < n; ++k) y_mean += ys[k] / m;
+      double sxx = 0.0, sxy = 0.0;
+      for (std::size_t k = 0; k < n; ++k) {
+        sxx += (static_cast<double>(k) - k_mean) *
+               (static_cast<double>(k) - k_mean);
+        sxy += (static_cast<double>(k) - k_mean) * (ys[k] - y_mean);
+      }
+      const double b = sxy / sxx;
+      double rss = 0.0;
+      for (std::size_t k = 0; k < n; ++k) {
+        const double r =
+            ys[k] - y_mean - b * (static_cast<double>(k) - k_mean);
+        rss += r * r;
+      }
+      if (b / std::sqrt(rss / (m - 2.0) / sxx) > DriftTest::kMinT) {
+        ++t_alone_would_fire;
+        break;
+      }
+    }
+  }
+  EXPECT_GT(t_alone_would_fire, 0)
+      << "the AR(1) stream no longer exercises the magnitude bound";
+}
+
+TEST(DriftTest, StartUpTransientOntoAFlatLevelNeverFires) {
+  // The near-knee warm-up shape: the measured stream starts below its
+  // level (queues still filling) or above it (a burst draining), and the
+  // gap decays exponentially onto a flat level, with iid noise.
+  for (double gap : {-0.5, 2.0}) {
+    for (double tau : {1.0, 3.0, 10.0, 30.0}) {
+      for (std::uint64_t seed = 1; seed <= 5; ++seed) {
+        Rng rng(seed);
+        std::vector<double> ys;
+        for (int k = 0; k < 100; ++k)
+          ys.push_back(100.0 * (1.0 + gap * std::exp(-k / tau)) +
+                       5.0 * standard_normal(rng));
+        EXPECT_EQ(first_fire(ys), 0u)
+            << "gap " << gap << " tau " << tau << " seed " << seed;
+      }
+    }
+  }
+}
+
+TEST(DriftTest, LinearRampFiresAtTheFifthBatch) {
+  // Latency climbing by its own starting level every batch: queues
+  // growing without bound. The test is not evaluated before kMinBatches.
+  Rng rng(3);
+  std::vector<double> ys;
+  for (int k = 0; k < 20; ++k)
+    ys.push_back(100.0 * (k + 1) + 5.0 * standard_normal(rng));
+  EXPECT_EQ(first_fire(ys), DriftTest::kMinBatches);
+  EXPECT_EQ(DriftTest::kMinBatches, 5u);
+}
+
+TEST(DriftTest, ConstantStreamNeverFires) {
+  EXPECT_EQ(first_fire(std::vector<double>(100, 19.7)), 0u);
+  EXPECT_EQ(first_fire(std::vector<double>(100, 0.0)), 0u);
+}
+
+TEST(DriftTest, ExactLineFiresOnceItsRiseExceedsItsLevel) {
+  // se_b = 0 reads as t = +infinity, so only the magnitude bound decides:
+  // y_k = 100 + 10 k has fitted rise 10 (K-1) against mean
+  // 100 + 5 (K-1), which first exceeds it at K = 22.
+  std::vector<double> ys;
+  for (int k = 0; k < 40; ++k) ys.push_back(100.0 + 10.0 * k);
+  EXPECT_EQ(first_fire(ys), 22u);
+  // Steep enough to pass the magnitude bound at once.
+  std::vector<double> steep;
+  for (int k = 0; k < 10; ++k) steep.push_back(10.0 * (k + 1));
+  EXPECT_EQ(first_fire(steep), DriftTest::kMinBatches);
+  // A falling line never fires.
+  std::vector<double> falling;
+  for (int k = 0; k < 40; ++k) falling.push_back(1000.0 - 10.0 * k);
+  EXPECT_EQ(first_fire(falling), 0u);
+}
+
+TEST(DriftTest, VerdictIsFinal) {
+  DriftTest test;
+  for (int k = 0; k < 5; ++k) test.add(10.0 * (k + 1));
+  ASSERT_TRUE(test.fired());
+  for (int k = 0; k < 50; ++k) EXPECT_TRUE(test.add(1.0));
+}
+
 TEST(Histogram, BinningAndCounts) {
   Histogram h(0.0, 10.0, 10);
   for (int i = 0; i < 10; ++i) h.add(i + 0.5);
