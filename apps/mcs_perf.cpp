@@ -25,8 +25,8 @@
 //                              (falls back to env MCS_LOG_LEVEL)
 //
 // Reports carry a RunManifest (git describe, compiler, flags, host,
-// wall/CPU time, peak RSS), so a committed BENCH_PR3.json says exactly
-// what produced it.
+// wall/CPU time, peak RSS), so a saved report says exactly what
+// produced it.
 #include <cstdio>
 #include <exception>
 #include <string>
@@ -195,7 +195,7 @@ int run(const mcs::util::Args& args) {
   report.manifest.complete();
 
   // Compare BEFORE writing: with --out and --baseline naming the same
-  // file (e.g. a committed BENCH_PR3.json), writing first would overwrite
+  // file (e.g. a local reference report), writing first would overwrite
   // the reference and the gate would compare the run against itself.
   std::vector<std::string> violations;
   if (!baseline.empty())

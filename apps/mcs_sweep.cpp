@@ -38,14 +38,11 @@
 //                     fingerprint) is already stored are restored
 //                     bit-identically without simulating; fresh rows are
 //                     stored back
-//   --checkpoint=PATH journal every completed row (atomic
-//                     write-temp-then-rename), so an interrupted campaign
-//                     loses at most the rows in flight
+//   --checkpoint=PATH journal every completed row (one appended line
+//                     each), so an interrupted campaign loses at most the
+//                     rows in flight
 //   --resume          preload --checkpoint's journal and skip the rows it
 //                     records
-//   --shard=I/N       run only the grid rows with grid_index % N == I;
-//                     mcs_merge joins the shards' journals back into the
-//                     full grid, byte-identical to an unsharded run
 //
 // Flight recorder (incompatible with the campaign service — a restored
 // row has nothing to observe):
@@ -89,7 +86,6 @@
 // coordinates alone.
 #include <algorithm>
 #include <cstdio>
-#include <cstdlib>
 #include <filesystem>
 #include <string>
 #include <vector>
@@ -116,32 +112,11 @@ int list_scenarios() {
   return 0;
 }
 
-/// Parse --shard=I/N into (shard_index, shard_count).
-void parse_shard(const std::string& raw, mcs::exp::SweepRunOptions& options) {
-  const std::size_t slash = raw.find('/');
-  bool ok = slash != std::string::npos && slash > 0 &&
-            slash + 1 < raw.size();
-  if (ok) {
-    char* end = nullptr;
-    const std::string index = raw.substr(0, slash);
-    const std::string count = raw.substr(slash + 1);
-    options.shard_index =
-        static_cast<int>(std::strtol(index.c_str(), &end, 10));
-    ok = end == index.c_str() + index.size();
-    options.shard_count =
-        static_cast<int>(std::strtol(count.c_str(), &end, 10));
-    ok = ok && end == count.c_str() + count.size();
-  }
-  if (!ok)
-    throw mcs::ConfigError("--shard: expected I/N (e.g. --shard=0/3), got '" +
-                           raw + "'");
-}
-
 std::vector<std::string> known_options() {
   std::vector<std::string> names = {
       "list",      "threads",   "csv",        "json",     "stable-json",
       "quiet",     "progress",  "probe-out",  "trace-out", "explain",
-      "log-level", "cache",     "checkpoint", "resume",    "shard"};
+      "log-level", "cache",     "checkpoint", "resume"};
   for (const std::string& name : mcs::exp::spec_flag_names())
     names.push_back(name);
   return names;
@@ -164,8 +139,7 @@ int main(int argc, char** argv) {
     std::fprintf(stderr,
                  "usage: mcs_sweep <scenario.ini | name> [--threads=N] "
                  "[--csv=PATH] [--json=PATH] [--no-sim] [--quiet]\n"
-                 "       [--cache=DIR] [--checkpoint=PATH] [--resume] "
-                 "[--shard=I/N] ...\n"
+                 "       [--cache=DIR] [--checkpoint=PATH] [--resume] ...\n"
                  "       mcs_sweep --list\n");
     return 2;
   }
@@ -175,8 +149,8 @@ int main(int argc, char** argv) {
         args.positional().front(), "mcs_sweep");
     mcs::exp::ScenarioSpec spec = mcs::exp::load_scenario(path);
 
-    // Flag overrides on top of the file (shared with mcs_merge, which
-    // must shape the spec identically for the digests to line up).
+    // Flag overrides on top of the file; cache digests hash the
+    // resulting spec.
     mcs::exp::apply_spec_flags(args, spec);
     const bool explain = args.get_flag("explain") || spec.explain;
 
@@ -188,7 +162,6 @@ int main(int argc, char** argv) {
     options.cache_dir = args.get("cache", "");
     options.checkpoint_path = args.get("checkpoint", "");
     options.resume = args.get_flag("resume");
-    if (args.has("shard")) parse_shard(args.get("shard", ""), options);
     const std::string probe_out = args.get("probe-out", "");
     const std::string trace_out = args.get("trace-out", "");
     options.collect_probes = !probe_out.empty();
@@ -286,17 +259,12 @@ int main(int argc, char** argv) {
       std::printf("wrote %s\n", json_path.c_str());
     }
 
-    std::string shard_note;
-    if (result.shard_count > 1)
-      shard_note = " [shard " + std::to_string(result.shard_index) + "/" +
-                   std::to_string(result.shard_count) + " of " +
-                   std::to_string(result.grid_size) + " grid rows]";
     std::printf(
         "%s: %zu grid rows (%d restored from cache/journal), %lld sim runs "
-        "on %d threads in %.2fs (%d saturated or mixed points)%s\n",
+        "on %d threads in %.2fs (%d saturated or mixed points)\n",
         result.name.c_str(), result.rows.size(), result.cached_rows,
         static_cast<long long>(result.sim_tasks), result.threads,
-        result.wall_seconds, result.saturated_points, shard_note.c_str());
+        result.wall_seconds, result.saturated_points);
     return 0;
   } catch (const mcs::ConfigError& e) {
     std::fprintf(stderr, "mcs_sweep: %s\n", e.what());

@@ -8,10 +8,10 @@
 // cross-checks that every repeat delivered the identical event count — a
 // throughput number from a diverged simulation is meaningless.
 //
-// The JSON report (BENCH_PR3.json) is both the human-facing record and the
-// CI regression baseline: `compare_to_baseline` re-reads a committed
-// report and flags any scenario whose events/sec dropped by more than the
-// tolerance.
+// The JSON report (mcs_perf --out) is both the human-facing record and the
+// regression baseline: `compare_to_baseline` re-reads a saved report (CI
+// uses bench/perf_baseline_ci.json) and flags any scenario whose
+// events/sec dropped by more than the tolerance.
 #pragma once
 
 #include <cstdint>

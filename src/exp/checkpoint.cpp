@@ -2,10 +2,8 @@
 
 #include <algorithm>
 #include <sstream>
-#include <unordered_map>
 #include <utility>
 
-#include "exp/result_cache.hpp"
 #include "util/atomic_file.hpp"
 #include "util/error.hpp"
 
@@ -149,75 +147,6 @@ void CheckpointWriter::rewrite_locked() {
   util::write_file_atomic(path_, text);
   base_written_ = true;
   appends_ = 0;
-}
-
-SweepResult merge_journals(const SweepRunner& runner,
-                           const std::vector<std::string>& paths,
-                           const std::string& fingerprint) {
-  if (paths.empty()) throw ConfigError("merge: no journals given");
-
-  // Pool every journal entry, keyed by content digest. The digest ties an
-  // entry to the exact (scenario point, seed, flags, binary) that
-  // produced it, so entries from an unrelated campaign can never be
-  // matched by accident — they just leave grid rows uncovered.
-  // mcs-lint: note(unordered-iter) lookup-only index: probed with find()
-  // per planned grid row (grid order), never iterated — merge output
-  // order is the plan's, independent of journal entry order (regression:
-  // exp_service_test MergeOrderIndependent). Duplicate digests keep the
-  // first entry in paths order: deterministic, and duplicates can only
-  // carry byte-identical payloads anyway (digest pins the content).
-  std::unordered_map<std::string, const JournalEntry*> by_digest;
-  std::vector<Journal> journals;
-  journals.reserve(paths.size());
-  for (const std::string& path : paths) {
-    std::optional<Journal> journal = load_journal(path);
-    if (!journal) throw ConfigError("merge: cannot read journal '" + path + "'");
-    if (journal->scenario != runner.spec().name)
-      throw ConfigError("merge: journal '" + path + "' records scenario '" +
-                        journal->scenario + "', expected '" +
-                        runner.spec().name + "'");
-    journals.push_back(std::move(*journal));
-  }
-  for (const Journal& journal : journals)
-    for (const JournalEntry& entry : journal.entries)
-      by_digest.emplace(entry.digest, &entry);
-
-  SweepPlan plan = runner.plan(fingerprint);
-  SweepResult result;
-  result.name = runner.spec().name;
-  result.manifest = obs::RunManifest::begin();
-  result.rows = std::move(plan.rows);
-  result.grid_size = static_cast<std::int64_t>(result.rows.size());
-
-  std::int64_t missing = 0;
-  std::int64_t first_missing = -1;
-  for (std::size_t r = 0; r < result.rows.size(); ++r) {
-    const auto it = by_digest.find(plan.digests[r]);
-    if (it == by_digest.end()) {
-      ++missing;
-      if (first_missing < 0)
-        first_missing = result.rows[r].grid_index;
-      continue;
-    }
-    if (!decode_row_payload(it->second->payload, result.rows[r]))
-      throw ConfigError("merge: malformed payload for grid row " +
-                        std::to_string(result.rows[r].grid_index));
-  }
-  if (missing > 0)
-    throw ConfigError(
-        "merge: " + std::to_string(missing) + " of " +
-        std::to_string(result.rows.size()) +
-        " grid rows uncovered (first: grid_index " +
-        std::to_string(first_missing) +
-        ") — the campaign is incomplete, or the journals were produced "
-        "under different scenario flags or a different binary "
-        "(fingerprint mismatch)");
-
-  result.cached_rows = static_cast<int>(result.rows.size());
-  for (const SweepRow& row : result.rows)
-    if (row.sim_state != 0) ++result.saturated_points;
-  result.manifest.complete();
-  return result;
 }
 
 }  // namespace mcs::exp

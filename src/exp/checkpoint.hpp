@@ -1,7 +1,7 @@
-// Sweep checkpoint journals and the shard-merge operation (DESIGN.md §14).
+// Sweep checkpoint journals (DESIGN.md §14).
 //
 // A journal is a line-oriented text file recording every completed row of
-// one sweep (or one shard of it):
+// one sweep:
 //
 //   mcs-journal v1
 //   scenario <name>
@@ -10,7 +10,9 @@
 //
 // `digest` is the row's content-hash cache key (exp/result_cache.hpp) and
 // `payload` the rest of the line — the row's encode_row_payload record
-// (hexfloat doubles, so restoration is bit-exact).
+// (hexfloat doubles, so restoration is bit-exact). The `shard` line is
+// kept only for format compatibility: the sweep writes `shard 0 1`, and
+// older sharded journals still load (resume matches rows by digest).
 //
 // On disk the journal is a sorted BASE (written whole via
 // write-temp-then-rename) followed by an APPEND SEGMENT: each completed
@@ -25,10 +27,7 @@
 // occurrence (re-records supersede), and entries come back sorted by
 // grid_index whatever the file order.
 //
-// Journals serve two consumers: `mcs_sweep --resume` preloads one and
-// skips the recorded rows, and `mcs_merge` joins the journals of a
-// sharded campaign back into the full grid, byte-identical to an
-// unsharded run.
+// `mcs_sweep --resume` preloads a journal and skips the recorded rows.
 #pragma once
 
 #include <cstdint>
@@ -37,8 +36,6 @@
 #include <optional>
 #include <string>
 #include <vector>
-
-#include "exp/sweep.hpp"
 
 namespace mcs::exp {
 
@@ -50,6 +47,7 @@ struct JournalEntry {
 
 struct Journal {
   std::string scenario;
+  /// The header's shard line, read for format compatibility only.
   int shard_index = 0;
   int shard_count = 1;
   std::vector<JournalEntry> entries;  ///< grid_index order
@@ -65,6 +63,8 @@ struct Journal {
 /// periodically compact the file back to sorted form.
 class CheckpointWriter {
  public:
+  /// `shard_index`/`shard_count` fill the header's compatibility shard
+  /// line; the sweep passes 0, 1.
   CheckpointWriter(std::string path, std::string scenario, int shard_index,
                    int shard_count);
 
@@ -95,17 +95,5 @@ class CheckpointWriter {
   bool base_written_ = false;   ///< header exists on disk
   std::int64_t appends_ = 0;    ///< lines in the append segment
 };
-
-/// Join shard journals into the full-grid SweepResult, equivalent to (and
-/// byte-identical with, across table/CSV/stable-JSON renderings) an
-/// unsharded run of `runner`'s scenario. Pure data join: rows are matched
-/// by content digest against runner.plan(fingerprint), so a journal
-/// produced under different scenario flags — or by a different binary —
-/// fails loudly instead of merging stale data. Throws mcs::ConfigError on
-/// a scenario-name mismatch, a malformed payload, or uncovered grid rows
-/// (incomplete campaign or fingerprint mismatch).
-[[nodiscard]] SweepResult merge_journals(
-    const SweepRunner& runner, const std::vector<std::string>& paths,
-    const std::string& fingerprint = {});
 
 }  // namespace mcs::exp

@@ -210,7 +210,7 @@ struct ScenarioSpec {
 
 /// Directory of the checked-in scenario specs: the build-time
 /// MCS_SCENARIO_DIR (absolute source path) when defined, else the
-/// relative "scenarios". Shared by mcs_sweep and mcs_merge.
+/// relative "scenarios".
 [[nodiscard]] std::string default_scenario_dir();
 
 }  // namespace mcs::exp

@@ -1,8 +1,6 @@
-// Scenario resolution and spec-shaping flags shared by the campaign
-// tools (mcs_sweep, mcs_merge). Extracted so both apps resolve a
-// scenario argument and apply flag overrides IDENTICALLY — the merge
-// tool must reconstruct exactly the spec a sharded sweep ran, or the
-// content digests will not line up.
+// Scenario resolution and spec-shaping flags of the mcs_sweep CLI. Cache
+// and journal digests hash the spec these flags shape, so a resumed or
+// cached run must be given the same spec-shaping flags as the first.
 #pragma once
 
 #include <string>
@@ -35,8 +33,8 @@ void apply_hetero_overrides(const util::Args& args, ScenarioSpec& spec);
 /// Apply every spec-shaping flag on top of the loaded file — seed,
 /// replications, phases (--warmup/--measured/--paper-scale), evaluation
 /// switches (--no-sim/--knee/--find-saturation) and the ICN2/heterogeneity
-/// overrides above. One entry point so mcs_sweep and mcs_merge can never
-/// drift.
+/// overrides above. One entry point, so every caller shapes a spec the
+/// same way.
 void apply_spec_flags(const util::Args& args, ScenarioSpec& spec);
 
 /// The spec-shaping flag names accepted by apply_spec_flags (for

@@ -73,28 +73,22 @@ const char* hetero_label(const topo::SystemConfig& config) {
   return "uniform";
 }
 
-/// The expanded grid (optionally restricted to one shard) plus the task
-/// groupings built over it. Shared by run() and plan() so the two can
-/// never disagree on row identity — the foundation of the cache-key and
-/// merge contracts.
+/// The expanded grid plus the task groupings built over it. Shared by
+/// run() and plan() so the two can never disagree on row identity — the
+/// foundation of the cache-key contract.
 struct Expansion {
   std::vector<PatternEntry> patterns;
   std::vector<std::unique_ptr<topo::MultiClusterTopology>> topologies;
-  std::vector<SweepRow> rows;  ///< grid order; shard-filtered when sharded
+  std::vector<SweepRow> rows;  ///< grid order
   std::vector<ModelGroup> groups;           ///< indices into `rows`
   std::vector<SearchGroup> search_groups;   ///< indices into `rows`
-  std::int64_t grid_size = 0;               ///< FULL grid row count
 };
 
-/// Walk the spec's 7-dimensional nesting and keep the rows with
-/// grid_index % shard_count == shard_index (the deterministic shard
-/// partition rule; 0/1 keeps everything). Groups are built over the kept
-/// rows only, so a shard never constructs models it has no rows for.
+/// Walk the spec's 7-dimensional nesting into rows and group them.
 /// `knees` (flits-major, empty for absolute loads) scales each load
 /// fraction to the row's absolute lambda.
 Expansion expand_grid(const ScenarioSpec& spec,
-                      const std::vector<double>& knees, int shard_index,
-                      int shard_count) {
+                      const std::vector<double>& knees) {
   Expansion ex;
   ex.patterns = spec.patterns;
   if (ex.patterns.empty())
@@ -105,9 +99,7 @@ Expansion expand_grid(const ScenarioSpec& spec,
     ex.topologies.push_back(
         std::make_unique<topo::MultiClusterTopology>(system.config));
 
-  ex.grid_size = spec.grid_size();
-  ex.rows.reserve(static_cast<std::size_t>(
-      (ex.grid_size + shard_count - 1) / shard_count));
+  ex.rows.reserve(static_cast<std::size_t>(spec.grid_size()));
 
   std::map<std::tuple<int, int, int, int, int>, std::size_t> group_of;
   std::map<std::tuple<int, int, int, int, int, int>, std::size_t>
@@ -124,11 +116,8 @@ Expansion expand_grid(const ScenarioSpec& spec,
                  wi < static_cast<int>(spec.flow_controls.size()); ++wi) {
               for (int li = 0; li < static_cast<int>(spec.loads.size());
                    ++li) {
-                const std::int64_t index = grid_index++;
-                if (index % shard_count != shard_index) continue;
-
                 SweepRow row;
-                row.grid_index = index;
+                row.grid_index = grid_index++;
                 row.system_idx = sys;
                 row.flits_idx = fi;
                 row.bytes_idx = bi;
@@ -335,8 +324,7 @@ SweepRunner::SweepRunner(ScenarioSpec spec) : spec_(std::move(spec)) {
 }
 
 SweepPlan SweepRunner::plan(const std::string& fingerprint) const {
-  Expansion ex =
-      expand_grid(spec_, knees_, /*shard_index=*/0, /*shard_count=*/1);
+  Expansion ex = expand_grid(spec_, knees_);
   SweepPlan result;
   result.rows = std::move(ex.rows);
   const std::string fp =
@@ -352,40 +340,28 @@ SweepResult SweepRunner::run(const SweepRunOptions& options) const {
   const auto t0 = std::chrono::steady_clock::now();
 
   // --- service-mode validation -------------------------------------------
-  if (options.shard_count < 1 || options.shard_index < 0 ||
-      options.shard_index >= options.shard_count)
-    throw ConfigError("sweep: invalid shard " +
-                      std::to_string(options.shard_index) + "/" +
-                      std::to_string(options.shard_count) +
-                      " (need 0 <= index < count)");
   if (options.resume && options.checkpoint_path.empty())
     throw ConfigError("sweep: --resume requires a checkpoint path");
-  const bool sharded = options.shard_count > 1;
-  const bool service = sharded || options.resume ||
-                       !options.cache_dir.empty() ||
+  const bool service = options.resume || !options.cache_dir.empty() ||
                        !options.checkpoint_path.empty();
   if (service &&
       (options.collect_probes || options.collect_traces || options.explain))
     throw ConfigError(
         "sweep: probes/traces/explain cannot combine with "
-        "cache/checkpoint/shard modes — a restored row has nothing to "
+        "cache/checkpoint modes — a restored row has nothing to "
         "observe, so the captures would be silently partial");
 
   SweepResult result;
   result.manifest = obs::RunManifest::begin();
 
   // --- expansion: topologies, rows, model groups -------------------------
-  Expansion ex = expand_grid(spec_, knees_, options.shard_index,
-                             options.shard_count);
+  Expansion ex = expand_grid(spec_, knees_);
   const std::vector<PatternEntry>& patterns = ex.patterns;
   std::vector<ModelGroup>& groups = ex.groups;
   std::vector<SearchGroup>& search_groups = ex.search_groups;
 
   result.name = spec_.name;
   result.rows = std::move(ex.rows);
-  result.grid_size = ex.grid_size;
-  result.shard_index = options.shard_index;
-  result.shard_count = options.shard_count;
   std::vector<SweepRow>& rows = result.rows;
 
   // --- restore phase: resume journal, then content-hash cache ------------
@@ -440,12 +416,11 @@ SweepResult SweepRunner::run(const SweepRunOptions& options) const {
   for (const char r : restored) result.cached_rows += r != 0;
 
   if (!options.checkpoint_path.empty()) {
-    journal = std::make_unique<CheckpointWriter>(
-        options.checkpoint_path, spec_.name, options.shard_index,
-        options.shard_count);
-    // Seed the journal with the restored rows (one rewrite) so it is
-    // complete for mcs_merge even before any new row finishes; rows
-    // restored from the journal itself also warm the cache.
+    journal = std::make_unique<CheckpointWriter>(options.checkpoint_path,
+                                                 spec_.name, 0, 1);
+    // Seed the journal with the restored rows (one rewrite) so it covers
+    // them even before any new row finishes; rows restored from the
+    // journal itself also warm the cache.
     std::vector<JournalEntry> preload;
     for (std::size_t r = 0; r < rows.size(); ++r) {
       if (!restored[r]) continue;
@@ -681,7 +656,7 @@ SweepResult SweepRunner::run(const SweepRunOptions& options) const {
   }
 
   // Simulation tasks: one per (uncomputed row, replication). Seeds depend
-  // only on grid coordinates, never on scheduling or sharding.
+  // only on grid coordinates, never on scheduling.
   if (spec_.run_sim) {
     for (std::size_t r = 0; r < rows.size(); ++r) {
       if (restored[r]) continue;
@@ -802,7 +777,7 @@ SweepResult SweepRunner::run(const SweepRunOptions& options) const {
   // Fold the journal's append segment into its sorted base: the mid-run
   // append order tracks task completion (scheduling-dependent), but the
   // finalized bytes depend only on the recorded rows, so two completed
-  // runs of the same shard leave byte-identical journals.
+  // runs of the same scenario leave byte-identical journals.
   if (journal) journal->finalize();
 
   // Every computed row was aggregated by its finalizing task; restored

@@ -37,9 +37,8 @@ using util::derive_seed;
 struct SweepRow {
   // Grid coordinates (indices into the ScenarioSpec lists) and their
   // resolved values.
-  /// Flat index in full-grid nesting order (system, flits, bytes,
-  /// pattern, relay, flow, load) — stable under sharding: shard i of N
-  /// holds the rows with grid_index % N == i, and merging orders by it.
+  /// Flat index in grid nesting order (system, flits, bytes, pattern,
+  /// relay, flow, load); checkpoint journals key their rows by it.
   std::int64_t grid_index = 0;
   int system_idx = 0;
   int flits_idx = 0;
@@ -125,11 +124,6 @@ struct SweepResult {
   double wall_seconds = 0.0;
   /// Simulated rows whose sim_state != 0.
   int saturated_points = 0;
-  /// Full-grid row count (== rows.size() unless sharded).
-  std::int64_t grid_size = 0;
-  /// This run's shard (0/1 = unsharded).
-  int shard_index = 0;
-  int shard_count = 1;
   /// Rows restored from the result cache or the resume journal instead of
   /// being computed (their tasks never ran).
   int cached_rows = 0;
@@ -189,21 +183,13 @@ struct SweepRunOptions {
   /// running any task; freshly computed rows are stored back.
   std::string cache_dir;
   /// Checkpoint journal path; empty disables. Every completed row is
-  /// journaled (atomic write-temp-then-rename of the whole file) the
-  /// moment its last task finishes, so an interrupted campaign loses at
-  /// most the rows in flight.
+  /// journaled (one appended line) the moment its last task finishes, so
+  /// an interrupted campaign loses at most the rows in flight.
   std::string checkpoint_path;
   /// Preload checkpoint_path (when the file exists) and skip the rows it
   /// records. Requires checkpoint_path; the journal is rewritten with the
   /// preloaded rows plus everything newly completed.
   bool resume = false;
-  /// Deterministic shard partition (`--shard i/N`): only full-grid rows
-  /// with grid_index % shard_count == shard_index are kept; the result
-  /// (and its journal) contains exactly those rows. mcs_merge joins shard
-  /// journals back into the full grid, byte-identical to an unsharded
-  /// run.
-  int shard_index = 0;
-  int shard_count = 1;
   /// Cache-key binary fingerprint override (tests exercise invalidation
   /// with it); empty selects exp::binary_fingerprint().
   std::string fingerprint;
@@ -213,10 +199,10 @@ struct SweepRunOptions {
 /// "<system>/<pattern>/<relay>/<flow> f<flits> lambda=<value>".
 [[nodiscard]] std::string row_label(const SweepRow& row);
 
-/// The expanded full grid without executing anything: rows carry their
+/// The expanded grid without executing anything: rows carry their
 /// coordinates/identity fields (outputs empty) and `digests[r]` is
-/// rows[r]'s content-hash cache key. mcs_merge plans the grid to know
-/// which digests a complete campaign must cover.
+/// rows[r]'s content-hash cache key — exactly the rows and keys run()
+/// would compute and look up.
 struct SweepPlan {
   std::vector<SweepRow> rows;
   std::vector<std::string> digests;  ///< parallel to rows
@@ -234,8 +220,8 @@ class SweepRunner {
   /// returns an identical result for a given spec.
   [[nodiscard]] SweepResult run(const SweepRunOptions& options = {}) const;
 
-  /// Expand the FULL grid (no shard filter) and compute each row's cache
-  /// digest, without running any task. An empty `fingerprint` selects
+  /// Expand the grid and compute each row's cache digest, without
+  /// running any task. An empty `fingerprint` selects
   /// binary_fingerprint().
   [[nodiscard]] SweepPlan plan(const std::string& fingerprint = {}) const;
 

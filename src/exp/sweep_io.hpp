@@ -22,9 +22,8 @@ void write_csv(const SweepResult& result, const std::string& path);
 /// The same schema as a JSON document: {"name", "threads", "wall_seconds",
 /// "rows": [{...}, ...]}. `stable` omits the volatile run metadata
 /// (threads, sim_tasks, wall_seconds, manifest, task_stats) so two runs
-/// producing the same rows emit byte-identical documents — the form
-/// mcs_merge emits and the shard/cache bit-identity tests compare
-/// (mcs_sweep --stable-json).
+/// producing the same rows emit byte-identical documents — the form the
+/// cache/resume bit-identity tests compare (mcs_sweep --stable-json).
 void write_json(const SweepResult& result, std::ostream& out,
                 bool stable = false);
 /// Throws mcs::ConfigError when the file cannot be opened or the final

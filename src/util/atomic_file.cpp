@@ -18,7 +18,7 @@ namespace mcs::util {
 namespace {
 
 /// Unique-per-process-and-call temp sibling of `path`. The pid keeps two
-/// shard processes writing next to each other from colliding; the counter
+/// processes sharing one --cache directory from colliding; the counter
 /// keeps two threads of one process apart.
 std::string temp_sibling(const std::string& path) {
   static std::atomic<std::uint64_t> counter{0};

@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """Black-box end-to-end harness for the production sweep service.
 
-Drives the *built* mcs_sweep / mcs_merge / mcs_perf binaries exactly the
+Drives the *built* mcs_sweep / mcs_perf binaries exactly the
 way a campaign script would — through argv, files and exit codes, with no
 linkage against the library — and checks the service contracts that unit
 tests cannot see from inside the process:
@@ -9,9 +9,8 @@ tests cannot see from inside the process:
   * exit-code discipline (0 ok, 1 runtime error, 2 usage error),
   * the printed summary metrics (grid rows, restored rows, sim runs),
   * CSV/JSON output validity,
-  * malformed-input rejection (bad scenario file, bad --shard, typo'd
-    flags with closest-match suggestions),
-  * shard 0/3 + 1/3 + 2/3 merged byte-identical to the unsharded run,
+  * malformed-input rejection (bad scenario file, removed options,
+    typo'd flags with closest-match suggestions),
   * warm-cache re-runs executing zero simulations with identical bytes,
   * SIGKILL mid-run followed by --resume completing identically,
   * fig3_m32's overloaded rows stopped by the latency-drift test and its
@@ -57,7 +56,7 @@ class Harness:
     def __init__(self, build_dir, workdir):
         self.build_dir = os.path.abspath(build_dir)
         self.workdir = workdir
-        for tool in ("mcs_sweep", "mcs_merge", "mcs_perf"):
+        for tool in ("mcs_sweep", "mcs_perf"):
             path = os.path.join(self.build_dir, tool)
             if not os.path.isfile(path) or not os.access(path, os.X_OK):
                 sys.exit(f"error: missing binary {path}; build first")
@@ -130,10 +129,6 @@ def test_usage_errors(h):
     check("--list" in proc.stderr,
           f"unknown scenario should point at --list: {proc.stderr}")
 
-    proc = h.run("mcs_sweep", SCENARIO, "--shard=3/0", expect=1)
-    proc = h.run("mcs_sweep", SCENARIO, "--shard=banana", expect=1)
-    check("--shard" in proc.stderr, f"bad shard syntax: {proc.stderr}")
-
     proc = h.run("mcs_sweep", SCENARIO, "--resume", expect=1)
     check("--resume" in proc.stderr,
           f"--resume without --checkpoint must be rejected: {proc.stderr}")
@@ -143,6 +138,11 @@ def test_usage_errors(h):
     proc = h.run("mcs_sweep", SCENARIO, "--parallel-run=2", expect=2)
     check("unknown option '--parallel-run'" in proc.stderr,
           f"removed --parallel-run must be an unknown flag: {proc.stderr}")
+
+    # Likewise the removed multi-host shard flag: never a silent full run.
+    proc = h.run("mcs_sweep", SCENARIO, "--shard=0/2", expect=2)
+    check("unknown option '--shard'" in proc.stderr,
+          f"removed --shard must be an unknown flag: {proc.stderr}")
     return "usage and option errors rejected with the right exit codes"
 
 
@@ -157,10 +157,6 @@ def test_typo_suggestions(h):
     proc = h.run("mcs_perf", "--basline=x.json", expect=2)
     check("baseline" in proc.stderr,
           f"mcs_perf typo not suggested: {proc.stderr}")
-
-    proc = h.run("mcs_merge", SCENARIO, "j.journal", "--qiuet", expect=2)
-    check("quiet" in proc.stderr,
-          f"mcs_merge typo not suggested: {proc.stderr}")
     return "typo'd flags exit 2 with closest-match suggestions"
 
 
@@ -178,34 +174,6 @@ def test_malformed_scenario_rejected(h):
     check("bogus_key" in proc.stderr,
           f"unknown scenario key not named: {proc.stderr}")
     return "malformed scenario files exit 1 with diagnostics"
-
-
-def test_shard_merge_byte_identity(h):
-    """shard 0/3 + 1/3 + 2/3 -> mcs_merge == unsharded run, byte for
-    byte, on both CSV and stable JSON."""
-    journals = []
-    total_rows = 0
-    for i in range(3):
-        journal = f"shard{i}.journal"
-        proc = h.run("mcs_sweep", SCENARIO, "--quiet", "--threads=2",
-                     f"--shard={i}/3", f"--checkpoint={journal}")
-        total_rows += h.summary_metrics(proc.stdout)["rows"]
-        journals.append(journal)
-    check(total_rows == 4, f"shards must partition the grid: {total_rows}")
-
-    h.run("mcs_merge", SCENARIO, *journals, "--quiet",
-          "--csv=merged.csv", "--json=merged.json")
-    check(h.read("merged.csv") == h.read("ref.csv"),
-          "merged CSV differs from the unsharded run")
-    check(h.read("merged.json") == h.read("ref.json"),
-          "merged stable JSON differs from the unsharded run")
-
-    # Dropping a shard must fail loudly, never merge a partial campaign.
-    proc = h.run("mcs_merge", SCENARIO, journals[0], journals[2],
-                 "--quiet", expect=1)
-    check("incomplete" in proc.stderr or "uncovered" in proc.stderr,
-          f"partial merge not rejected: {proc.stderr}")
-    return "3-way shard + merge byte-identical; partial merge rejected"
 
 
 def test_warm_cache_zero_sims(h):
@@ -347,7 +315,6 @@ TESTS = [
     test_usage_errors,
     test_typo_suggestions,
     test_malformed_scenario_rejected,
-    test_shard_merge_byte_identity,
     test_warm_cache_zero_sims,
     test_kill_and_resume,
     test_hang_caught_by_timeout,

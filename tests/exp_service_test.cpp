@@ -1,15 +1,16 @@
-// Production sweep service (DESIGN.md §14): content-hash cache,
-// checkpoint/resume, shard/merge. The contracts under test are all
-// BIT-identity contracts — a restored, resumed, or merged result must be
-// indistinguishable from a cold computation, byte for byte across every
-// output format.
+// Production sweep service (DESIGN.md §14): content-hash cache and
+// checkpoint/resume. The contracts under test are all BIT-identity
+// contracts — a restored or resumed result must be indistinguishable
+// from a cold computation, byte for byte across every output format.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cmath>
 #include <filesystem>
 #include <fstream>
+#include <initializer_list>
 #include <limits>
+#include <optional>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -252,44 +253,11 @@ TEST(ResultCacheService, CorruptEntryIsTreatedAsMiss) {
   expect_rows_identical(cold, rerun);
 }
 
-// --- shard / merge -------------------------------------------------------
+// --- plan ----------------------------------------------------------------
 
-TEST(ShardMerge, ThreeShardsMergeByteIdenticalToUnsharded) {
-  const std::string dir = scratch_dir("shard");
-  const SweepRunner runner(tiny_spec());
-
-  SweepRunOptions plain;
-  plain.fingerprint = "fp";
-  const SweepResult whole = runner.run(plain);
-
-  std::vector<std::string> journals;
-  std::int64_t shard_rows = 0;
-  for (int i = 0; i < 3; ++i) {
-    SweepRunOptions options;
-    options.fingerprint = "fp";
-    options.shard_index = i;
-    options.shard_count = 3;
-    options.checkpoint_path =
-        dir + "/shard" + std::to_string(i) + ".journal";
-    journals.push_back(options.checkpoint_path);
-    const SweepResult shard = runner.run(options);
-    EXPECT_EQ(shard.grid_size, 4);
-    shard_rows += static_cast<std::int64_t>(shard.rows.size());
-    for (const SweepRow& row : shard.rows)
-      EXPECT_EQ(row.grid_index % 3, i);  // the partition rule
-  }
-  EXPECT_EQ(shard_rows, 4);  // disjoint and complete
-
-  const SweepResult merged = merge_journals(runner, journals, "fp");
-  EXPECT_EQ(merged.cached_rows, 4);
-  expect_rows_identical(whole, merged);
-  expect_outputs_byte_identical(whole, merged, dir);
-}
-
-// A knee_loads scenario resolves its knee in every runner, so shards,
-// merge and plan() all see the unsharded run's absolute lambda.
-TEST(ShardMerge, KneeLoadsShardMergeAndPlanMatchUnsharded) {
-  const std::string dir = scratch_dir("knee_shard");
+// A knee_loads scenario resolves its knee in the runner, so plan() sees
+// the same absolute lambda, and so the same digest, as run().
+TEST(SweepPlan, KneeLoadsPlanMatchesRun) {
   ScenarioSpec spec = tiny_spec();
   spec.loads = {0.3, 0.6};
   spec.knee_relative_loads = true;
@@ -299,23 +267,6 @@ TEST(ShardMerge, KneeLoadsShardMergeAndPlanMatchUnsharded) {
   plain.fingerprint = "fp";
   const SweepResult whole = runner.run(plain);
 
-  std::vector<std::string> journals;
-  for (int i = 0; i < 2; ++i) {
-    SweepRunOptions options;
-    options.fingerprint = "fp";
-    options.shard_index = i;
-    options.shard_count = 2;
-    options.checkpoint_path =
-        dir + "/shard" + std::to_string(i) + ".journal";
-    journals.push_back(options.checkpoint_path);
-    (void)runner.run(options);
-  }
-  const SweepResult merged =
-      merge_journals(SweepRunner(spec), journals, "fp");
-  EXPECT_EQ(merged.cached_rows, 4);
-  expect_rows_identical(whole, merged);
-  expect_outputs_byte_identical(whole, merged, dir);
-
   const SweepPlan plan = runner.plan("fp");
   ASSERT_EQ(plan.rows.size(), whole.rows.size());
   for (std::size_t r = 0; r < plan.rows.size(); ++r) {
@@ -323,42 +274,7 @@ TEST(ShardMerge, KneeLoadsShardMergeAndPlanMatchUnsharded) {
     EXPECT_EQ(plan.rows[r].lambda, whole.rows[r].lambda);
     EXPECT_EQ(plan.digests[r], row_digest(runner.spec(), whole.rows[r], "fp"));
   }
-  EXPECT_EQ(whole.rows[0].lambda, 0.3 * whole.rows[0].knee_lambda);
-}
-
-TEST(ShardMerge, IncompleteCampaignFailsLoudly) {
-  const std::string dir = scratch_dir("incomplete");
-  const SweepRunner runner(tiny_spec());
-
-  SweepRunOptions options;
-  options.fingerprint = "fp";
-  options.shard_index = 0;
-  options.shard_count = 2;
-  options.checkpoint_path = dir + "/only.journal";
-  (void)runner.run(options);
-
-  EXPECT_THROW((void)merge_journals(runner, {options.checkpoint_path}, "fp"),
-               ConfigError);
-  // A fingerprint mismatch leaves every row uncovered -> same loud error.
-  EXPECT_THROW(
-      (void)merge_journals(runner, {options.checkpoint_path}, "other-fp"),
-      ConfigError);
-}
-
-TEST(ShardMerge, ScenarioNameMismatchRejected) {
-  const std::string dir = scratch_dir("name");
-  const SweepRunner runner(tiny_spec());
-  SweepRunOptions options;
-  options.fingerprint = "fp";
-  options.checkpoint_path = dir + "/tiny.journal";
-  (void)runner.run(options);
-
-  ScenarioSpec other = tiny_spec();
-  other.name = "other";
-  const SweepRunner other_runner(other);
-  EXPECT_THROW(
-      (void)merge_journals(other_runner, {options.checkpoint_path}, "fp"),
-      ConfigError);
+  EXPECT_EQ(plan.rows[0].lambda, 0.3 * whole.rows[0].knee_lambda);
 }
 
 // --- checkpoint / resume -------------------------------------------------
@@ -507,18 +423,23 @@ TEST(Checkpoint, ResumeFromPartialJournalCompletesIdentically) {
   const std::string dir = scratch_dir("resume");
   const SweepRunner runner(tiny_spec());
 
-  SweepRunOptions plain;
-  plain.fingerprint = "fp";
-  const SweepResult whole = runner.run(plain);
+  SweepRunOptions full;
+  full.fingerprint = "fp";
+  full.checkpoint_path = dir + "/full.journal";
+  const SweepResult whole = runner.run(full);
 
-  // A half-finished campaign: shard 0/2's journal records 2 of 4 rows —
-  // the same file state an interrupted (killed) full run leaves behind.
-  SweepRunOptions half;
-  half.fingerprint = "fp";
-  half.shard_index = 0;
-  half.shard_count = 2;
-  half.checkpoint_path = dir + "/run.journal";
-  (void)runner.run(half);
+  // A half-finished campaign: a journal recording 2 of the 4 rows — the
+  // same file state an interrupted (killed) run leaves behind.
+  const std::optional<Journal> complete = load_journal(full.checkpoint_path);
+  ASSERT_TRUE(complete.has_value());
+  ASSERT_EQ(complete->entries.size(), 4u);
+  {
+    CheckpointWriter half(dir + "/run.journal", complete->scenario, 0, 1);
+    for (const std::size_t r : {0u, 2u}) {
+      const JournalEntry& entry = complete->entries[r];
+      half.add(entry.grid_index, entry.digest, entry.payload);
+    }
+  }
 
   SweepRunOptions resume;
   resume.fingerprint = "fp";
@@ -530,10 +451,9 @@ TEST(Checkpoint, ResumeFromPartialJournalCompletesIdentically) {
   expect_rows_identical(whole, resumed);
   expect_outputs_byte_identical(whole, resumed, dir);
 
-  // The journal now covers the full grid: merge-able on its own.
-  const SweepResult merged =
-      merge_journals(runner, {resume.checkpoint_path}, "fp");
-  expect_rows_identical(whole, merged);
+  // The finalized journal is the uninterrupted run's, byte for byte.
+  EXPECT_EQ(util::read_file(resume.checkpoint_path),
+            util::read_file(full.checkpoint_path));
 }
 
 // Rewrite a journal with its row lines permuted (header untouched).
@@ -567,32 +487,10 @@ std::string permute_journal_rows(const std::string& path,
   return out_path;
 }
 
-// Regression for the unordered_map digest indexes (checkpoint.cpp
-// merge_journals, sweep.cpp resume restore): both are lookup-only —
-// probed per grid row, never iterated into output — so permuting the
-// journal's entry order must not move a byte of merge output.
-TEST(ShardMerge, MergeOrderIndependent) {
-  const std::string dir = scratch_dir("mergeorder");
-  const SweepRunner runner(tiny_spec());
-
-  SweepRunOptions options;
-  options.fingerprint = "fp";
-  options.checkpoint_path = dir + "/full.journal";
-  (void)runner.run(options);
-
-  const SweepResult merged =
-      merge_journals(runner, {options.checkpoint_path}, "fp");
-  const SweepResult permuted = merge_journals(
-      runner,
-      {permute_journal_rows(options.checkpoint_path,
-                            dir + "/permuted.journal")},
-      "fp");
-  expect_rows_identical(merged, permuted);
-  expect_outputs_byte_identical(merged, permuted, dir);
-}
-
-// Same property for --resume: restoring from a journal whose entries
-// arrive in any order restores the same rows with the same bytes.
+// Regression for the unordered_map digest index of the resume restore
+// (sweep.cpp): it is lookup-only — probed per grid row, never iterated
+// into output — so restoring from a journal whose entries arrive in any
+// order restores the same rows with the same bytes.
 TEST(Checkpoint, ResumeOrderIndependent) {
   const std::string dir = scratch_dir("resumeorder");
   const SweepRunner runner(tiny_spec());
@@ -647,16 +545,6 @@ TEST(Checkpoint, StaleJournalRestoresNothing) {
 
 TEST(ServiceOptions, InvalidCombinationsRejected) {
   const SweepRunner runner(tiny_spec());
-
-  SweepRunOptions bad_shard;
-  bad_shard.shard_index = 3;
-  bad_shard.shard_count = 3;
-  EXPECT_THROW((void)runner.run(bad_shard), ConfigError);
-  bad_shard.shard_index = -1;
-  EXPECT_THROW((void)runner.run(bad_shard), ConfigError);
-  bad_shard.shard_index = 0;
-  bad_shard.shard_count = 0;
-  EXPECT_THROW((void)runner.run(bad_shard), ConfigError);
 
   SweepRunOptions resume_only;
   resume_only.resume = true;  // no checkpoint path

@@ -2,7 +2,7 @@
 """Determinism contract linter (DESIGN.md §15).
 
 Every subsystem in this repository rests on one invariant: bit-identical
-results across thread counts, shards, cache hits, and resumes. The golden
+results across thread counts, cache hits, and resumes. The golden
 fingerprint tests enforce that contract dynamically; this linter enforces
 it statically, by flagging the handful of C++ constructs that historically
 break bit-identity:
