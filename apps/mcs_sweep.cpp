@@ -1,7 +1,7 @@
 // mcs_sweep: the unified experiment driver. Loads a declarative scenario
 // (INI file, see scenarios/) and runs its full operating grid — analytical
-// models and simulator replications — concurrently on a work-stealing
-// thread pool, then emits a text table plus optional CSV/JSON.
+// models and simulator replications — concurrently on a thread pool,
+// then emits a text table plus optional CSV/JSON.
 //
 //   mcs_sweep <scenario.ini | name> [options]
 //   mcs_sweep --list
@@ -84,7 +84,6 @@
 // Results are bit-identical for any --threads value, including 1: every
 // simulation task derives its seed from the scenario seed and its grid
 // coordinates alone.
-#include <algorithm>
 #include <cstdio>
 #include <filesystem>
 #include <string>
@@ -103,12 +102,8 @@ int list_scenarios() {
     return 1;
   }
   std::printf("scenarios in %s:\n", dir.string().c_str());
-  std::vector<std::string> names;
-  for (const auto& entry : fs::directory_iterator(dir))
-    if (entry.path().extension() == ".ini")
-      names.push_back(entry.path().stem().string());
-  std::sort(names.begin(), names.end());
-  for (const std::string& name : names) std::printf("  %s\n", name.c_str());
+  for (const std::string& name : mcs::exp::scenario_names_in(dir.string()))
+    std::printf("  %s\n", name.c_str());
   return 0;
 }
 

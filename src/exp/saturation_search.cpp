@@ -45,10 +45,9 @@ sim::ReplicationResult SaturationSearch::probe(double lambda,
   // replay the previous probe's arrival process.
   cfg.seed = util::derive_seed(
       base_.seed, {kProbeTag, static_cast<std::uint64_t>(probe_index)});
-  // Probes run serially; parallelism lives across search tasks (and a
-  // nested pool dispatch would deadlock inside a pool task anyway).
+  // Probes run serially; parallelism lives across search tasks.
   return sim::run_replications_sequential(topology_, params_, lambda, cfg,
-                                          config_.seq, nullptr);
+                                          config_.seq);
 }
 
 bool SaturationSearch::is_saturated(const sim::ReplicationResult& result,

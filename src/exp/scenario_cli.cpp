@@ -12,15 +12,20 @@ namespace mcs::exp {
 
 namespace fs = std::filesystem;
 
-std::vector<std::string> known_scenario_names() {
+std::vector<std::string> scenario_names_in(const std::string& dir) {
   std::vector<std::string> names;
-  for (const std::string& dir :
-       {default_scenario_dir(), std::string(".")}) {
-    std::error_code ec;
-    for (const auto& entry : fs::directory_iterator(dir, ec))
-      if (entry.path().extension() == ".ini")
-        names.push_back(entry.path().stem().string());
-  }
+  std::error_code ec;
+  for (const auto& entry : fs::directory_iterator(dir, ec))
+    if (entry.path().extension() == ".ini")
+      names.push_back(entry.path().stem().string());
+  std::sort(names.begin(), names.end());
+  return names;
+}
+
+std::vector<std::string> known_scenario_names() {
+  std::vector<std::string> names = scenario_names_in(default_scenario_dir());
+  for (std::string& name : scenario_names_in("."))
+    names.push_back(std::move(name));
   std::sort(names.begin(), names.end());
   names.erase(std::unique(names.begin(), names.end()), names.end());
   return names;

@@ -11,6 +11,11 @@
 
 namespace mcs::exp {
 
+/// Stems of the .ini files in `dir`, sorted (empty when `dir` cannot be
+/// read).
+[[nodiscard]] std::vector<std::string> scenario_names_in(
+    const std::string& dir);
+
 /// Scenario names a bare argument could have meant: the bundled
 /// scenarios/ directory plus any .ini files in the working directory.
 [[nodiscard]] std::vector<std::string> known_scenario_names();

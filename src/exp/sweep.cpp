@@ -155,16 +155,14 @@ Expansion expand_grid(const ScenarioSpec& spec,
                   const sim::TrafficPattern& pattern =
                       ex.patterns[static_cast<std::size_t>(pi)].pattern;
                   group.refined_supported = pattern_model_supported(pattern);
-                  // The paper-literal model is tree-, wormhole- and
-                  // homogeneous-only (one technology, uniform load).
-                  const topo::SystemConfig& sys_config =
-                      spec.systems[static_cast<std::size_t>(sys)].config;
+                  // The paper-literal model is wormhole-only on top of
+                  // its own domain (fat tree, one technology and load).
                   group.paper_supported =
                       group.refined_supported &&
-                      sys_config.icn2.kind == topo::Icn2Kind::kFatTree &&
                       row.flow == sim::FlowControl::kWormhole &&
-                      !sys_config.heterogeneous_params() &&
-                      !sys_config.heterogeneous_load();
+                      model::PaperModel::supports(
+                          spec.systems[static_cast<std::size_t>(sys)]
+                              .config);
                   if (pattern.kind != sim::PatternKind::kUniform &&
                       group.refined_supported) {
                     const auto& topology = *ex.topologies[
@@ -211,33 +209,33 @@ Expansion expand_grid(const ScenarioSpec& spec,
 
 /// Fold one row's replications into its aggregate columns in fixed
 /// replication order, so the result does not depend on which task
-/// finishes the row.
-void aggregate_sim_row(SweepRow& row, const std::vector<sim::SimResult>& runs,
-                       int reps) {
+/// finishes the row. Counts, causes and the cross-replication interval
+/// come from sim::aggregate_replications; the percentile means, the
+/// external share and the single-run fallback are the row's own.
+void aggregate_sim_row(SweepRow& row, std::vector<sim::SimResult> runs) {
+  const sim::ReplicationResult agg =
+      sim::aggregate_replications(std::move(runs));
   row.sim_run = true;
-  row.replications = reps;
+  row.replications = agg.replications;
+  row.completed = agg.completed;
+  row.saturated = agg.saturated;
+  // Keep the cap tokens: "saturated" alone cannot distinguish a
+  // blocked-worm blowup from an exhausted event budget.
+  for (const std::string& cause : agg.saturation_causes) {
+    if (!row.saturation_causes.empty()) row.saturation_causes += '+';
+    row.saturation_causes += cause;
+  }
+  if (row.completed == 0) {
+    row.sim_state = 1;
+    return;
+  }
 
-  util::OnlineMoments latency, internal, external;
   util::OnlineMoments p50, p95, p99;
   std::int64_t n_internal = 0, n_external = 0;
   const sim::SimResult* sole_completed = nullptr;
-  std::vector<std::string> causes;
-  for (const sim::SimResult& run : runs) {
-    if (run.saturated) {
-      ++row.saturated;
-      // Keep the cap tokens: "saturated" alone cannot distinguish a
-      // blocked-worm blowup from an exhausted event budget.
-      if (!run.saturation_cause.empty() &&
-          std::find(causes.begin(), causes.end(), run.saturation_cause) ==
-              causes.end())
-        causes.push_back(run.saturation_cause);
-      continue;
-    }
-    ++row.completed;
+  for (const sim::SimResult& run : agg.runs) {
+    if (run.saturated) continue;
     sole_completed = &run;
-    latency.add(run.latency.mean);
-    internal.add(run.internal_latency.mean);
-    external.add(run.external_latency.mean);
     if (run.latency_p50 >= 0.0) {
       p50.add(run.latency_p50);
       p95.add(run.latency_p95);
@@ -246,27 +244,13 @@ void aggregate_sim_row(SweepRow& row, const std::vector<sim::SimResult>& runs,
     n_internal += run.measured_internal;
     n_external += run.measured_external;
   }
-  for (const std::string& cause : causes) {
-    if (!row.saturation_causes.empty()) row.saturation_causes += '+';
-    row.saturation_causes += cause;
-  }
-
-  if (row.completed == 0) {
-    row.sim_state = 1;
-    return;
-  }
-  if (row.completed == 1) {
-    // A single completed replication: fall back on its batch-means CI
-    // (same reading as the bench harness's single-run sweeps).
-    row.sim_latency = sole_completed->latency.mean;
-    row.sim_ci = sole_completed->latency.half_width;
-  } else {
-    const util::ConfidenceInterval ci = util::t_interval(latency);
-    row.sim_latency = ci.mean;
-    row.sim_ci = ci.half_width;
-  }
-  row.sim_internal = internal.mean();
-  row.sim_external = external.mean();
+  row.sim_latency = agg.latency.mean;
+  // A single completed replication has no cross-replication interval:
+  // fall back on its batch-means CI.
+  row.sim_ci = row.completed == 1 ? sole_completed->latency.half_width
+                                  : agg.latency.half_width;
+  row.sim_internal = agg.internal_latency.mean;
+  row.sim_external = agg.external_latency.mean;
   if (p50.count() > 0) {
     row.sim_p50 = p50.mean();
     row.sim_p95 = p95.mean();
@@ -589,7 +573,7 @@ SweepResult SweepRunner::run(const SweepRunOptions& options) const {
   }
   const auto finalize_row = [&](std::size_t r) {
     SweepRow& row = rows[r];
-    if (spec_.run_sim) aggregate_sim_row(row, sim_runs[r], reps);
+    if (spec_.run_sim) aggregate_sim_row(row, std::move(sim_runs[r]));
     if (!journal && !cache) return;
     const std::string payload = encode_row_payload(row);
     if (journal) journal->add(row.grid_index, digests[r], payload);
@@ -599,6 +583,71 @@ SweepResult SweepRunner::run(const SweepRunOptions& options) const {
     if (pending[r].fetch_sub(1, std::memory_order_acq_rel) == 1)
       finalize_row(r);
   };
+
+  // Saturation-search tasks: one closed-loop bisection per search group
+  // with uncomputed rows. Probes run serially inside the task
+  // (run_replications_sequential); the groups themselves fan out across
+  // the pool. Each group's rows get the same sim_lambda_sat / sat_ratio,
+  // written by exactly one task. A search is the longest task in a
+  // sweep and the pool starts tasks in submission order, so searches
+  // are submitted first: none is left to run alone at the tail.
+  for (std::size_t g = 0; g < search_groups.size(); ++g) {
+    if (!search_submitted[g]) continue;
+    SearchGroup& sg = search_groups[g];
+    const ModelGroup& mg = groups[sg.model_group];
+    const topo::MultiClusterTopology& topology =
+        *ex.topologies[static_cast<std::size_t>(mg.system_idx)];
+    pool->submit(instrument('k', [this, &sg, &mg, &topology, &patterns,
+                                  &rows, &restored, &complete_row] {
+      const topo::SystemConfig& config =
+          spec_.systems[static_cast<std::size_t>(mg.system_idx)].config;
+      // Analytical seed knee, same preference order as the model tasks
+      // (refined when enabled and supported, else paper), so the ratio
+      // column shares its denominator with the knee column. <= 0 makes
+      // SaturationSearch fall back to the closed-form estimate.
+      double model_sat = -1.0;
+      if (spec_.run_refined_model && mg.refined_supported) {
+        const model::RefinedModel refined(config, mg.params,
+                                          mg.p_out_override, mg.flow);
+        model_sat = model::find_saturation(refined).lambda_sat;
+      } else if (spec_.run_paper_model && mg.paper_supported) {
+        const model::PaperModel paper(config, mg.params, mg.p_out_override);
+        model_sat = model::find_saturation(paper).lambda_sat;
+      }
+
+      sim::SimConfig cfg;
+      cfg.seed = derive_seed(
+          spec_.seed,
+          {sg.seed_coords[0], sg.seed_coords[1], sg.seed_coords[2],
+           sg.seed_coords[3], sg.seed_coords[4], sg.seed_coords[5],
+           kSearchSeedTag});
+      cfg.relay_mode = sg.relay;
+      cfg.flow_control = mg.flow;
+      cfg.warmup_messages = spec_.warmup;
+      cfg.measured_messages = spec_.measured;
+      cfg.pattern =
+          patterns[static_cast<std::size_t>(sg.pattern_idx)].pattern;
+      cfg.warmup_deletion = spec_.search_warmup;
+
+      const SaturationSearch search(topology, mg.params, cfg,
+                                    spec_.search);
+      const SaturationSearchResult found = search.run(model_sat);
+      for (const std::size_t r : sg.row_indices) {
+        // Negative = missing, like every other output column: a search
+        // that found no stable load reports no knee (never a
+        // confident-looking 0.0), and the ratio is only published
+        // against a real model knee — the estimate fallback seeds the
+        // bracket but is not the knee column's denominator.
+        rows[r].sim_lambda_sat =
+            found.lambda_sat > 0.0 ? found.lambda_sat : -1.0;
+        rows[r].sat_ratio = model_sat > 0.0 && found.lambda_sat > 0.0
+                                ? found.ratio
+                                : -1.0;
+      }
+      for (const std::size_t r : sg.row_indices)
+        if (!restored[r]) complete_row(r);
+    }));
+  }
 
   // Model tasks: one per group with uncomputed rows (construction
   // dominates; predictions for the group's loads ride along). Each row's
@@ -706,70 +755,6 @@ SweepResult SweepRunner::run(const SweepRunOptions& options) const {
         ++result.sim_tasks;
       }
     }
-  }
-
-  // Saturation-search tasks: one closed-loop bisection per search group
-  // with uncomputed rows. Probes run serially inside the task
-  // (run_replications_sequential with no pool: nested pool waits would
-  // deadlock inside a pool task); the groups themselves fan out across
-  // the pool. Each group's rows get the same sim_lambda_sat / sat_ratio,
-  // written by exactly one task.
-  for (std::size_t g = 0; g < search_groups.size(); ++g) {
-    if (!search_submitted[g]) continue;
-    SearchGroup& sg = search_groups[g];
-    const ModelGroup& mg = groups[sg.model_group];
-    const topo::MultiClusterTopology& topology =
-        *ex.topologies[static_cast<std::size_t>(mg.system_idx)];
-    pool->submit(instrument('k', [this, &sg, &mg, &topology, &patterns,
-                                  &rows, &restored, &complete_row] {
-      const topo::SystemConfig& config =
-          spec_.systems[static_cast<std::size_t>(mg.system_idx)].config;
-      // Analytical seed knee, same preference order as the model tasks
-      // (refined when enabled and supported, else paper), so the ratio
-      // column shares its denominator with the knee column. <= 0 makes
-      // SaturationSearch fall back to the closed-form estimate.
-      double model_sat = -1.0;
-      if (spec_.run_refined_model && mg.refined_supported) {
-        const model::RefinedModel refined(config, mg.params,
-                                          mg.p_out_override, mg.flow);
-        model_sat = model::find_saturation(refined).lambda_sat;
-      } else if (spec_.run_paper_model && mg.paper_supported) {
-        const model::PaperModel paper(config, mg.params, mg.p_out_override);
-        model_sat = model::find_saturation(paper).lambda_sat;
-      }
-
-      sim::SimConfig cfg;
-      cfg.seed = derive_seed(
-          spec_.seed,
-          {sg.seed_coords[0], sg.seed_coords[1], sg.seed_coords[2],
-           sg.seed_coords[3], sg.seed_coords[4], sg.seed_coords[5],
-           kSearchSeedTag});
-      cfg.relay_mode = sg.relay;
-      cfg.flow_control = mg.flow;
-      cfg.warmup_messages = spec_.warmup;
-      cfg.measured_messages = spec_.measured;
-      cfg.pattern =
-          patterns[static_cast<std::size_t>(sg.pattern_idx)].pattern;
-      cfg.warmup_deletion = spec_.search_warmup;
-
-      const SaturationSearch search(topology, mg.params, cfg,
-                                    spec_.search);
-      const SaturationSearchResult found = search.run(model_sat);
-      for (const std::size_t r : sg.row_indices) {
-        // Negative = missing, like every other output column: a search
-        // that found no stable load reports no knee (never a
-        // confident-looking 0.0), and the ratio is only published
-        // against a real model knee — the estimate fallback seeds the
-        // bracket but is not the knee column's denominator.
-        rows[r].sim_lambda_sat =
-            found.lambda_sat > 0.0 ? found.lambda_sat : -1.0;
-        rows[r].sat_ratio = model_sat > 0.0 && found.lambda_sat > 0.0
-                                ? found.ratio
-                                : -1.0;
-      }
-      for (const std::size_t r : sg.row_indices)
-        if (!restored[r]) complete_row(r);
-    }));
   }
 
   pool->wait_idle();

@@ -1,6 +1,6 @@
 // SweepRunner: expands a ScenarioSpec into independent tasks — analytical
 // model groups and per-replication simulator runs — executes them on a
-// work-stealing ThreadPool and aggregates a deterministic result table.
+// ThreadPool and aggregates a deterministic result table.
 //
 // Determinism contract: each simulation task's seed is derived from the
 // scenario seed and the task's grid coordinates alone (splitmix64 chain),
@@ -28,7 +28,7 @@ namespace mcs::exp {
 /// Chain `coords` through splitmix64 starting from `base`: every
 /// coordinate permutes the state, so tasks that differ in any single
 /// coordinate (replication, load index, ...) get decorrelated seeds.
-/// (Defined in util/rng.hpp; run_replications shares it.)
+/// (Defined in util/rng.hpp; run_replications_sequential shares it.)
 using util::derive_seed;
 
 /// One grid point of the sweep, with every evaluated output attached.

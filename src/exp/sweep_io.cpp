@@ -27,16 +27,6 @@ const char* to_string(sim::FlowControl flow) {
   return "?";
 }
 
-const char* pattern_kind_name(sim::PatternKind kind) {
-  switch (kind) {
-    case sim::PatternKind::kUniform: return "uniform";
-    case sim::PatternKind::kHotspot: return "hotspot";
-    case sim::PatternKind::kLocalFavor: return "local_favor";
-    case sim::PatternKind::kClusterPermutation: return "cluster_permutation";
-  }
-  return "?";
-}
-
 namespace {
 
 std::string opt_num(bool present, double v, int precision) {

@@ -13,7 +13,6 @@ namespace mcs::exp {
 /// Human-readable names used in tables, CSV and JSON.
 [[nodiscard]] const char* to_string(sim::RelayMode mode);
 [[nodiscard]] const char* to_string(sim::FlowControl flow);
-[[nodiscard]] const char* pattern_kind_name(sim::PatternKind kind);
 
 /// One CSV row per SweepRow with the full coordinate + output schema
 /// (missing evaluations are empty cells).

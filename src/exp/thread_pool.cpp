@@ -8,9 +8,8 @@ namespace mcs::exp {
 namespace {
 
 // Which pool (if any) the current thread is a worker of, and its index.
-// Lets submit() from inside a task push to the worker's own deque.
 thread_local const ThreadPool* tls_pool = nullptr;
-thread_local std::size_t tls_index = 0;
+thread_local int tls_index = 0;
 
 }  // namespace
 
@@ -19,17 +18,14 @@ int ThreadPool::default_thread_count() {
 }
 
 int ThreadPool::worker_index() const {
-  return tls_pool == this ? static_cast<int>(tls_index) : -1;
+  return tls_pool == this ? tls_index : -1;
 }
 
 ThreadPool::ThreadPool(int threads) {
   const int n = threads < 1 ? default_thread_count() : threads;
-  queues_.reserve(static_cast<std::size_t>(n));
-  for (int i = 0; i < n; ++i) queues_.push_back(std::make_unique<Worker>());
   workers_.reserve(static_cast<std::size_t>(n));
   for (int i = 0; i < n; ++i)
-    workers_.emplace_back(
-        [this, i] { worker_loop(static_cast<std::size_t>(i)); });
+    workers_.emplace_back([this, i] { worker_loop(i); });
 }
 
 ThreadPool::~ThreadPool() {
@@ -40,7 +36,7 @@ ThreadPool::~ThreadPool() {
     // only option left in a destructor.
   }
   {
-    std::lock_guard<std::mutex> lock(state_mutex_);
+    std::lock_guard<std::mutex> lock(mutex_);
     stopping_ = true;
   }
   work_available_.notify_all();
@@ -48,96 +44,48 @@ ThreadPool::~ThreadPool() {
 }
 
 void ThreadPool::submit(std::function<void()> task) {
-  std::size_t target;
   {
-    std::lock_guard<std::mutex> lock(state_mutex_);
+    std::lock_guard<std::mutex> lock(mutex_);
     ++pending_;
-    ++queued_;
-    target = (tls_pool == this) ? tls_index : next_queue_++ % queues_.size();
-  }
-  {
-    std::lock_guard<std::mutex> lock(queues_[target]->mutex);
-    queues_[target]->deque.push_back(std::move(task));
+    queue_.push_back(std::move(task));
   }
   work_available_.notify_one();
 }
 
-bool ThreadPool::try_pop_own(std::size_t self, std::function<void()>& task) {
-  Worker& w = *queues_[self];
-  std::lock_guard<std::mutex> lock(w.mutex);
-  if (w.deque.empty()) return false;
-  task = std::move(w.deque.back());
-  w.deque.pop_back();
-  return true;
-}
-
-bool ThreadPool::try_steal(std::size_t self, std::function<void()>& task) {
-  const std::size_t n = queues_.size();
-  for (std::size_t off = 1; off < n; ++off) {
-    Worker& victim = *queues_[(self + off) % n];
-    std::lock_guard<std::mutex> lock(victim.mutex);
-    if (victim.deque.empty()) continue;
-    task = std::move(victim.deque.front());
-    victim.deque.pop_front();
-    return true;
-  }
-  return false;
-}
-
-void ThreadPool::finish_task() {
-  std::lock_guard<std::mutex> lock(state_mutex_);
-  if (--pending_ == 0) all_done_.notify_all();
-}
-
-void ThreadPool::worker_loop(std::size_t self) {
+void ThreadPool::worker_loop(int self) {
   tls_pool = this;
   tls_index = self;
-  std::function<void()> task;
   for (;;) {
-    if (try_pop_own(self, task) || try_steal(self, task)) {
-      {
-        std::lock_guard<std::mutex> lock(state_mutex_);
-        --queued_;
-      }
-      try {
-        task();
-      } catch (...) {
-        std::lock_guard<std::mutex> lock(state_mutex_);
-        if (!first_error_) first_error_ = std::current_exception();
-      }
-      task = nullptr;
-      finish_task();
-      continue;
+    std::function<void()> task;
+    {
+      std::unique_lock<std::mutex> lock(mutex_);
+      work_available_.wait(lock,
+                           [this] { return stopping_ || !queue_.empty(); });
+      if (queue_.empty()) return;  // stopping, and nothing left to run
+      task = std::move(queue_.front());
+      queue_.pop_front();
     }
-    // queued_ is bumped under state_mutex_ *before* the task is pushed,
-    // so checking it here under the same mutex closes the lost-wakeup
-    // window: a submit racing our failed pops leaves queued_ > 0 and we
-    // retry instead of sleeping. (The brief bump-before-push interval can
-    // cost one extra retry, never a missed task.)
-    std::unique_lock<std::mutex> lock(state_mutex_);
-    if (stopping_) return;
-    if (queued_ > 0) continue;
-    work_available_.wait(lock,
-                         [this] { return stopping_ || queued_ > 0; });
-    if (stopping_) return;
+    std::exception_ptr error;
+    try {
+      task();
+    } catch (...) {
+      error = std::current_exception();
+    }
+    task = nullptr;  // release the task's captures before reporting done
+    std::lock_guard<std::mutex> lock(mutex_);
+    if (error && !first_error_) first_error_ = error;
+    if (--pending_ == 0) all_done_.notify_all();
   }
 }
 
 void ThreadPool::wait_idle() {
-  std::unique_lock<std::mutex> lock(state_mutex_);
+  std::unique_lock<std::mutex> lock(mutex_);
   all_done_.wait(lock, [this] { return pending_ == 0; });
   if (first_error_) {
     std::exception_ptr err = std::exchange(first_error_, nullptr);
     lock.unlock();
     std::rethrow_exception(err);
   }
-}
-
-void ThreadPool::parallel_for(std::int64_t n,
-                              const std::function<void(std::int64_t)>& body) {
-  for (std::int64_t i = 0; i < n; ++i)
-    submit([&body, i] { body(i); });
-  wait_idle();
 }
 
 }  // namespace mcs::exp

@@ -1,21 +1,14 @@
-// Work-stealing thread pool for the experiment-orchestration subsystem.
-//
-// Each worker owns a deque: it pushes/pops tasks at the back (LIFO, cache
-// friendly for recursively spawned work) and idle workers steal from the
-// front of a victim's deque (FIFO, takes the oldest — usually largest —
-// piece of work). External submissions are distributed round-robin.
-//
-// The pool carries no simulator dependencies on purpose: it sits at the
-// bottom of src/exp/ so that sim/replication.cpp can dispatch through it
-// without a layering cycle.
+// Thread pool for the experiment-orchestration subsystem: one
+// mutex-guarded FIFO queue shared by every worker. The sweep submits all
+// of its tasks from the calling thread and each task is a whole model
+// group, simulation replication or saturation search, so queue contention
+// is negligible next to the work.
 #pragma once
 
 #include <condition_variable>
-#include <cstdint>
 #include <deque>
 #include <exception>
 #include <functional>
-#include <memory>
 #include <mutex>
 #include <thread>
 #include <vector>
@@ -46,8 +39,8 @@ class ThreadPool {
   /// stamp which worker ran it without any synchronization).
   [[nodiscard]] int worker_index() const;
 
-  /// Enqueue one task. Thread-safe; may be called from worker threads
-  /// (the task then lands on the calling worker's own deque).
+  /// Enqueue one task at the back of the queue. Thread-safe; may be
+  /// called from inside a task.
   void submit(std::function<void()> task);
 
   /// Block until every submitted task has finished. The first exception
@@ -55,34 +48,18 @@ class ThreadPool {
   /// are dropped). Must not be called from inside a task.
   void wait_idle();
 
-  /// Run body(0..n-1) across the pool and wait. Equivalent to n submit()
-  /// calls plus wait_idle(); any task exception is rethrown. Must not be
-  /// called from inside a task.
-  void parallel_for(std::int64_t n,
-                    const std::function<void(std::int64_t)>& body);
-
  private:
-  struct Worker {
-    std::deque<std::function<void()>> deque;
-    std::mutex mutex;
-  };
+  void worker_loop(int self);
 
-  void worker_loop(std::size_t self);
-  bool try_pop_own(std::size_t self, std::function<void()>& task);
-  bool try_steal(std::size_t self, std::function<void()>& task);
-  void finish_task();
-
-  std::vector<std::unique_ptr<Worker>> queues_;
-  std::vector<std::thread> workers_;
-
-  std::mutex state_mutex_;
+  std::mutex mutex_;  ///< guards every member below it
   std::condition_variable work_available_;
   std::condition_variable all_done_;
+  std::deque<std::function<void()>> queue_;
   std::size_t pending_ = 0;  ///< submitted but not yet finished
-  std::size_t queued_ = 0;   ///< submitted but not yet popped
-  std::size_t next_queue_ = 0;
   bool stopping_ = false;
   std::exception_ptr first_error_;
+
+  std::vector<std::thread> workers_;  ///< last: joined before the above die
 };
 
 }  // namespace mcs::exp

@@ -9,27 +9,30 @@
 
 namespace mcs::model {
 
+const char* PaperModel::unsupported_reason(const topo::SystemConfig& config) {
+  if (config.icn2.kind != topo::Icn2Kind::kFatTree)
+    return "PaperModel: the paper-literal model only covers the fat-tree "
+           "ICN2 (use RefinedModel for graph topologies)";
+  // Eqs. (3)-(36) assume one network technology and one offered load
+  // everywhere (a single t_cn/t_cs pair and a global lambda_g enter every
+  // recursion); per-cluster overrides have no faithful reading here.
+  if (config.heterogeneous_params())
+    return "PaperModel: the paper-literal model assumes one shared network "
+           "technology (cluster_net / icn2_net overrides are set; use "
+           "RefinedModel)";
+  if (config.heterogeneous_load())
+    return "PaperModel: the paper-literal model assumes a uniform per-node "
+           "load (load_scale is set; use RefinedModel)";
+  return nullptr;
+}
+
 PaperModel::PaperModel(topo::SystemConfig config, NetworkParams params,
                        std::vector<double> p_out_override)
     : config_(std::move(config)), params_(std::move(params)) {
   config_.validate();
   params_.validate();
-  if (config_.icn2.kind != topo::Icn2Kind::kFatTree)
-    throw ConfigError(
-        "PaperModel: the paper-literal model only covers the fat-tree ICN2 "
-        "(use RefinedModel for graph topologies)");
-  // Eqs. (3)-(36) assume one network technology and one offered load
-  // everywhere (a single t_cn/t_cs pair and a global lambda_g enter every
-  // recursion); per-cluster overrides have no faithful reading here.
-  if (config_.heterogeneous_params())
-    throw ConfigError(
-        "PaperModel: the paper-literal model assumes one shared network "
-        "technology (cluster_net / icn2_net overrides are set; use "
-        "RefinedModel)");
-  if (config_.heterogeneous_load())
-    throw ConfigError(
-        "PaperModel: the paper-literal model assumes a uniform per-node "
-        "load (load_scale is set; use RefinedModel)");
+  if (const char* reason = unsupported_reason(config_))
+    throw ConfigError(reason);
   if (!p_out_override.empty() &&
       p_out_override.size() !=
           static_cast<std::size_t>(config_.cluster_count()))

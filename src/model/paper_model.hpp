@@ -17,8 +17,18 @@ class PaperModel final : public LatencyModel {
   /// Eq. (13)'s uniform-destination outgoing probabilities — the hook for
   /// traffic patterns with a cluster-symmetric locality bias (the paper's
   /// "non-uniform traffic" future-work item).
+  /// Throws mcs::ConfigError with unsupported_reason(config) when set.
   PaperModel(topo::SystemConfig config, NetworkParams params,
              std::vector<double> p_out_override = {});
+
+  /// The paper-literal model's domain: a fat-tree ICN2, one network
+  /// technology and one offered load everywhere. Returns nullptr inside
+  /// it, else the message naming the first condition that fails.
+  [[nodiscard]] static const char* unsupported_reason(
+      const topo::SystemConfig& config);
+  [[nodiscard]] static bool supports(const topo::SystemConfig& config) {
+    return unsupported_reason(config) == nullptr;
+  }
 
   [[nodiscard]] LatencyPrediction predict(double lambda_g) const override;
   [[nodiscard]] std::string name() const override { return "paper"; }

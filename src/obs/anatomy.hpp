@@ -67,9 +67,6 @@ struct SegmentAnatomy {
     return legs > 0 ? (header_sum + drain_sum) / static_cast<double>(legs)
                     : 0.0;
   }
-  [[nodiscard]] double mean_residence() const {
-    return mean_wait() + mean_service();
-  }
 };
 
 /// Per-network-class hop accounting (index convention above).

@@ -9,7 +9,6 @@
 #include <string>
 #include <vector>
 
-#include "exp/thread_pool.hpp"
 #include "sim/simulator.hpp"
 
 namespace mcs::sim {
@@ -36,14 +35,14 @@ struct ReplicationResult {
   /// confident-looking 0.0.
   bool all_saturated = false;
 
-  /// Replications actually spent (== runs.size()). Equals the request in
-  /// fixed mode; in sequential mode, the stopping point.
+  /// Replications actually spent (== runs.size()): the sequential
+  /// stopping point.
   int replications = 0;
   /// Precision achieved: latency CI half-width / |mean| over the
   /// completed runs (+infinity with fewer than two completed).
   double rel_half_width = std::numeric_limits<double>::infinity();
-  /// Sequential mode only: the rel_precision target was reached at or
-  /// before r_max. Always false in fixed mode.
+  /// The rel_precision target was reached at or before r_max (always
+  /// false from aggregate_replications alone).
   bool precision_met = false;
 
   std::vector<SimResult> runs;  ///< per-replication detail
@@ -62,34 +61,26 @@ struct SequentialSpec {
   void validate() const;
 };
 
-/// Run `replications` independent simulations; replication r's seed is
-/// derived from base.seed through a splitmix64 stream
-/// (util::derive_seed), so replication sets launched from nearby base
-/// seeds share no runs. When `pool` is given, replications run
-/// concurrently on it; the result is bit-identical either way
-/// (per-replication seeds and ordered aggregation do not depend on
-/// scheduling). Must not be called with a pool from inside one of that
-/// pool's own tasks (it waits for the pool to drain — see
-/// ThreadPool::parallel_for). Throws mcs::ConfigError for
-/// replications < 1.
-[[nodiscard]] ReplicationResult run_replications(
-    const topo::MultiClusterTopology& topology,
-    const model::NetworkParams& params, double lambda_g,
-    const SimConfig& base, int replications,
-    exp::ThreadPool* pool = nullptr);
+/// Fold `runs` (in replication order) into every aggregate above except
+/// precision_met: counts, first-occurrence saturation causes, the
+/// Student-t intervals over the completed runs' means (NaN when none
+/// completed) and rel_half_width. The one aggregation of replication
+/// sets: the sequential runner and the sweep's rows both read it.
+[[nodiscard]] ReplicationResult aggregate_replications(
+    std::vector<SimResult> runs);
 
 /// Sequential (CI-driven) replication mode: run spec.r_min replications,
-/// then keep adding replications until the 95% CI relative half-width of
-/// the mean latency drops to spec.rel_precision, or spec.r_max is hit.
+/// then keep adding replications one at a time until the 95% CI relative
+/// half-width of the mean latency drops to spec.rel_precision, or
+/// spec.r_max is hit.
 ///
-/// Determinism contract: replication r's seed depends only on (base.seed,
-/// r) — the same splitmix64 stream as the fixed mode — and the stopping
-/// point is the SMALLEST prefix length R in [r_min, r_max] whose first R
-/// runs satisfy the rule, evaluated in replication order. Execution
-/// happens in pool-sized waves, so a wide pool may simulate replications
-/// beyond the stopping point; those are discarded before aggregation.
-/// The result is therefore bit-identical for any thread count (and to a
-/// fixed-mode run of `result.replications` replications).
+/// Replication r's seed is derived from base.seed through a splitmix64
+/// stream (util::derive_seed), so replication sets launched from nearby
+/// base seeds share no runs, and the first R runs of any call are the
+/// same R simulations. The stopping point is the SMALLEST prefix length
+/// R in [r_min, r_max] whose first R runs satisfy the rule; with
+/// r_min = r_max = R and an infinite rel_precision the call runs exactly
+/// R replications. Runs are serial: parallelism lives across sweep tasks.
 ///
 /// Saturation: a prefix whose first R >= r_min runs include r_min or more
 /// saturated replications stops immediately (the operating point is past
@@ -98,7 +89,6 @@ struct SequentialSpec {
 [[nodiscard]] ReplicationResult run_replications_sequential(
     const topo::MultiClusterTopology& topology,
     const model::NetworkParams& params, double lambda_g,
-    const SimConfig& base, const SequentialSpec& spec,
-    exp::ThreadPool* pool = nullptr);
+    const SimConfig& base, const SequentialSpec& spec);
 
 }  // namespace mcs::sim

@@ -38,8 +38,8 @@ class SplitMix64 {
 /// single coordinate (replication index, grid coordinate, ...) are fully
 /// decorrelated — unlike `base + i`, where nearby bases share streams
 /// (seed S coordinate r equals seed S+1 coordinate r-1). Used by the
-/// sweep runner's per-task seeds and run_replications' per-replication
-/// seeds.
+/// sweep runner's per-task seeds and run_replications_sequential's
+/// per-replication seeds.
 [[nodiscard]] std::uint64_t derive_seed(
     std::uint64_t base, std::initializer_list<std::uint64_t> coords);
 

@@ -4,7 +4,6 @@
 #include <cmath>
 
 #include "util/contracts.hpp"
-#include "util/error.hpp"
 
 namespace mcs::util {
 
@@ -183,64 +182,6 @@ bool DriftTest::add(double batch_mean) {
   const bool significant = se_b > 0.0 ? b / se_b > kMinT : b > 0.0;
   fired_ = mean > 0.0 && significant && b * (n - 1.0) > kMinRise * mean;
   return fired_;
-}
-
-Histogram::Histogram(double lo, double hi, std::size_t bins)
-    : lo_(lo), hi_(hi), width_((hi - lo) / static_cast<double>(bins)) {
-  if (!(hi > lo) || bins == 0)
-    throw ConfigError("Histogram: need hi > lo and bins > 0");
-  counts_.assign(bins, 0);
-}
-
-void Histogram::add(double x) {
-  ++n_;
-  std::size_t b;
-  if (x < lo_) {
-    ++under_;
-    b = 0;
-  } else if (x >= hi_) {
-    ++over_;
-    b = counts_.size() - 1;
-  } else {
-    b = static_cast<std::size_t>((x - lo_) / width_);
-    b = std::min(b, counts_.size() - 1);  // guard x == hi_ - epsilon rounding
-  }
-  ++counts_[b];
-}
-
-double Histogram::bin_lo(std::size_t b) const {
-  return lo_ + static_cast<double>(b) * width_;
-}
-
-double Histogram::bin_hi(std::size_t b) const {
-  return lo_ + static_cast<double>(b + 1) * width_;
-}
-
-double Histogram::quantile(double q) const {
-  MCS_EXPECTS(q >= 0.0 && q <= 1.0);
-  if (n_ == 0) return lo_;
-  const double target = q * static_cast<double>(n_);
-  // Interpolate inside the first POPULATED bucket whose cumulative count
-  // reaches the target. Empty buckets are skipped outright: interpolating
-  // inside one anchored the estimate at an edge holding no data (q=0
-  // returned lo_ regardless of where the data sat, and any quantile
-  // landing exactly on a zero-count bucket returned that empty bucket's
-  // low edge).
-  double cum = 0.0;
-  for (std::size_t b = 0; b < counts_.size(); ++b) {
-    if (counts_[b] == 0) continue;
-    const double next = cum + static_cast<double>(counts_[b]);
-    if (next >= target) {
-      // target <= cum happens for q = 0 (target 0) and for a target
-      // landing exactly on the gap before this bucket: anchor at the
-      // populated bucket's low edge, never inside the empty run.
-      const double frac = std::max(0.0, (target - cum)) /
-                          static_cast<double>(counts_[b]);
-      return bin_lo(b) + frac * width_;
-    }
-    cum = next;
-  }
-  return hi_;
 }
 
 double percentile_inplace(std::vector<double>& xs, double q) {

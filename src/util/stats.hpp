@@ -1,7 +1,7 @@
 // Online statistics for simulation output analysis: Welford moments,
-// batch-means confidence intervals, fixed-bin histograms, MSER-5
-// initial-transient detection, the online latency-drift test, and the
-// sequential-stopping precision measure.
+// batch-means confidence intervals, MSER-5 initial-transient detection,
+// the online latency-drift test, and the sequential-stopping precision
+// measure.
 #pragma once
 
 #include <cstddef>
@@ -162,32 +162,5 @@ class DriftTest {
 /// `xs` in place (nth_element) — O(n), no full sort. Returns 0 for an
 /// empty sample.
 [[nodiscard]] double percentile_inplace(std::vector<double>& xs, double q);
-
-/// Fixed-width histogram over [lo, hi); outliers are clamped into the
-/// first/last bin and counted separately.
-class Histogram {
- public:
-  Histogram(double lo, double hi, std::size_t bins);
-
-  void add(double x);
-  [[nodiscard]] std::uint64_t count() const { return n_; }
-  [[nodiscard]] std::size_t bins() const { return counts_.size(); }
-  [[nodiscard]] std::uint64_t bin_count(std::size_t b) const {
-    return counts_[b];
-  }
-  [[nodiscard]] double bin_lo(std::size_t b) const;
-  [[nodiscard]] double bin_hi(std::size_t b) const;
-  [[nodiscard]] std::uint64_t underflow() const { return under_; }
-  [[nodiscard]] std::uint64_t overflow() const { return over_; }
-  /// Linear-interpolated quantile estimate, q in [0,1].
-  [[nodiscard]] double quantile(double q) const;
-
- private:
-  double lo_, hi_, width_;
-  std::vector<std::uint64_t> counts_;
-  std::uint64_t n_ = 0;
-  std::uint64_t under_ = 0;
-  std::uint64_t over_ = 0;
-};
 
 }  // namespace mcs::util

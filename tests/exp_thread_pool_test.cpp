@@ -28,12 +28,12 @@ TEST(ThreadPool, SingleThreadStillCompletes) {
   EXPECT_EQ(counter.load(), 50);
 }
 
-TEST(ThreadPool, ParallelForCoversEveryIndexExactlyOnce) {
+TEST(ThreadPool, EveryTaskRunsExactlyOnce) {
   ThreadPool pool(3);
   std::vector<std::atomic<int>> hits(100);
-  pool.parallel_for(100, [&hits](std::int64_t i) {
-    hits[static_cast<std::size_t>(i)].fetch_add(1);
-  });
+  for (std::size_t i = 0; i < hits.size(); ++i)
+    pool.submit([&hits, i] { hits[i].fetch_add(1); });
+  pool.wait_idle();
   for (const auto& h : hits) EXPECT_EQ(h.load(), 1);
 }
 
@@ -62,17 +62,19 @@ TEST(ThreadPool, TasksMaySubmitNestedTasks) {
 }
 
 TEST(ThreadPool, WorkIsActuallyDistributed) {
-  // With enough blocking-free tasks and >1 workers, at least two distinct
-  // threads should participate (work stealing pulls idle workers in).
+  // Every task runs on one of the pool's own workers.
   ThreadPool pool(4);
   std::mutex mutex;
   std::set<std::thread::id> seen;
-  pool.parallel_for(400, [&](std::int64_t) {
-    std::lock_guard<std::mutex> lock(mutex);
-    seen.insert(std::this_thread::get_id());
-  });
+  for (int i = 0; i < 400; ++i)
+    pool.submit([&] {
+      std::lock_guard<std::mutex> lock(mutex);
+      seen.insert(std::this_thread::get_id());
+    });
+  pool.wait_idle();
   EXPECT_GE(seen.size(), 1u);
   EXPECT_LE(seen.size(), 4u);
+  EXPECT_EQ(seen.count(std::this_thread::get_id()), 0u);
 }
 
 TEST(ThreadPool, DefaultThreadCountIsPositive) {

@@ -12,6 +12,7 @@
 
 #include <cmath>
 #include <sstream>
+#include <string>
 
 #include "exp/scenario.hpp"
 #include "exp/sweep.hpp"
@@ -186,6 +187,21 @@ TEST(HeteroParams, PaperModelRejectsHeterogeneousConfigs) {
   topo::SystemConfig trivial = base_system();
   trivial.load_scale.assign(4, 1.0);
   EXPECT_NO_THROW(model::PaperModel(trivial, params));
+  EXPECT_TRUE(model::PaperModel::supports(trivial));
+
+  // Each rejection names the condition that failed.
+  const auto reason = [](const topo::SystemConfig& config) {
+    const char* text = model::PaperModel::unsupported_reason(config);
+    return std::string(text == nullptr ? "" : text);
+  };
+  EXPECT_NE(reason(mixed_tech_system()).find("cluster_net"),
+            std::string::npos);
+  EXPECT_NE(reason(hot_cluster_system()).find("load_scale"),
+            std::string::npos);
+  topo::SystemConfig torus = base_system();
+  torus.icn2.kind = topo::Icn2Kind::kTorus;
+  EXPECT_NE(reason(torus).find("graph topologies"), std::string::npos);
+  EXPECT_FALSE(model::PaperModel::supports(torus));
 }
 
 TEST(HeteroParams, SystemConfigValidatesHeterogeneityFields) {

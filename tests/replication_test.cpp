@@ -6,10 +6,13 @@
 #include <cmath>
 #include <limits>
 
+#include "support/fixed_replications.hpp"
 #include "util/error.hpp"
 
 namespace mcs::sim {
 namespace {
+
+using testsupport::run_fixed_replications;
 
 class ReplicationTest : public ::testing::Test {
  protected:
@@ -32,7 +35,7 @@ class ReplicationTest : public ::testing::Test {
 
 TEST_F(ReplicationTest, CrossReplicationIntervalCoversEachRun) {
   const auto result =
-      run_replications(topo_, params_, 1e-4, small(), 5);
+      run_fixed_replications(topo_, params_, 1e-4, small(), 5);
   EXPECT_EQ(result.completed, 5);
   EXPECT_EQ(result.saturated, 0);
   ASSERT_EQ(result.runs.size(), 5u);
@@ -47,28 +50,30 @@ TEST_F(ReplicationTest, CrossReplicationIntervalCoversEachRun) {
 
 TEST_F(ReplicationTest, ReplicationsAreIndependent) {
   const auto result =
-      run_replications(topo_, params_, 1e-4, small(), 3);
+      run_fixed_replications(topo_, params_, 1e-4, small(), 3);
   EXPECT_NE(result.runs[0].latency.mean, result.runs[1].latency.mean);
   EXPECT_NE(result.runs[1].latency.mean, result.runs[2].latency.mean);
 }
 
 TEST_F(ReplicationTest, DeterministicAcrossCalls) {
-  const auto a = run_replications(topo_, params_, 1e-4, small(), 3);
-  const auto b = run_replications(topo_, params_, 1e-4, small(), 3);
+  const auto a = run_fixed_replications(topo_, params_, 1e-4, small(), 3);
+  const auto b = run_fixed_replications(topo_, params_, 1e-4, small(), 3);
   EXPECT_EQ(a.latency.mean, b.latency.mean);
   EXPECT_EQ(a.latency.half_width, b.latency.half_width);
 }
 
 TEST_F(ReplicationTest, MoreReplicationsTightenTheInterval) {
-  const auto few = run_replications(topo_, params_, 1e-4, small(), 3);
-  const auto many = run_replications(topo_, params_, 1e-4, small(), 10);
+  const auto few =
+      run_fixed_replications(topo_, params_, 1e-4, small(), 3);
+  const auto many =
+      run_fixed_replications(topo_, params_, 1e-4, small(), 10);
   EXPECT_LT(many.latency.half_width, few.latency.half_width);
 }
 
 TEST_F(ReplicationTest, SaturatedRunsAreCountedNotAveraged) {
   SimConfig cfg = small();
   cfg.max_generated = 20'000;
-  const auto result = run_replications(topo_, params_, 0.05, cfg, 2);
+  const auto result = run_fixed_replications(topo_, params_, 0.05, cfg, 2);
   EXPECT_EQ(result.saturated, 2);
   EXPECT_EQ(result.completed, 0);
   // Regression (all-saturated aggregation): a fully saturated point must
@@ -85,7 +90,8 @@ TEST_F(ReplicationTest, PartiallySaturatedSetsAreNotFlagged) {
   // a stable load, then re-run with a simulated-time cap between the
   // fastest and slowest — runs past the cap are flagged saturated, the
   // rest complete (seeds are deterministic, so the split is too).
-  const auto base = run_replications(topo_, params_, 1e-4, small(), 4);
+  const auto base =
+      run_fixed_replications(topo_, params_, 1e-4, small(), 4);
   ASSERT_EQ(base.completed, 4);
   double lo = base.runs[0].end_time, hi = base.runs[0].end_time;
   for (const SimResult& run : base.runs) {
@@ -96,7 +102,8 @@ TEST_F(ReplicationTest, PartiallySaturatedSetsAreNotFlagged) {
 
   SimConfig capped = small();
   capped.max_time = 0.5 * (lo + hi);
-  const auto mixed = run_replications(topo_, params_, 1e-4, capped, 4);
+  const auto mixed =
+      run_fixed_replications(topo_, params_, 1e-4, capped, 4);
   EXPECT_GT(mixed.completed, 0);
   EXPECT_GT(mixed.saturated, 0);
   EXPECT_EQ(mixed.completed + mixed.saturated, 4);
@@ -116,42 +123,13 @@ TEST_F(ReplicationTest, NearbyBaseSeedsShareNoRuns) {
   lo.seed = 42;
   SimConfig hi = small();
   hi.seed = 43;
-  const auto a = run_replications(topo_, params_, 1e-4, lo, 4);
-  const auto b = run_replications(topo_, params_, 1e-4, hi, 4);
+  const auto a = run_fixed_replications(topo_, params_, 1e-4, lo, 4);
+  const auto b = run_fixed_replications(topo_, params_, 1e-4, hi, 4);
   for (const SimResult& ra : a.runs)
     for (const SimResult& rb : b.runs) {
       EXPECT_NE(ra.latency.mean, rb.latency.mean);
       EXPECT_NE(ra.end_time, rb.end_time);
     }
-}
-
-TEST_F(ReplicationTest, PoolDispatchMatchesSerialBitForBit) {
-  const auto serial = run_replications(topo_, params_, 1e-4, small(), 4);
-  exp::ThreadPool pool(3);
-  const auto pooled =
-      run_replications(topo_, params_, 1e-4, small(), 4, &pool);
-  EXPECT_EQ(pooled.completed, serial.completed);
-  EXPECT_EQ(pooled.saturated, serial.saturated);
-  EXPECT_EQ(pooled.latency.mean, serial.latency.mean);
-  EXPECT_EQ(pooled.latency.half_width, serial.latency.half_width);
-  EXPECT_EQ(pooled.internal_latency.mean, serial.internal_latency.mean);
-  EXPECT_EQ(pooled.external_latency.mean, serial.external_latency.mean);
-  ASSERT_EQ(pooled.runs.size(), serial.runs.size());
-  for (std::size_t r = 0; r < pooled.runs.size(); ++r)
-    EXPECT_EQ(pooled.runs[r].latency.mean, serial.runs[r].latency.mean);
-}
-
-TEST_F(ReplicationTest, RejectsZeroReplications) {
-  EXPECT_THROW(run_replications(topo_, params_, 1e-4, small(), 0),
-               ConfigError);
-}
-
-TEST_F(ReplicationTest, FixedModeReportsPrecisionFields) {
-  const auto result = run_replications(topo_, params_, 1e-4, small(), 5);
-  EXPECT_EQ(result.replications, 5);
-  EXPECT_TRUE(std::isfinite(result.rel_half_width));
-  EXPECT_GT(result.rel_half_width, 0.0);
-  EXPECT_FALSE(result.precision_met);  // sequential-only flag
 }
 
 // --- sequential (CI-driven) mode -----------------------------------------
@@ -186,34 +164,9 @@ TEST_F(ReplicationTest, SequentialSpendsMoreForTighterTargets) {
   EXPECT_LE(a.rel_half_width, 0.25);
 }
 
-TEST_F(ReplicationTest, SequentialIsBitIdenticalAcrossThreadCounts) {
-  // Acceptance: sequential mode is bit-identical for any thread count at
-  // a fixed (seed, rel_precision) — a wide pool may simulate past the
-  // stopping point, but never report different results.
-  SequentialSpec spec;
-  spec.r_min = 3;
-  spec.r_max = 16;
-  spec.rel_precision = 0.08;
-  const auto serial =
-      run_replications_sequential(topo_, params_, 1e-4, small(), spec);
-  for (int threads : {2, 5}) {
-    exp::ThreadPool pool(threads);
-    const auto pooled = run_replications_sequential(topo_, params_, 1e-4,
-                                                    small(), spec, &pool);
-    EXPECT_EQ(pooled.replications, serial.replications);
-    EXPECT_EQ(pooled.completed, serial.completed);
-    EXPECT_EQ(pooled.latency.mean, serial.latency.mean);
-    EXPECT_EQ(pooled.latency.half_width, serial.latency.half_width);
-    EXPECT_EQ(pooled.rel_half_width, serial.rel_half_width);
-    ASSERT_EQ(pooled.runs.size(), serial.runs.size());
-    for (std::size_t r = 0; r < pooled.runs.size(); ++r)
-      EXPECT_EQ(pooled.runs[r].latency.mean, serial.runs[r].latency.mean);
-  }
-}
-
 TEST_F(ReplicationTest, SequentialPrefixMatchesFixedModeBitForBit) {
   // Replication r's seed depends only on (base.seed, r): the sequential
-  // stopping point R reproduces a fixed-mode run of R replications
+  // stopping point R reproduces a fixed-count run of R replications
   // exactly.
   SequentialSpec spec;
   spec.r_min = 3;
@@ -221,8 +174,8 @@ TEST_F(ReplicationTest, SequentialPrefixMatchesFixedModeBitForBit) {
   spec.rel_precision = 0.10;
   const auto seq =
       run_replications_sequential(topo_, params_, 1e-4, small(), spec);
-  const auto fixed =
-      run_replications(topo_, params_, 1e-4, small(), seq.replications);
+  const auto fixed = run_fixed_replications(topo_, params_, 1e-4, small(),
+                                            seq.replications);
   EXPECT_EQ(seq.latency.mean, fixed.latency.mean);
   EXPECT_EQ(seq.latency.half_width, fixed.latency.half_width);
   EXPECT_EQ(seq.rel_half_width, fixed.rel_half_width);
@@ -300,7 +253,7 @@ TEST_F(ReplicationTest, SingleRunBatchMeansCiIsConsistent) {
   // The single-run batch-means CI should be of the same order as the
   // cross-replication CI (both estimate the same sampling variance).
   const auto result =
-      run_replications(topo_, params_, 1e-4, small(), 6);
+      run_fixed_replications(topo_, params_, 1e-4, small(), 6);
   const double batch_ci = result.runs[0].latency.half_width;
   EXPECT_GT(batch_ci, 0.1 * result.latency.half_width);
   EXPECT_LT(batch_ci, 10.0 * result.latency.half_width + 1.0);

@@ -12,6 +12,7 @@
 #include "exp/saturation_search.hpp"
 #include "model/refined_model.hpp"
 #include "model/saturation.hpp"
+#include "support/fixed_replications.hpp"
 #include "util/error.hpp"
 
 namespace mcs::exp {
@@ -121,7 +122,7 @@ TEST(SaturationSearch, LoadsBelowTheKneeCompleteUnsaturated) {
     // Independent replications (fresh seed stream) below the knee: never
     // saturated, latency comfortably under the blowup threshold.
     for (const double f : {0.5, 0.8}) {
-      const auto below = sim::run_replications(
+      const auto below = sim::testsupport::run_fixed_replications(
           topology, c.params, f * r.lambda_sat, probe_config(/*seed=*/7), 2);
       EXPECT_EQ(below.saturated, 0)
           << c.name << " at " << f << "x lambda_sat";

@@ -5,7 +5,6 @@
 #include <cmath>
 #include <vector>
 
-#include "util/error.hpp"
 #include "util/rng.hpp"
 
 namespace mcs::util {
@@ -298,34 +297,6 @@ TEST(DriftTest, VerdictIsFinal) {
   for (int k = 0; k < 50; ++k) EXPECT_TRUE(test.add(1.0));
 }
 
-TEST(Histogram, BinningAndCounts) {
-  Histogram h(0.0, 10.0, 10);
-  for (int i = 0; i < 10; ++i) h.add(i + 0.5);
-  EXPECT_EQ(h.count(), 10u);
-  for (std::size_t b = 0; b < h.bins(); ++b) EXPECT_EQ(h.bin_count(b), 1u);
-  EXPECT_DOUBLE_EQ(h.bin_lo(3), 3.0);
-  EXPECT_DOUBLE_EQ(h.bin_hi(3), 4.0);
-}
-
-TEST(Histogram, OutliersClampAndCount) {
-  Histogram h(0.0, 1.0, 4);
-  h.add(-5.0);
-  h.add(99.0);
-  EXPECT_EQ(h.underflow(), 1u);
-  EXPECT_EQ(h.overflow(), 1u);
-  EXPECT_EQ(h.bin_count(0), 1u);
-  EXPECT_EQ(h.bin_count(3), 1u);
-}
-
-TEST(Histogram, QuantileOfUniformData) {
-  Histogram h(0.0, 1.0, 100);
-  Rng rng(4);
-  for (int i = 0; i < 100000; ++i) h.add(rng.next_double());
-  EXPECT_NEAR(h.quantile(0.5), 0.5, 0.02);
-  EXPECT_NEAR(h.quantile(0.9), 0.9, 0.02);
-  EXPECT_NEAR(h.quantile(0.1), 0.1, 0.02);
-}
-
 TEST(PercentileInplace, MatchesSortedOrderStatistics) {
   // 0..100 shuffled: type-7 quantiles are exact on the integer lattice.
   std::vector<double> xs;
@@ -345,47 +316,6 @@ TEST(PercentileInplace, InterpolatesBetweenOrderStatistics) {
   EXPECT_DOUBLE_EQ(percentile_inplace(one, 0.99), 7.0);
   std::vector<double> empty;
   EXPECT_DOUBLE_EQ(percentile_inplace(empty, 0.5), 0.0);
-}
-
-TEST(Histogram, QuantileSkipsEmptyLeadingBuckets) {
-  // Regression: all data in bin [8, 9) of a [0, 10) histogram. q = 0 used
-  // to interpolate inside the empty first bucket and return lo_ = 0.0 —
-  // an 8x underestimate of the true minimum's bucket.
-  Histogram h(0.0, 10.0, 10);
-  for (int i = 0; i < 100; ++i) h.add(8.5);
-  EXPECT_DOUBLE_EQ(h.quantile(0.0), 8.0);
-  EXPECT_GE(h.quantile(0.5), 8.0);
-  EXPECT_LE(h.quantile(0.5), 9.0);
-  EXPECT_LE(h.quantile(1.0), 9.0);
-}
-
-TEST(Histogram, QuantileSparseBucketsNeverAnchorInEmptyRuns) {
-  // Two populated buckets separated by an empty run: every quantile must
-  // land inside [1, 2) or [8, 9), never in the gap.
-  Histogram h(0.0, 10.0, 10);
-  for (int i = 0; i < 50; ++i) h.add(1.5);
-  for (int i = 0; i < 50; ++i) h.add(8.5);
-  EXPECT_DOUBLE_EQ(h.quantile(0.0), 1.0);
-  // q = 0.5 lands exactly on the boundary between the two buckets; the
-  // anchor must be the second populated bucket's low edge, not somewhere
-  // inside the empty run [2, 8).
-  const double median = h.quantile(0.5);
-  EXPECT_TRUE((median >= 1.0 && median <= 2.0) ||
-              (median >= 8.0 && median <= 9.0))
-      << "median " << median << " landed in the empty run";
-  EXPECT_GE(h.quantile(0.9), 8.0);
-  EXPECT_LE(h.quantile(1.0), 9.0);
-}
-
-TEST(Histogram, QuantileExtremesOnEmptyHistogram) {
-  Histogram h(0.0, 10.0, 10);
-  EXPECT_DOUBLE_EQ(h.quantile(0.0), 0.0);
-  EXPECT_DOUBLE_EQ(h.quantile(1.0), 0.0);
-}
-
-TEST(Histogram, RejectsBadConstruction) {
-  EXPECT_THROW(Histogram(1.0, 0.0, 10), ConfigError);
-  EXPECT_THROW(Histogram(0.0, 1.0, 0), ConfigError);
 }
 
 }  // namespace

@@ -1,7 +1,7 @@
 // Run-telemetry tests across replication and sweep aggregation:
 //
 //  - the saturation-cause regression (the per-run SimResult cause tokens
-//    used to be dropped on the floor by run_replications' aggregation;
+//    used to be dropped on the floor by the replication aggregation;
 //    they must survive into ReplicationResult, the sweep rows, the table
 //    and the JSON/CSV reports),
 //  - SweepRunner task stats (queue wait / exec / worker id per task) and
@@ -18,7 +18,7 @@
 #include "exp/scenario.hpp"
 #include "exp/sweep.hpp"
 #include "exp/sweep_io.hpp"
-#include "sim/replication.hpp"
+#include "support/fixed_replications.hpp"
 #include "support/json_mini.hpp"
 #include "util/error.hpp"
 
@@ -46,7 +46,8 @@ TEST(ReplicationTelemetry, EventCapCauseSurvivesAggregation) {
   cfg.max_events = 2'000;  // far too few to deliver 1000 measured messages
 
   const sim::ReplicationResult result =
-      sim::run_replications(topology, params, 5e-4, cfg, 3);
+      sim::testsupport::run_fixed_replications(topology, params, 5e-4, cfg,
+                                               3);
   EXPECT_EQ(result.saturated, 3);
   EXPECT_TRUE(result.all_saturated);
   ASSERT_EQ(result.saturation_causes.size(), 1u);  // same cap every run
@@ -66,7 +67,8 @@ TEST(ReplicationTelemetry, GeneratedCapCauseSurvivesAggregation) {
   cfg.max_generated = 50;  // below even the warmup phase
 
   const sim::ReplicationResult result =
-      sim::run_replications(topology, params, 5e-4, cfg, 2);
+      sim::testsupport::run_fixed_replications(topology, params, 5e-4, cfg,
+                                               2);
   EXPECT_EQ(result.saturated, 2);
   ASSERT_FALSE(result.saturation_causes.empty());
   EXPECT_EQ(result.saturation_causes[0], "generated");
@@ -76,8 +78,9 @@ TEST(ReplicationTelemetry, SteadyRunsCarryNoCause) {
   const topo::MultiClusterTopology topology(
       topo::SystemConfig::homogeneous(4, 1, 2));
   const model::NetworkParams params;
-  const sim::ReplicationResult result = sim::run_replications(
-      topology, params, 5e-4, small_sim_config(), 2);
+  const sim::ReplicationResult result =
+      sim::testsupport::run_fixed_replications(topology, params, 5e-4,
+                                               small_sim_config(), 2);
   EXPECT_EQ(result.saturated, 0);
   EXPECT_TRUE(result.saturation_causes.empty());
   for (const sim::SimResult& run : result.runs)
