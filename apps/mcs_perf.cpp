@@ -46,7 +46,7 @@ int run(const mcs::util::Args& args) {
                       "tolerance", "probe-out", "trace-out", "explain",
                       "log-level"});
   const bool smoke = args.get_flag("smoke");
-  const int repeats = static_cast<int>(args.get_int("repeats", 3));
+  const int repeats = args.get_int("repeats", 3);
   const std::string only = args.get("scenario", "");
   const std::string out_path = args.get("out", "");
   const std::string baseline = args.get("baseline", "");

@@ -151,7 +151,7 @@ int main(int argc, char** argv) {
 
     mcs::exp::SweepRunner runner(std::move(spec));
     mcs::exp::SweepRunOptions options;
-    options.threads = static_cast<int>(args.get_int("threads", 0));
+    options.threads = args.get_int("threads", 0);
     options.progress = args.get_flag("progress");
     options.explain = explain;
     options.cache_dir = args.get("cache", "");

@@ -18,7 +18,7 @@
 
 int main(int argc, char** argv) {
   const mcs::util::Args args(argc, argv);
-  const std::int64_t target = args.get_int("nodes", 512);
+  const std::int64_t target = args.get_int<std::int64_t>("nodes", 512);
 
   // Enumerate realizable homogeneous organizations as systems of one
   // scenario; the SweepRunner evaluates every candidate concurrently.
@@ -73,7 +73,7 @@ int main(int argc, char** argv) {
 
   const mcs::exp::SweepRunner runner(spec);
   mcs::exp::SweepRunOptions run_options;
-  run_options.threads = static_cast<int>(args.get_int("threads", 0));
+  run_options.threads = args.get_int("threads", 0);
   const mcs::exp::SweepResult result = runner.run(run_options);
 
   mcs::util::TextTable table({"m", "cluster", "clusters", "switches",

@@ -106,7 +106,7 @@ int main(int argc, char** argv) {
   const mcs::topo::MultiClusterTopology topo(config);
   const mcs::model::NetworkParams params;
 
-  const std::int64_t src = args.get_int("src", 0);
+  const std::int64_t src = args.get_int<std::int64_t>("src", 0);
   const std::int64_t dst =
       args.get_int("dst", topo.total_nodes() - 1);
   const auto [sc, sl] = topo.locate(src);

@@ -33,9 +33,10 @@ int main(int argc, char** argv) {
 
   // 3. Simulation (Sec. 4): same assumptions, discrete-event, wormhole.
   mcs::sim::SimConfig sim_cfg;
-  sim_cfg.seed = static_cast<std::uint64_t>(args.get_int("seed", 1));
+  sim_cfg.seed =
+      static_cast<std::uint64_t>(args.get_int<std::int64_t>("seed", 1));
   sim_cfg.warmup_messages = 2'000;
-  sim_cfg.measured_messages = args.get_int("measured", 20'000);
+  sim_cfg.measured_messages = args.get_int<std::int64_t>("measured", 20'000);
   const mcs::topo::MultiClusterTopology topology(config);
   mcs::sim::Simulator sim(topology, params, lambda, sim_cfg);
   const auto measured = sim.run();

@@ -61,6 +61,7 @@
 #include "util/error.hpp"
 #include "util/hash.hpp"
 #include "util/histogram.hpp"
+#include "util/json.hpp"
 #include "util/log.hpp"
 #include "util/rng.hpp"
 #include "util/stats.hpp"

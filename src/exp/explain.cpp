@@ -4,6 +4,7 @@
 #include <cstdio>
 #include <ostream>
 
+#include "util/json.hpp"
 #include "util/table.hpp"
 
 namespace mcs::exp {
@@ -93,35 +94,8 @@ ExplainReport build_explain(std::string label, double lambda,
 
 namespace {
 
-// Local JSON helpers (sweep_io keeps its own; both emit the same shape:
-// finite numbers, nulls for non-finite, escaped strings).
-void json_sep(std::ostream& out, bool& first) {
-  if (!first) out << ",";
-  first = false;
-}
-
-void jnum(std::ostream& out, const char* key, double v, bool& first) {
-  json_sep(out, first);
-  if (std::isfinite(v))
-    out << "\"" << key << "\":" << v;
-  else
-    out << "\"" << key << "\":null";
-}
-
-void jint(std::ostream& out, const char* key, std::int64_t v, bool& first) {
-  json_sep(out, first);
-  out << "\"" << key << "\":" << v;
-}
-
-void jbool(std::ostream& out, const char* key, bool v, bool& first) {
-  json_sep(out, first);
-  out << "\"" << key << "\":" << (v ? "true" : "false");
-}
-
-void jstr(std::ostream& out, const char* key, const char* v, bool& first) {
-  json_sep(out, first);
-  out << "\"" << key << "\":\"" << v << "\"";
-}
+using util::json_field;
+using util::json_key;
 
 const char* station_or_none(int station) {
   return station >= 0 ? obs::station_name(station) : "none";
@@ -132,14 +106,15 @@ const char* station_or_none(int station) {
 void write_explain_json(const ExplainReport& report, std::ostream& out) {
   out << "{";
   bool first = true;
-  jnum(out, "lambda", report.lambda, first);
-  jbool(out, "has_measured", report.has_measured, first);
-  jbool(out, "has_model", report.has_model, first);
-  jstr(out, "bottleneck_station", station_or_none(report.bottleneck_station),
-       first);
-  jstr(out, "worst_station", station_or_none(report.worst_station), first);
-  json_sep(out, first);
-  out << "\"stations\":[";
+  json_field(out, "lambda", report.lambda, first);
+  json_field(out, "has_measured", report.has_measured, first);
+  json_field(out, "has_model", report.has_model, first);
+  json_field(out, "bottleneck_station",
+             station_or_none(report.bottleneck_station), first);
+  json_field(out, "worst_station", station_or_none(report.worst_station),
+             first);
+  json_key(out, "stations", first);
+  out << "[";
   bool first_station = true;
   for (const ExplainStation& st : report.stations) {
     if (!st.has_measured && !st.has_model) continue;
@@ -147,59 +122,61 @@ void write_explain_json(const ExplainReport& report, std::ostream& out) {
     first_station = false;
     out << "{";
     bool f = true;
-    jstr(out, "station", obs::station_name(st.station), f);
+    json_field(out, "station", obs::station_name(st.station), f);
     if (st.has_measured) {
-      jint(out, "legs", static_cast<std::int64_t>(st.legs), f);
-      jnum(out, "measured_wait", st.measured_wait, f);
-      jnum(out, "measured_service", st.measured_service, f);
-      jnum(out, "measured_rho", st.measured_rho, f);
-      jint(out, "measured_channels",
-           static_cast<std::int64_t>(st.measured_channels), f);
+      json_field(out, "legs", static_cast<std::int64_t>(st.legs), f);
+      json_field(out, "measured_wait", st.measured_wait, f);
+      json_field(out, "measured_service", st.measured_service, f);
+      json_field(out, "measured_rho", st.measured_rho, f);
+      json_field(out, "measured_channels",
+                 static_cast<std::int64_t>(st.measured_channels), f);
     }
     if (st.has_model) {
-      jbool(out, "model_stable", st.model_stable, f);
-      jnum(out, "model_lambda", st.model_lambda, f);
-      jnum(out, "model_wait", st.model_wait, f);
-      jnum(out, "model_service", st.model_service, f);
-      jnum(out, "model_rho", st.model_rho, f);
+      json_field(out, "model_stable", st.model_stable, f);
+      json_field(out, "model_lambda", st.model_lambda, f);
+      json_field(out, "model_wait", st.model_wait, f);
+      json_field(out, "model_service", st.model_service, f);
+      json_field(out, "model_rho", st.model_rho, f);
     }
     if (st.joined) {
-      jnum(out, "residence_divergence", st.residence_divergence, f);
-      jnum(out, "wait_divergence", st.wait_divergence, f);
+      json_field(out, "residence_divergence", st.residence_divergence, f);
+      json_field(out, "wait_divergence", st.wait_divergence, f);
     }
     out << "}";
   }
   out << "]";
   if (report.has_measured) {
     first = false;
-    jint(out, "messages", static_cast<std::int64_t>(report.messages), first);
-    json_sep(out, first);
-    out << "\"latency\":{";
+    json_field(out, "messages", static_cast<std::int64_t>(report.messages),
+               first);
+    json_key(out, "latency", first);
+    out << "{";
     bool f = true;
-    jnum(out, "mean", report.latency_mean, f);
-    jnum(out, "p50", report.latency_p50, f);
-    jnum(out, "p95", report.latency_p95, f);
-    jnum(out, "p99", report.latency_p99, f);
+    json_field(out, "mean", report.latency_mean, f);
+    json_field(out, "p50", report.latency_p50, f);
+    json_field(out, "p95", report.latency_p95, f);
+    json_field(out, "p99", report.latency_p99, f);
     out << "}";
-    json_sep(out, first);
-    out << "\"conservation\":{";
+    json_key(out, "conservation", first);
+    out << "{";
     f = true;
-    jnum(out, "max_residual", report.max_residual, f);
-    jnum(out, "max_relative_residual", report.max_relative_residual, f);
+    json_field(out, "max_residual", report.max_residual, f);
+    json_field(out, "max_relative_residual", report.max_relative_residual, f);
     out << "}";
-    json_sep(out, first);
-    out << "\"hot_channels\":[";
+    json_key(out, "hot_channels", first);
+    out << "[";
     bool first_ch = true;
     for (const obs::ChannelAnatomy& ch : report.hot_channels) {
       if (!first_ch) out << ",";
       first_ch = false;
       out << "{";
       f = true;
-      jint(out, "channel", ch.channel, f);
-      jint(out, "traversals", static_cast<std::int64_t>(ch.traversals), f);
-      jnum(out, "mean_wait", ch.mean_wait(), f);
-      jnum(out, "residence_sum", ch.residence_sum, f);
-      jnum(out, "utilization", ch.utilization, f);
+      json_field(out, "channel", static_cast<std::int64_t>(ch.channel), f);
+      json_field(out, "traversals", static_cast<std::int64_t>(ch.traversals),
+                 f);
+      json_field(out, "mean_wait", ch.mean_wait(), f);
+      json_field(out, "residence_sum", ch.residence_sum, f);
+      json_field(out, "utilization", ch.utilization, f);
       out << "}";
     }
     out << "]";

@@ -1,7 +1,6 @@
 #include "exp/scenario.hpp"
 
 #include <cctype>
-#include <cstdlib>
 #include <fstream>
 #include <sstream>
 
@@ -115,22 +114,15 @@ const std::vector<std::string>& icn2_params_keys() {
   return keys;
 }
 
-double parse_double(const std::string& source, int line,
-                    const std::string& value) {
-  char* end = nullptr;
-  const double v = std::strtod(value.c_str(), &end);
-  if (end == value.c_str() || *end != '\0')
-    fail(source, line, "expected a number, got '" + value + "'");
-  return v;
+/// util::parse_int / parse_double located at `source:line`.
+template <typename T>
+T parse_int(const std::string& source, int line, const std::string& value) {
+  return util::parse_int<T>(value, source + ":" + std::to_string(line));
 }
 
-long long parse_int(const std::string& source, int line,
+double parse_double(const std::string& source, int line,
                     const std::string& value) {
-  char* end = nullptr;
-  const long long v = std::strtoll(value.c_str(), &end, 10);
-  if (end == value.c_str() || *end != '\0')
-    fail(source, line, "expected an integer, got '" + value + "'");
-  return v;
+  return util::parse_double(value, source + ":" + std::to_string(line));
 }
 
 bool parse_bool(const std::string& source, int line,
@@ -420,9 +412,7 @@ ScenarioSpec parse_scenario(std::istream& in, const std::string& source) {
           fail(source, line_no,
                "[" + header + "] must follow a [system <id>] section");
         ClusterSection cs;
-        cs.index =
-            static_cast<int>(parse_int(source, line_no,
-                                       trim(header.substr(8))));
+        cs.index = parse_int<int>(source, line_no, trim(header.substr(8)));
         cs.line = line_no;
         for (const ClusterSection& seen : system.cluster_sections)
           if (seen.index == cs.index)
@@ -505,19 +495,17 @@ ScenarioSpec parse_scenario(std::istream& in, const std::string& source) {
         if (key == "name") {
           spec.name = value;
         } else if (key == "seed") {
-          spec.seed =
-              static_cast<std::uint64_t>(parse_int(source, line_no, value));
+          spec.seed = static_cast<std::uint64_t>(
+              parse_int<std::int64_t>(source, line_no, value));
         } else if (key == "replications") {
-          spec.replications =
-              static_cast<int>(parse_int(source, line_no, value));
+          spec.replications = parse_int<int>(source, line_no, value);
         } else if (key == "warmup") {
-          spec.warmup = parse_int(source, line_no, value);
+          spec.warmup = parse_int<std::int64_t>(source, line_no, value);
         } else if (key == "measured") {
-          spec.measured = parse_int(source, line_no, value);
+          spec.measured = parse_int<std::int64_t>(source, line_no, value);
         } else if (key == "message_flits") {
           for (const std::string& v : split_list(value))
-            spec.message_flits.push_back(
-                static_cast<int>(parse_int(source, line_no, v)));
+            spec.message_flits.push_back(parse_int<int>(source, line_no, v));
         } else if (key == "flit_bytes") {
           for (const std::string& v : split_list(value))
             spec.flit_bytes.push_back(parse_double(source, line_no, v));
@@ -532,7 +520,7 @@ ScenarioSpec parse_scenario(std::istream& in, const std::string& source) {
           if (parts.size() != 2)
             fail(source, line_no, "load_grid wants '<step> : <count>'");
           const double step = parse_double(source, line_no, parts[0]);
-          const long long count = parse_int(source, line_no, parts[1]);
+          const auto count = parse_int<long long>(source, line_no, parts[1]);
           if (step <= 0.0 || count < 1)
             fail(source, line_no, "load_grid wants step > 0 and count >= 1");
           spec.loads.push_back(0.25 * step);
@@ -592,16 +580,14 @@ ScenarioSpec parse_scenario(std::istream& in, const std::string& source) {
         if (key == "preset") {
           system.preset = value;
         } else if (key == "m") {
-          system.m = static_cast<int>(parse_int(source, line_no, value));
+          system.m = parse_int<int>(source, line_no, value);
         } else if (key == "height") {
-          system.height = static_cast<int>(parse_int(source, line_no, value));
+          system.height = parse_int<int>(source, line_no, value);
         } else if (key == "clusters") {
-          system.clusters =
-              static_cast<int>(parse_int(source, line_no, value));
+          system.clusters = parse_int<int>(source, line_no, value);
         } else if (key == "heights") {
           for (const std::string& v : split_list(value))
-            system.heights.push_back(
-                static_cast<int>(parse_int(source, line_no, v)));
+            system.heights.push_back(parse_int<int>(source, line_no, v));
         } else if (key == "icn2") {
           if (!topo::parse_icn2_kind(value, system.icn2.kind,
                                      system.icn2.torus_wrap))
@@ -609,24 +595,20 @@ ScenarioSpec parse_scenario(std::istream& in, const std::string& source) {
                          {"fat_tree", "torus", "mesh", "dragonfly",
                           "random_regular"});
         } else if (key == "icn2_switches") {
-          system.icn2.switches =
-              static_cast<int>(parse_int(source, line_no, value));
+          system.icn2.switches = parse_int<int>(source, line_no, value);
         } else if (key == "icn2_rows") {
-          system.icn2.torus_rows =
-              static_cast<int>(parse_int(source, line_no, value));
+          system.icn2.torus_rows = parse_int<int>(source, line_no, value);
         } else if (key == "icn2_cols") {
-          system.icn2.torus_cols =
-              static_cast<int>(parse_int(source, line_no, value));
+          system.icn2.torus_cols = parse_int<int>(source, line_no, value);
         } else if (key == "icn2_wrap") {
           system.wrap_set = true;
           system.wrap_value = parse_bool(source, line_no, value);
         } else if (key == "icn2_degree") {
-          system.icn2.degree =
-              static_cast<int>(parse_int(source, line_no, value));
+          system.icn2.degree = parse_int<int>(source, line_no, value);
         } else if (key == "icn2_seed") {
           system.seed_set = true;
-          system.icn2.seed =
-              static_cast<std::uint64_t>(parse_int(source, line_no, value));
+          system.icn2.seed = static_cast<std::uint64_t>(
+              parse_int<std::int64_t>(source, line_no, value));
         } else {
           fail_unknown(source, line_no, "unknown [system] key", key,
                        system_keys());
@@ -677,11 +659,9 @@ ScenarioSpec parse_scenario(std::istream& in, const std::string& source) {
           spec.search.seq.rel_precision =
               parse_double(source, line_no, value);
         } else if (key == "r_min") {
-          spec.search.seq.r_min =
-              static_cast<int>(parse_int(source, line_no, value));
+          spec.search.seq.r_min = parse_int<int>(source, line_no, value);
         } else if (key == "r_max") {
-          spec.search.seq.r_max =
-              static_cast<int>(parse_int(source, line_no, value));
+          spec.search.seq.r_max = parse_int<int>(source, line_no, value);
         } else if (key == "warmup") {
           spec.search_warmup = parse_warmup_deletion(source, line_no, value);
         } else if (key == "rel_tol") {
@@ -699,13 +679,14 @@ ScenarioSpec parse_scenario(std::istream& in, const std::string& source) {
         if (key == "probe_interval") {
           spec.probe.interval = parse_double(source, line_no, value);
         } else if (key == "probe_max_samples") {
-          spec.probe.max_samples = static_cast<std::size_t>(
-              parse_int(source, line_no, value));
+          spec.probe.max_samples =
+              parse_int<std::size_t>(source, line_no, value);
         } else if (key == "trace_sample") {
-          spec.trace.sample_every = parse_int(source, line_no, value);
+          spec.trace.sample_every =
+              parse_int<std::int64_t>(source, line_no, value);
         } else if (key == "trace_max_events") {
-          spec.trace.max_events = static_cast<std::size_t>(
-              parse_int(source, line_no, value));
+          spec.trace.max_events =
+              parse_int<std::size_t>(source, line_no, value);
         } else if (key == "explain") {
           spec.explain = parse_bool(source, line_no, value);
         } else {
@@ -734,13 +715,14 @@ ScenarioSpec parse_scenario(std::istream& in, const std::string& source) {
           pattern.pattern.hotspot_fraction =
               parse_double(source, line_no, value);
         } else if (key == "hotspot_node") {
-          pattern.pattern.hotspot_node = parse_int(source, line_no, value);
+          pattern.pattern.hotspot_node =
+              parse_int<std::int64_t>(source, line_no, value);
         } else if (key == "local_fraction") {
           pattern.pattern.local_fraction =
               parse_double(source, line_no, value);
         } else if (key == "cluster_shift") {
           pattern.pattern.cluster_shift =
-              static_cast<int>(parse_int(source, line_no, value));
+              parse_int<int>(source, line_no, value);
         } else {
           fail_unknown(source, line_no, "unknown [pattern] key", key,
                        pattern_keys());

@@ -1,7 +1,6 @@
 #include "exp/scenario_cli.hpp"
 
 #include <algorithm>
-#include <cstdlib>
 #include <filesystem>
 #include <sstream>
 
@@ -58,9 +57,9 @@ std::string resolve_scenario_path(const std::string& arg,
 
 void apply_icn2_overrides(const util::Args& args, ScenarioSpec& spec) {
   const std::string kind = args.get("icn2", "");
-  const long degree = args.get_int("icn2-degree", -1);
-  const long switches = args.get_int("icn2-switches", -1);
-  const long seed = args.get_int("icn2-seed", -1);
+  const int degree = args.get_int("icn2-degree", -1);
+  const int switches = args.get_int("icn2-switches", -1);
+  const auto seed = args.get_int<std::int64_t>("icn2-seed", -1);
   if (kind.empty() && degree < 0 && switches < 0 && seed < 0) return;
 
   for (SystemEntry& system : spec.systems) {
@@ -68,8 +67,8 @@ void apply_icn2_overrides(const util::Args& args, ScenarioSpec& spec) {
     if (!kind.empty() &&
         !topo::parse_icn2_kind(kind, icn2.kind, icn2.torus_wrap))
       throw ConfigError("--icn2: unknown kind '" + kind + "'");
-    if (degree >= 0) icn2.degree = static_cast<int>(degree);
-    if (switches >= 0) icn2.switches = static_cast<int>(switches);
+    if (degree >= 0) icn2.degree = degree;
+    if (switches >= 0) icn2.switches = switches;
     if (seed >= 0) icn2.seed = static_cast<std::uint64_t>(seed);
   }
 }
@@ -81,15 +80,11 @@ void apply_hetero_overrides(const util::Args& args, ScenarioSpec& spec) {
   // in [icn2_params]).
   const auto icn2_field = [&](const char* name, bool strictly_positive) {
     if (!args.has(name)) return -1.0;  // flag absent: inherit
-    const std::string raw = args.get(name, "");
-    char* end = nullptr;
-    const double v = std::strtod(raw.c_str(), &end);
-    const bool numeric = !raw.empty() && end == raw.c_str() + raw.size();
-    const bool ok = numeric && (strictly_positive ? v > 0.0 : v >= 0.0);
-    if (!ok)
+    const double v = args.get_double(name, -1.0);
+    if (!(strictly_positive ? v > 0.0 : v >= 0.0))
       throw ConfigError(std::string("--") + name + " must be " +
                         (strictly_positive ? "> 0" : ">= 0") + ", got '" +
-                        raw + "'");
+                        args.get(name, "") + "'");
     return v;
   };
   model::NetworkParamsOverride icn2_net;
@@ -110,9 +105,8 @@ void apply_hetero_overrides(const util::Args& args, ScenarioSpec& spec) {
     std::istringstream in(scales);
     std::string item;
     while (std::getline(in, item, ',')) {
-      char* end = nullptr;
-      const double v = std::strtod(item.c_str(), &end);
-      if (end == item.c_str() || *end != '\0' || !(v > 0.0))
+      const double v = util::parse_double(item, "--load-scale");
+      if (!(v > 0.0))
         throw ConfigError(
             "--load-scale: expected positive numbers, got '" + item + "'");
       scale_list.push_back(v);
@@ -139,9 +133,8 @@ void apply_hetero_overrides(const util::Args& args, ScenarioSpec& spec) {
 
 void apply_spec_flags(const util::Args& args, ScenarioSpec& spec) {
   spec.seed = static_cast<std::uint64_t>(
-      args.get_int("seed", static_cast<long>(spec.seed)));
-  spec.replications =
-      static_cast<int>(args.get_int("replications", spec.replications));
+      args.get_int("seed", static_cast<std::int64_t>(spec.seed)));
+  spec.replications = args.get_int("replications", spec.replications);
   if (args.get_flag("paper-scale")) {
     spec.warmup = 10'000;
     spec.measured = 100'000;

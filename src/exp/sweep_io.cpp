@@ -1,13 +1,12 @@
 #include "exp/sweep_io.hpp"
 
-#include <cmath>
-#include <cstdio>
 #include <fstream>
 #include <set>
 
 #include "exp/explain.hpp"
 #include "util/csv.hpp"
 #include "util/error.hpp"
+#include "util/json.hpp"
 
 namespace mcs::exp {
 
@@ -78,63 +77,8 @@ void write_csv(const SweepResult& result, const std::string& path) {
   csv.close();
 }
 
-namespace {
-
-std::string json_escape(const std::string& s) {
-  std::string out;
-  out.reserve(s.size());
-  for (const char c : s) {
-    switch (c) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\n': out += "\\n"; break;
-      case '\r': out += "\\r"; break;
-      case '\t': out += "\\t"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof buf, "\\u%04x", c);
-          out += buf;
-        } else {
-          out += c;
-        }
-    }
-  }
-  return out;
-}
-
-void json_field(std::ostream& out, const char* key, const std::string& value,
-                bool& first) {
-  if (!first) out << ",";
-  first = false;
-  out << "\"" << key << "\":\"" << json_escape(value) << "\"";
-}
-
-void json_field(std::ostream& out, const char* key, double value,
-                bool& first) {
-  if (!first) out << ",";
-  first = false;
-  // Unstable model predictions are infinite; JSON has no inf/nan.
-  if (std::isfinite(value))
-    out << "\"" << key << "\":" << value;
-  else
-    out << "\"" << key << "\":null";
-}
-
-void json_field(std::ostream& out, const char* key, std::int64_t value,
-                bool& first) {
-  if (!first) out << ",";
-  first = false;
-  out << "\"" << key << "\":" << value;
-}
-
-void json_field(std::ostream& out, const char* key, bool value, bool& first) {
-  if (!first) out << ",";
-  first = false;
-  out << "\"" << key << "\":" << (value ? "true" : "false");
-}
-
-}  // namespace
+using util::json_escape;
+using util::json_field;
 
 void write_json(const SweepResult& result, std::ostream& out, bool stable) {
   out.precision(12);
@@ -176,8 +120,8 @@ void write_json(const SweepResult& result, std::ostream& out, bool stable) {
                static_cast<std::int64_t>(row.message_flits), first);
     json_field(out, "flit_bytes", row.flit_bytes, first);
     json_field(out, "pattern", row.pattern_id, first);
-    json_field(out, "relay", std::string(to_string(row.relay)), first);
-    json_field(out, "flow", std::string(to_string(row.flow)), first);
+    json_field(out, "relay", to_string(row.relay), first);
+    json_field(out, "flow", to_string(row.flow), first);
     json_field(out, "lambda", row.lambda, first);
     if (row.paper_run) {
       json_field(out, "paper_latency", row.paper_latency, first);
@@ -241,9 +185,7 @@ void write_json(const SweepResult& result, std::ostream& out, bool stable) {
     if (anatomy != nullptr || breakdown != nullptr) {
       const ExplainReport report =
           build_explain(row_label(row), row.lambda, anatomy, breakdown);
-      if (!first) out << ",";
-      first = false;
-      out << "\"explain\":";
+      util::json_key(out, "explain", first);
       write_explain_json(report, out);
     }
     out << "}";

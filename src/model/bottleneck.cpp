@@ -22,12 +22,6 @@ const char* to_string(NetworkLayer layer) {
 
 namespace {
 
-std::vector<double> tail_of(const std::vector<double>& p) {
-  std::vector<double> tail(p.size() + 1, 0.0);
-  for (std::size_t l = p.size(); l-- > 0;) tail[l] = tail[l + 1] + p[l];
-  return tail;
-}
-
 struct Acc {
   std::int64_t channels = 0;
   double total = 0.0;       ///< messages/time summed over the class
@@ -98,9 +92,9 @@ std::vector<ClassLoad> analyze_bottlenecks(const topo::SystemConfig& config,
     const double in_f = in_funnel[static_cast<std::size_t>(i)];
     const double node_in = in_f / ni;               // per node ejection
     const double occ = occupancy_of(config.cluster_params(i, params));
-    const auto hop_tail = tail_of(shape.hop_distribution());
+    const auto hop_tail = topo::tail_of(shape.hop_distribution());
     const auto conc_tail =
-        tail_of(topo::concentrator_hop_distribution(shape));
+        topo::tail_of(topo::concentrator_hop_distribution(shape));
     const std::string cname = "cluster of " +
                               std::to_string(shape.node_count()) + " nodes";
 

@@ -6,19 +6,13 @@
 #include "model/icn2_funnel.hpp"
 #include "model/mg1.hpp"
 #include "model/service_recursion.hpp"
+#include "topology/tree_math.hpp"
 #include "util/contracts.hpp"
 #include "util/error.hpp"
 
 namespace mcs::model {
 
 namespace {
-
-/// tail[l] = sum_{j > l} p[j-1], for l = 0..n.
-std::vector<double> tail_of(const std::vector<double>& p) {
-  std::vector<double> tail(p.size() + 1, 0.0);
-  for (std::size_t l = p.size(); l-- > 0;) tail[l] = tail[l + 1] + p[l];
-  return tail;
-}
 
 /// Remaining pipeline time after the first of `channels` physical stages
 /// ((channels - 2) switch channels plus the ejection channel): for
@@ -92,9 +86,9 @@ RefinedModel::RefinedModel(topo::SystemConfig config, NetworkParams params,
     c.scale = config_.cluster_load_scale(i);
     c.net = config_.cluster_params(i, params_);
     c.hop_prob = shape.hop_distribution();
-    c.hop_tail = tail_of(c.hop_prob);
+    c.hop_tail = topo::tail_of(c.hop_prob);
     c.conc_prob = topo::concentrator_hop_distribution(shape);
-    c.conc_tail = tail_of(c.conc_prob);
+    c.conc_tail = topo::tail_of(c.conc_prob);
     for (int l = 0; l <= shape.n; ++l)
       c.k_pow.push_back(topo::checked_pow(shape.k(), l));
     clusters_.push_back(std::move(c));
@@ -364,31 +358,12 @@ RefinedModel::SegmentResult RefinedModel::ecn1_inbound_segment(
   return out;
 }
 
-std::vector<RefinedModel::SegmentResult> RefinedModel::icn2_class_legs(
-    double lambda_g, Scratch& scratch) const {
-  std::vector<SegmentResult> legs;
-  legs.reserve(icn2_pairs_.rep.size());
-  for (const auto& [i, v] : icn2_pairs_.rep)
-    legs.push_back(icn2_segment(i, v, lambda_g, scratch));
-  return legs;
-}
-
-RefinedModel::SegmentResult RefinedModel::icn2_leg(
-    int i, int v, double lambda_g,
-    const std::vector<SegmentResult>& class_legs, Scratch& scratch) const {
-  return icn2_graph_ ? icn2_segment(i, v, lambda_g, scratch)
-                     : class_legs[icn2_pairs_(i, v)];
-}
-
-ModelBreakdown RefinedModel::breakdown(double lambda_g) const {
-  MCS_EXPECTS(lambda_g >= 0.0);
-  ModelBreakdown out;
-  out.lambda_g = lambda_g;
+std::vector<ClusterBreakdown> RefinedModel::evaluate_stations(
+    double lambda_g) const {
   const int c_count = config_.cluster_count();
 
   // One station term from a segment's journey stats: Eq. (16)'s wait with
-  // the Draper-Ghosh variance — the exact expressions predict() uses, so
-  // the consistency test can require bit-equality.
+  // the Draper-Ghosh variance.
   const auto station = [](double lambda, const SegmentResult& s) {
     StationTerm t;
     t.present = lambda > 0.0;
@@ -403,20 +378,19 @@ ModelBreakdown RefinedModel::breakdown(double lambda_g) const {
     return t;
   };
 
-  // Inbound legs are destination properties and ICN2 legs class
-  // properties; compute once (as predict()).
+  // On the fat tree the ICN2 leg is a pair-class property: one segment
+  // per class, looked up per pair below.
   Scratch scratch;
-  std::vector<SegmentResult> seg3(static_cast<std::size_t>(c_count));
-  for (int v = 0; v < c_count; ++v)
-    seg3[static_cast<std::size_t>(v)] =
-        ecn1_inbound_segment(v, lambda_g, scratch);
-  const std::vector<SegmentResult> class_legs =
-      icn2_class_legs(lambda_g, scratch);
+  std::vector<SegmentResult> class_legs;
+  class_legs.reserve(icn2_pairs_.rep.size());
+  for (const auto& [i, v] : icn2_pairs_.rep)
+    class_legs.push_back(icn2_segment(i, v, lambda_g, scratch));
 
+  std::vector<ClusterBreakdown> out(static_cast<std::size_t>(c_count));
   for (int i = 0; i < c_count; ++i) {
     const ClusterCache& ci = clusters_[static_cast<std::size_t>(i)];
-    const double lam = ci.scale * lambda_g;
-    ClusterBreakdown cb;
+    const double lam = ci.scale * lambda_g;  // cluster's per-node rate
+    ClusterBreakdown& cb = out[static_cast<std::size_t>(i)];
     cb.cluster = i;
     cb.p_outgoing = ci.p_out;
 
@@ -428,16 +402,17 @@ ModelBreakdown RefinedModel::breakdown(double lambda_g) const {
     cb.stations[1] = station(ci.p_out * lam,
                              ecn1_outbound_segment(i, lambda_g, scratch));
 
-    // Station 2 — concentrator: service is the ICN2 leg averaged over
-    // destination clusters with weights N_v / (N - N_i), arrivals the
-    // cluster's whole outbound flow (as predict()).
+    // Station 2 — concentrator: arrivals are the cluster's whole outbound
+    // flow; service is the ICN2 leg (the next segment's S_0) averaged over
+    // destination clusters with uniform-destination weights N_v/(N - N_i).
     SegmentResult seg2_avg;
     for (int v = 0; v < c_count; ++v) {
       if (v == i) continue;
       const ClusterCache& cv = clusters_[static_cast<std::size_t>(v)];
       const double w = cv.nodes / (total_nodes_ - ci.nodes);
-      const SegmentResult seg2 =
-          icn2_leg(i, v, lambda_g, class_legs, scratch);
+      const SegmentResult seg2 = icn2_graph_
+                                     ? icn2_segment(i, v, lambda_g, scratch)
+                                     : class_legs[icn2_pairs_(i, v)];
       seg2_avg.s_mean += w * seg2.s_mean;
       seg2_avg.s_zero += w * seg2.s_zero;
       seg2_avg.r_mean += w * seg2.r_mean;
@@ -446,16 +421,24 @@ ModelBreakdown RefinedModel::breakdown(double lambda_g) const {
     cb.stations[2] = station(ci.nodes * ci.p_out * lam, seg2_avg);
     if (c_count == 1) cb.stations[2].present = false;
 
-    // Station 3 — dispatcher of cluster i as DESTINATION (inbound rate
-    // coefficient times the global rate, as predict()'s w_disp[v]).
-    cb.stations[3] =
-        station(ci.in_coeff * lambda_g, seg3[static_cast<std::size_t>(i)]);
+    // Station 3 — dispatcher of cluster i as DESTINATION: the inbound
+    // rate coefficient times the global rate.
+    cb.stations[3] = station(ci.in_coeff * lambda_g,
+                             ecn1_inbound_segment(i, lambda_g, scratch));
 
     for (const StationTerm& t : cb.stations)
       if (t.present) cb.stable = cb.stable && t.stable;
-    out.stable = out.stable && cb.stable;
-    out.clusters.push_back(cb);
   }
+  return out;
+}
+
+ModelBreakdown RefinedModel::breakdown(double lambda_g) const {
+  MCS_EXPECTS(lambda_g >= 0.0);
+  ModelBreakdown out;
+  out.lambda_g = lambda_g;
+  out.clusters = evaluate_stations(lambda_g);
+  for (const ClusterBreakdown& cb : out.clusters)
+    out.stable = out.stable && cb.stable;
 
   // System aggregates: weight each cluster's station by its share of the
   // traffic that station serves — internal messages for the ICN1 NIC,
@@ -465,10 +448,9 @@ ModelBreakdown RefinedModel::breakdown(double lambda_g) const {
   for (int k = 0; k < kBreakdownStations; ++k) {
     StationTerm agg;
     double total_w = 0.0;
-    for (int i = 0; i < c_count; ++i) {
-      const ClusterCache& ci = clusters_[static_cast<std::size_t>(i)];
-      const StationTerm& t =
-          out.clusters[static_cast<std::size_t>(i)].stations[k];
+    for (std::size_t i = 0; i < clusters_.size(); ++i) {
+      const ClusterCache& ci = clusters_[i];
+      const StationTerm& t = out.clusters[i].stations[k];
       if (!t.present) continue;
       double w = 0.0;
       switch (k) {
@@ -507,85 +489,41 @@ LatencyPrediction RefinedModel::predict(double lambda_g) const {
   LatencyPrediction prediction;
   prediction.lambda_g = lambda_g;
   const int c_count = config_.cluster_count();
-
-  // Per-cluster inbound legs are destination properties and ICN2 legs
-  // class properties; compute once.
-  Scratch scratch;
-  std::vector<SegmentResult> seg3(static_cast<std::size_t>(c_count));
-  std::vector<double> w_disp(static_cast<std::size_t>(c_count));
-  for (int v = 0; v < c_count; ++v) {
-    const ClusterCache& cv = clusters_[static_cast<std::size_t>(v)];
-    seg3[static_cast<std::size_t>(v)] =
-        ecn1_inbound_segment(v, lambda_g, scratch);
-    const SegmentResult& s3 = seg3[static_cast<std::size_t>(v)];
-    w_disp[static_cast<std::size_t>(v)] =
-        mg1_wait(cv.in_coeff * lambda_g, s3.s_mean,
-                 draper_ghosh_variance(s3.s_mean, s3.s_zero));
-  }
-  const std::vector<SegmentResult> class_legs =
-      icn2_class_legs(lambda_g, scratch);
+  const std::vector<ClusterBreakdown> stations = evaluate_stations(lambda_g);
 
   double weighted = 0.0;
   for (int i = 0; i < c_count; ++i) {
     const ClusterCache& ci = clusters_[static_cast<std::size_t>(i)];
-    const double lam = ci.scale * lambda_g;  // cluster's per-node rate
+    const StationTerm* st = stations[static_cast<std::size_t>(i)].stations;
     ClusterLatency cl;
     cl.p_outgoing = ci.p_out;
 
-    // Internal messages: M/G/1 NIC queue with per-queue arrival rate.
-    const SegmentResult internal = internal_segment(i, lambda_g, scratch);
-    cl.s_internal = internal.s_mean;
-    cl.w_source_internal =
-        mg1_wait((1.0 - ci.p_out) * lam, internal.s_mean,
-                 draper_ghosh_variance(internal.s_mean, internal.s_zero));
-    cl.t_internal = cl.w_source_internal + internal.s_mean + internal.r_mean;
-    cl.stable = internal.stable && std::isfinite(cl.t_internal);
+    // Internal messages: the source ICN1 NIC's residence.
+    cl.s_internal = st[0].s_mean;
+    cl.w_source_internal = st[0].wait;
+    cl.t_internal = st[0].residence();
+    cl.stable = st[0].stable && std::isfinite(cl.t_internal);
 
-    // External messages: three chained segments.
-    const SegmentResult seg1 = ecn1_outbound_segment(i, lambda_g, scratch);
-    cl.w_source_external =
-        mg1_wait(ci.p_out * lam, seg1.s_mean,
-                 draper_ghosh_variance(seg1.s_mean, seg1.s_zero));
-    cl.stable = cl.stable && seg1.stable;
-
-    // ICN2 leg averaged over destination clusters with uniform-destination
-    // weights N_v / (N - N_i).
-    double s2_mean = 0.0;
-    double s2_zero = 0.0;
-    double r2_mean = 0.0;
-    double t_tail = 0.0;  // dispatcher wait + inbound leg, v-averaged
-    for (int v = 0; v < c_count; ++v) {
-      if (v == i) continue;
-      const ClusterCache& cv = clusters_[static_cast<std::size_t>(v)];
-      const double w = cv.nodes / (total_nodes_ - ci.nodes);
-      const SegmentResult seg2 =
-          icn2_leg(i, v, lambda_g, class_legs, scratch);
-      const SegmentResult& s3 = seg3[static_cast<std::size_t>(v)];
-      cl.stable = cl.stable && seg2.stable && s3.stable;
-      s2_mean += w * seg2.s_mean;
-      s2_zero += w * seg2.s_zero;
-      r2_mean += w * seg2.r_mean;
-      t_tail += w * (w_disp[static_cast<std::size_t>(v)] + s3.s_mean +
-                     s3.r_mean);
-    }
-
-    // Concentrator queue: arrivals are the cluster's whole outbound flow;
-    // service is the ICN2 injection occupancy (the next segment's S_0).
-    const double w_conc =
-        mg1_wait(ci.nodes * ci.p_out * lam, s2_mean,
-                 draper_ghosh_variance(s2_mean, s2_zero));
+    // External messages: ECN1 NIC, concentrator, then the destination's
+    // dispatcher and inbound leg, v-averaged with weights N_v / (N - N_i).
+    cl.w_source_external = st[1].wait;
+    cl.stable = cl.stable && st[1].stable && st[2].stable;
+    double t_tail = 0.0;
     double w_disp_avg = 0.0;
     for (int v = 0; v < c_count; ++v) {
       if (v == i) continue;
       const ClusterCache& cv = clusters_[static_cast<std::size_t>(v)];
-      w_disp_avg += cv.nodes / (total_nodes_ - ci.nodes) *
-                    w_disp[static_cast<std::size_t>(v)];
+      const double w = cv.nodes / (total_nodes_ - ci.nodes);
+      const StationTerm& disp =
+          stations[static_cast<std::size_t>(v)].stations[3];
+      cl.stable = cl.stable && disp.stable;
+      t_tail += w * disp.residence();
+      w_disp_avg += w * disp.wait;
     }
-    cl.w_conc_disp = w_conc + w_disp_avg;
-    cl.s_external = seg1.s_mean + s2_mean;  // plus seg3 inside t_tail
-
-    cl.t_external = cl.w_source_external + seg1.s_mean + seg1.r_mean +
-                    w_conc + s2_mean + r2_mean + t_tail;
+    cl.w_conc_disp = st[2].wait + w_disp_avg;
+    cl.s_external = st[1].s_mean + st[2].s_mean;  // plus seg3 inside t_tail
+    cl.t_external = st[1].residence() + st[2].wait + st[2].s_mean +
+                    st[2].r_mean + t_tail;
     cl.stable = cl.stable && std::isfinite(cl.t_external);
 
     cl.latency = (1.0 - ci.p_out) * cl.t_internal + ci.p_out * cl.t_external;

@@ -50,10 +50,9 @@ class RefinedModel final : public LatencyModel {
 
   [[nodiscard]] LatencyPrediction predict(double lambda_g) const override;
   /// Per-station decomposition of the same prediction (DESIGN.md §13):
-  /// re-runs predict()'s stage computations and reports each M/G/1
-  /// station's arrival rate, service moments, wait and utilization
-  /// instead of folding them into one scalar. A consistency test pins
-  /// breakdown()'s terms exactly equal to predict()'s.
+  /// the station terms predict() folds into one scalar — each M/G/1
+  /// station's arrival rate, service moments, wait and utilization —
+  /// plus traffic-weighted system aggregates.
   [[nodiscard]] ModelBreakdown breakdown(double lambda_g) const;
   [[nodiscard]] std::string name() const override { return "refined"; }
   [[nodiscard]] const topo::SystemConfig& config() const override {
@@ -87,7 +86,7 @@ class RefinedModel final : public LatencyModel {
     bool stable = true;
   };
 
-  /// Work buffers of one predict()/breakdown() call. The call owns them
+  /// Work buffers of one evaluate_stations() call. The call owns them
   /// and passes them down, so the per-pair loop reuses them instead of
   /// allocating while the model itself stays an immutable, shareable
   /// object (defined in the .cpp).
@@ -103,14 +102,11 @@ class RefinedModel final : public LatencyModel {
   [[nodiscard]] SegmentResult ecn1_inbound_segment(int cluster,
                                                    double lambda_g,
                                                    Scratch& scratch) const;
-  /// The ICN2 leg of every pair class (fat-tree ICN2; empty on graphs).
-  [[nodiscard]] std::vector<SegmentResult> icn2_class_legs(
-      double lambda_g, Scratch& scratch) const;
-  /// The (i, v) ICN2 leg: a lookup in `class_legs` on the fat tree, one
-  /// route walk per pair on graph ICN2s.
-  [[nodiscard]] SegmentResult icn2_leg(
-      int i, int v, double lambda_g,
-      const std::vector<SegmentResult>& class_legs, Scratch& scratch) const;
+  /// Every cluster's four M/G/1 station terms at lambda_g: the one
+  /// evaluation predict() folds into Eqs. (35)-(36) and breakdown()
+  /// reports. Station 3 of cluster i is its dispatcher as DESTINATION.
+  [[nodiscard]] std::vector<ClusterBreakdown> evaluate_stations(
+      double lambda_g) const;
 
   topo::SystemConfig config_;
   NetworkParams params_;

@@ -1,7 +1,6 @@
 #include "obs/manifest.hpp"
 
 #include <chrono>
-#include <cstdio>
 #include <ostream>
 
 #if defined(__unix__) || defined(__APPLE__)
@@ -9,6 +8,8 @@
 #include <unistd.h>
 #define MCS_HAVE_RUSAGE 1
 #endif
+
+#include "util/json.hpp"
 
 namespace mcs::obs {
 
@@ -37,23 +38,6 @@ std::string host_name() {
     return buf;
 #endif
   return "unknown";
-}
-
-std::string json_escape(const std::string& s) {
-  std::string out;
-  for (const char c : s) {
-    if (c == '"' || c == '\\') {
-      out += '\\';
-      out += c;
-    } else if (static_cast<unsigned char>(c) < 0x20) {
-      char buf[8];
-      std::snprintf(buf, sizeof buf, "\\u%04x", c);
-      out += buf;
-    } else {
-      out += c;
-    }
-  }
-  return out;
 }
 
 }  // namespace
@@ -101,7 +85,7 @@ void RunManifest::write_json(std::ostream& out, int indent) const {
   out << "{" << sep;
   const auto field = [&](const char* key, const std::string& value,
                          bool last = false) {
-    out << pad << "\"" << key << "\": \"" << json_escape(value) << "\""
+    out << pad << "\"" << key << "\": \"" << util::json_escape(value) << "\""
         << (last ? "" : ",") << sep;
   };
   field("git", git);

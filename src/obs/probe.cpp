@@ -2,12 +2,13 @@
 
 #include <algorithm>
 #include <cmath>
-#include <cstdio>
 #include <fstream>
 #include <ostream>
 
 #include "util/contracts.hpp"
+#include "util/csv.hpp"
 #include "util/error.hpp"
+#include "util/json.hpp"
 
 namespace mcs::obs {
 
@@ -80,34 +81,6 @@ std::size_t max_clusters(const std::vector<LabeledProbeSeries>& series) {
   return n;
 }
 
-std::string csv_escape(const std::string& s) {
-  if (s.find_first_of(",\"\n") == std::string::npos) return s;
-  std::string out = "\"";
-  for (const char c : s) {
-    if (c == '"') out += "\"\"";
-    else out += c;
-  }
-  out += "\"";
-  return out;
-}
-
-std::string json_escape(const std::string& s) {
-  std::string out;
-  for (const char c : s) {
-    if (c == '"' || c == '\\') {
-      out += '\\';
-      out += c;
-    } else if (static_cast<unsigned char>(c) < 0x20) {
-      char buf[8];
-      std::snprintf(buf, sizeof buf, "\\u%04x", c);
-      out += buf;
-    } else {
-      out += c;
-    }
-  }
-  return out;
-}
-
 }  // namespace
 
 void write_probe_csv(std::ostream& out,
@@ -122,10 +95,10 @@ void write_probe_csv(std::ostream& out,
   for (const LabeledProbeSeries& s : series) {
     if (s.series == nullptr) continue;
     for (const ProbeSample& p : s.series->samples()) {
-      out << csv_escape(s.label) << "," << p.time << "," << p.events << ","
-          << p.queue_depth << "," << p.live_worms << "," << p.waiting_worms
-          << "," << p.pool_rows << "," << p.generated << ","
-          << p.delivered_measured;
+      out << util::CsvWriter::escape(s.label) << "," << p.time << ","
+          << p.events << "," << p.queue_depth << "," << p.live_worms << ","
+          << p.waiting_worms << "," << p.pool_rows << "," << p.generated
+          << "," << p.delivered_measured;
       for (int k = 0; k < kNetClasses; ++k) out << "," << p.utilization[k];
       for (std::size_t c = 0; c < clusters; ++c) {
         out << ",";
@@ -146,7 +119,7 @@ void write_probe_json(std::ostream& out,
     if (s.series == nullptr) continue;
     if (!first_series) out << ",";
     first_series = false;
-    out << "{\"run\":\"" << json_escape(s.label)
+    out << "{\"run\":\"" << util::json_escape(s.label)
         << "\",\"interval\":" << s.series->interval()
         << ",\"decimations\":" << s.series->decimations() << ",\"samples\":[";
     bool first = true;

@@ -1,10 +1,10 @@
 #include "obs/trace.hpp"
 
-#include <cstdio>
 #include <fstream>
 #include <ostream>
 
 #include "util/error.hpp"
+#include "util/json.hpp"
 
 namespace mcs::obs {
 
@@ -30,27 +30,6 @@ void TraceBuffer::complete(std::string name, std::int32_t tid, double ts,
                                std::move(args)});
 }
 
-namespace {
-
-std::string json_escape(const std::string& s) {
-  std::string out;
-  for (const char c : s) {
-    if (c == '"' || c == '\\') {
-      out += '\\';
-      out += c;
-    } else if (static_cast<unsigned char>(c) < 0x20) {
-      char buf[8];
-      std::snprintf(buf, sizeof buf, "\\u%04x", c);
-      out += buf;
-    } else {
-      out += c;
-    }
-  }
-  return out;
-}
-
-}  // namespace
-
 void write_trace_json(std::ostream& out,
                       const std::vector<const TraceBuffer*>& buffers) {
   out.precision(12);
@@ -66,11 +45,11 @@ void write_trace_json(std::ostream& out,
       comma();
       out << "{\"name\":\"process_name\",\"ph\":\"M\",\"pid\":"
           << buffer->pid() << ",\"tid\":0,\"args\":{\"name\":\""
-          << json_escape(buffer->label()) << "\"}}";
+          << util::json_escape(buffer->label()) << "\"}}";
     }
     for (const TraceEvent& e : buffer->events()) {
       comma();
-      out << "{\"name\":\"" << json_escape(e.name)
+      out << "{\"name\":\"" << util::json_escape(e.name)
           << "\",\"ph\":\"X\",\"pid\":" << buffer->pid()
           << ",\"tid\":" << e.tid << ",\"ts\":" << e.ts
           << ",\"dur\":" << e.dur;

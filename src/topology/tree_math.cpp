@@ -110,6 +110,12 @@ std::vector<double> concentrator_hop_distribution(const TreeShape& shape) {
   return p;
 }
 
+std::vector<double> tail_of(const std::vector<double>& p) {
+  std::vector<double> tail(p.size() + 1, 0.0);
+  for (std::size_t l = p.size(); l-- > 0;) tail[l] = tail[l + 1] + p[l];
+  return tail;
+}
+
 int min_height_for(int m, std::int64_t endpoints) {
   TreeShape probe{m, 1};
   probe.validate();

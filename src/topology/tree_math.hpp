@@ -79,4 +79,10 @@ struct TreeShape {
 [[nodiscard]] std::vector<double> concentrator_hop_distribution(
     const TreeShape& shape);
 
+/// Tail sums of an NCA-level distribution such as hop_distribution():
+/// tail[l] = sum_{j > l} p[j-1] = Pr(level > l), for l = 0..n (so
+/// tail[0] is the total mass and tail[n] = 0). A boundary-l channel
+/// carries the traffic whose NCA lies above l.
+[[nodiscard]] std::vector<double> tail_of(const std::vector<double>& p);
+
 }  // namespace mcs::topo

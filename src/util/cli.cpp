@@ -1,11 +1,33 @@
 #include "util/cli.hpp"
 
 #include <algorithm>
+#include <cerrno>
 #include <cstdlib>
 
 #include "util/error.hpp"
 
 namespace mcs::util {
+
+long long parse_int(const std::string& text, long long lo, long long hi,
+                    const std::string& where) {
+  char* end = nullptr;
+  errno = 0;
+  const long long v = std::strtoll(text.c_str(), &end, 10);
+  if (end == text.c_str() || *end != '\0')
+    throw ConfigError(where + ": expected an integer, got '" + text + "'");
+  if (errno == ERANGE || v < lo || v > hi)
+    throw ConfigError(where + ": " + text + " is out of range [" +
+                      std::to_string(lo) + ", " + std::to_string(hi) + "]");
+  return v;
+}
+
+double parse_double(const std::string& text, const std::string& where) {
+  char* end = nullptr;
+  const double v = std::strtod(text.c_str(), &end);
+  if (end == text.c_str() || *end != '\0')
+    throw ConfigError(where + ": expected a number, got '" + text + "'");
+  return v;
+}
 
 Args::Args(int argc, const char* const* argv) {
   for (int i = 1; i < argc; ++i) {
@@ -34,26 +56,10 @@ std::string Args::get(const std::string& name,
   return it != options_.end() ? it->second : fallback;
 }
 
-long Args::get_int(const std::string& name, long fallback) const {
-  const auto it = options_.find(name);
-  if (it == options_.end()) return fallback;
-  char* end = nullptr;
-  const long v = std::strtol(it->second.c_str(), &end, 10);
-  if (end == it->second.c_str() || *end != '\0')
-    throw ConfigError("--" + name + " expects an integer, got '" +
-                      it->second + "'");
-  return v;
-}
-
 double Args::get_double(const std::string& name, double fallback) const {
   const auto it = options_.find(name);
-  if (it == options_.end()) return fallback;
-  char* end = nullptr;
-  const double v = std::strtod(it->second.c_str(), &end);
-  if (end == it->second.c_str() || *end != '\0')
-    throw ConfigError("--" + name + " expects a number, got '" + it->second +
-                      "'");
-  return v;
+  return it == options_.end() ? fallback
+                              : parse_double(it->second, "--" + name);
 }
 
 bool Args::get_flag(const std::string& name) const {

@@ -1,14 +1,43 @@
 // Tiny command-line option parser shared by the bench and example binaries.
 // Supports `--name=value` and boolean `--flag` forms (the `--name value`
 // form is deliberately unsupported: it is ambiguous with positionals).
+// Also home of the one text-to-number parser, which the scenario INI
+// reader shares.
 #pragma once
 
+#include <limits>
 #include <map>
 #include <optional>
 #include <string>
+#include <utility>
 #include <vector>
 
 namespace mcs::util {
+
+/// Parses all of `text` as a base-10 integer in [lo, hi]. Throws
+/// mcs::ConfigError "<where>: expected an integer, got '<text>'", or
+/// "<where>: <text> is out of range [lo, hi]" when it does not fit —
+/// never a silently wrapped value.
+[[nodiscard]] long long parse_int(const std::string& text, long long lo,
+                                  long long hi, const std::string& where);
+
+/// parse_int over the range of the field type T that the value sets
+/// (unsigned T: [0, LLONG_MAX]).
+template <typename T>
+[[nodiscard]] T parse_int(const std::string& text, const std::string& where) {
+  using Limits = std::numeric_limits<T>;
+  constexpr long long kMax = std::numeric_limits<long long>::max();
+  const long long hi = std::cmp_greater(Limits::max(), kMax)
+                           ? kMax
+                           : static_cast<long long>(Limits::max());
+  return static_cast<T>(
+      parse_int(text, static_cast<long long>(Limits::min()), hi, where));
+}
+
+/// Parses all of `text` as a number. Throws mcs::ConfigError
+/// "<where>: expected a number, got '<text>'".
+[[nodiscard]] double parse_double(const std::string& text,
+                                  const std::string& where);
 
 class Args {
  public:
@@ -17,7 +46,14 @@ class Args {
   [[nodiscard]] bool has(const std::string& name) const;
   [[nodiscard]] std::string get(const std::string& name,
                                 const std::string& fallback) const;
-  [[nodiscard]] long get_int(const std::string& name, long fallback) const;
+  /// `--name` as an integer of the fallback's type T; a value T cannot
+  /// hold is a ConfigError naming the flag (parse_int).
+  template <typename T>
+  [[nodiscard]] T get_int(const std::string& name, T fallback) const {
+    const auto it = options_.find(name);
+    return it == options_.end() ? fallback
+                                : parse_int<T>(it->second, "--" + name);
+  }
   [[nodiscard]] double get_double(const std::string& name,
                                   double fallback) const;
   [[nodiscard]] bool get_flag(const std::string& name) const;

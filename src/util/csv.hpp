@@ -23,6 +23,10 @@ class CsvWriter {
   /// by the destructor.
   void close();
 
+  /// One cell as written: quoted, with doubled quotes, when it contains a
+  /// comma, quote or newline; verbatim otherwise.
+  [[nodiscard]] static std::string escape(const std::string& cell);
+
   ~CsvWriter();
   CsvWriter(const CsvWriter&) = delete;
   CsvWriter& operator=(const CsvWriter&) = delete;
@@ -30,7 +34,6 @@ class CsvWriter {
  private:
   void write_row(const std::vector<std::string>& cells);
   void check_stream() const;
-  static std::string escape(const std::string& cell);
 
   std::string path_;
   std::ofstream out_;

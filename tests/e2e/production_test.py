@@ -143,6 +143,12 @@ def test_usage_errors(h):
     proc = h.run("mcs_sweep", SCENARIO, "--shard=0/2", expect=2)
     check("unknown option '--shard'" in proc.stderr,
           f"removed --shard must be an unknown flag: {proc.stderr}")
+
+    # An integer the field cannot hold fails; 2^32 + 1 once wrapped to 1.
+    proc = h.run("mcs_sweep", SCENARIO, "--replications=4294967297",
+                 expect=1)
+    check("--replications" in proc.stderr and "out of range" in proc.stderr,
+          f"out-of-range --replications must be rejected: {proc.stderr}")
     return "usage and option errors rejected with the right exit codes"
 
 

@@ -4,8 +4,12 @@
 #include <gtest/gtest.h>
 
 #include <map>
+#include <string>
 #include <tuple>
 
+#include "model/bottleneck.hpp"
+#include "model/refined_model.hpp"
+#include "model/saturation.hpp"
 #include "sim/simulator.hpp"
 #include "topology/tree_math.hpp"
 
@@ -68,6 +72,56 @@ TEST_F(FlowConservationTest, ClassRatesMatchTrafficSpecification) {
     }
     EXPECT_NEAR(got, want, 0.1 * want)
         << "class (" << std::get<0>(key) << "," << std::get<1>(key) << ")";
+  }
+}
+
+// Every measured channel class against the analyzer's total rate — the
+// model's one channel-rate derivation (analyze_bottlenecks) — on a fat
+// tree, a graph ICN2 and skewed load, at 0.4x the refined knee.
+TEST_F(FlowConservationTest, MeasuredClassRatesMatchAnalyzer) {
+  topo::SystemConfig torus = config();
+  torus.icn2.kind = topo::Icn2Kind::kTorus;
+  topo::SystemConfig skewed = config();
+  skewed.load_scale = {2.0, 1.0, 1.0, 0.5};
+  const std::map<std::string, topo::SystemConfig> cases = {
+      {"fat_tree", config()},
+      {"torus", torus},
+      {"skewed_load", skewed},
+      {"org_b", topo::SystemConfig::table1_org_b()}};
+  const model::NetworkParams params;
+
+  for (const auto& [name, cfg] : cases) {
+    const double lambda =
+        0.4 *
+        model::find_saturation(model::RefinedModel(cfg, params)).lambda_sat;
+    const topo::MultiClusterTopology topology(cfg);
+    SimConfig sim_cfg;
+    sim_cfg.warmup_messages = 2'000;
+    sim_cfg.measured_messages = 30'000;
+    sim_cfg.collect_channel_stats = true;
+    Simulator simulator(topology, params, lambda, sim_cfg);
+    const SimResult result = simulator.run();
+    ASSERT_FALSE(result.saturated) << name;
+
+    using Key = std::tuple<std::string, topo::ChannelKind, int>;
+    std::map<Key, double> analytic;
+    for (const model::ClassLoad& c :
+         model::analyze_bottlenecks(cfg, params, lambda))
+      analytic[{model::to_string(c.net), c.kind, c.level}] = c.total_rate;
+    std::map<Key, double> measured;
+    for (const ChannelClassStat& c : result.channel_classes)
+      measured[{to_string(c.net), c.kind, c.level}] +=
+          c.mean_message_rate * static_cast<double>(c.channels);
+
+    for (const auto& [key, got] : measured) {
+      const std::string label = name + " " + std::get<0>(key) + " kind " +
+                                std::to_string(static_cast<int>(
+                                    std::get<1>(key))) +
+                                " level " + std::to_string(std::get<2>(key));
+      const auto it = analytic.find(key);
+      ASSERT_NE(it, analytic.end()) << label << " missing from the analyzer";
+      EXPECT_NEAR(got, it->second, 0.1 * it->second) << label;
+    }
   }
 }
 

@@ -10,6 +10,7 @@
 #include <string>
 #include <vector>
 
+#include "exp/sweep_io.hpp"
 #include "obs/manifest.hpp"
 #include "obs/probe.hpp"
 #include "obs/trace.hpp"
@@ -206,6 +207,60 @@ TEST(TraceWriters, JsonRoundTripsWithMetadataAndArgs) {
   EXPECT_DOUBLE_EQ(msg.at("args").at("hops").number, 3.0);
   EXPECT_TRUE(msg.at("args").at("internal").boolean);
   EXPECT_FALSE(events.array[2].has("args"));
+}
+
+/// The first cell of the CSV record starting at `pos` (RFC 4180 quoting:
+/// a quoted cell doubles its quotes and may span lines).
+std::string first_csv_cell(const std::string& text, std::size_t pos) {
+  std::string cell;
+  if (text[pos] != '"') {
+    while (text[pos] != ',') cell += text[pos++];
+    return cell;
+  }
+  for (++pos; pos < text.size(); ++pos) {
+    if (text[pos] == '"' && text[++pos] != '"') break;
+    cell += text[pos];
+  }
+  return cell;
+}
+
+// Every emitter escapes a label the same way: sweep, probe and trace JSON
+// parse back to the label, and so does the probe CSV's run cell.
+TEST(LabelEscaping, EveryWriterRoundTripsAHostileLabel) {
+  const std::string label = "a \"q\" \\ b,c\td\ne";
+
+  exp::SweepResult result;
+  result.name = label;
+  result.rows.emplace_back();
+  result.rows.back().system_id = label;
+  std::ostringstream sweep;
+  exp::write_json(result, sweep, /*stable=*/true);
+  const testsupport::JsonValue sweep_doc = parse_json(sweep.str());
+  EXPECT_EQ(sweep_doc.at("name").string, label);
+  EXPECT_EQ(sweep_doc.at("rows").array.at(0).at("system").string, label);
+
+  const ProbeSeries series = small_series();
+  std::ostringstream probe_json;
+  write_probe_json(probe_json, {{label, &series}});
+  EXPECT_EQ(parse_json(probe_json.str()).at("probes").array.at(0).at("run")
+                .string,
+            label);
+
+  TraceBuffer buffer(TraceConfig{}, /*pid=*/1);
+  buffer.set_label(label);
+  buffer.complete(label, 0, 1.0, 1.0);
+  std::ostringstream trace;
+  write_trace_json(trace, {&buffer});
+  const testsupport::JsonValue trace_doc = parse_json(trace.str());
+  const auto& events = trace_doc.at("traceEvents").array;
+  ASSERT_EQ(events.size(), 2u);
+  EXPECT_EQ(events[0].at("args").at("name").string, label);
+  EXPECT_EQ(events[1].at("name").string, label);
+
+  std::ostringstream probe_csv;
+  write_probe_csv(probe_csv, {{label, &series}});
+  const std::string csv = probe_csv.str();
+  EXPECT_EQ(first_csv_cell(csv, csv.find('\n') + 1), label);
 }
 
 TEST(RunManifest, CapturesProvenanceAndResources) {

@@ -10,6 +10,7 @@
 #include <fstream>
 #include <sstream>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "exp/scenario.hpp"
@@ -212,6 +213,27 @@ TEST(ScenarioNegative, OutOfRangeValuesAreConfigErrors) {
     EXPECT_THROW((void)parse_scenario_string(text), ConfigError)
         << "accepted:\n"
         << text;
+}
+
+// An integer the field cannot hold is rejected at its file:line, never
+// wrapped: 2^32 + 1 once read as replications = 1.
+TEST(ScenarioNegative, OutOfRangeIntegersNameTheLine) {
+  const std::string big = "4294967297";
+  const std::vector<std::pair<std::string, std::string>> cases = {
+      {"[sweep]\nloads = 0.001\nreplications = " + big + "\n" +
+           std::string(kMinimalSystem),
+       "<string>:3: "},
+      {"[sweep]\nloads = 0.001\n[system a]\nm = " + big + "\nheights = 1\n",
+       "<string>:4: "},
+      {valid_spec() + "[search]\nr_max = " + big + "\n", "<string>:6: "},
+      {valid_spec() + "[search]\nr_max = 99999999999999999999\n",
+       "<string>:6: "},
+  };
+  for (const auto& [text, where] : cases) {
+    const std::string msg = error_of(text);
+    EXPECT_EQ(msg.rfind(where, 0), 0u) << msg;
+    EXPECT_NE(msg.find("out of range"), std::string::npos) << msg;
+  }
 }
 
 std::vector<std::filesystem::path> bundled_scenarios() {

@@ -78,6 +78,38 @@ TEST(Args, DefaultsAndErrors) {
   EXPECT_THROW((void)args.get_int("n", 0), ConfigError);
 }
 
+TEST(Args, OutOfRangeIntegersNameTheFlag) {
+  const char* argv[] = {"prog", "--threads=4294967298",
+                        "--replications=-4294967295", "--big=1e3",
+                        "--huge=99999999999999999999"};
+  Args args(5, argv);
+  const auto message_of = [&](const char* name) {
+    try {
+      (void)args.get_int(name, 0);
+    } catch (const ConfigError& e) {
+      return std::string(e.what());
+    }
+    return std::string("accepted");
+  };
+  EXPECT_EQ(message_of("threads").rfind("--threads: ", 0), 0u);
+  EXPECT_NE(message_of("threads").find("out of range"), std::string::npos);
+  EXPECT_NE(message_of("replications").find("out of range"),
+            std::string::npos);
+  EXPECT_NE(message_of("big").find("expected an integer"), std::string::npos);
+  EXPECT_NE(message_of("huge").find("out of range"), std::string::npos);
+  // The field's type sets the range: 2^32 + 2 fits a 64-bit field.
+  EXPECT_EQ(args.get_int<std::int64_t>("threads", 0), 4294967298LL);
+}
+
+TEST(ParseInt, RangeIsInclusiveAndNegativesMissUnsignedFields) {
+  EXPECT_EQ(parse_int("-3", -3, 3, "x"), -3);
+  EXPECT_EQ(parse_int("3", -3, 3, "x"), 3);
+  EXPECT_THROW((void)parse_int("4", -3, 3, "x"), ConfigError);
+  EXPECT_THROW((void)parse_int<std::size_t>("-1", "x"), ConfigError);
+  EXPECT_THROW((void)parse_int<int>("", "x"), ConfigError);
+  EXPECT_THROW((void)parse_double("1.5x", "x"), ConfigError);
+}
+
 TEST(Args, UnknownDetection) {
   const char* argv[] = {"prog", "--known=1", "--typo=2"};
   Args args(3, argv);
