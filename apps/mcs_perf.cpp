@@ -8,7 +8,7 @@
 //   mcs_perf --out=<path>      also write the JSON report to <path>; no
 //                              file is written without it, so a committed
 //                              report is only replaced on purpose
-//   mcs_perf --baseline=<path> fail (exit 1) on events/sec regression
+//   mcs_perf --baseline=<path> fail (exit 1) on worms/sec regression
 //   mcs_perf --tolerance=0.2   allowed fractional drop vs the baseline
 //   mcs_perf --probe-out=<p>   flight recorder: one extra UNTIMED pass per
 //   mcs_perf --trace-out=<p>   scenario with probes/tracing attached
@@ -27,6 +27,7 @@
 // Reports carry a RunManifest (git describe, compiler, flags, host,
 // wall/CPU time, peak RSS), so a saved report says exactly what
 // produced it.
+#include <cstdint>
 #include <cstdio>
 #include <exception>
 #include <string>
@@ -88,16 +89,22 @@ int run(const mcs::util::Args& args) {
       static_cast<int>(std::thread::hardware_concurrency());
   report.manifest = mcs::obs::RunManifest::begin();
 
-  std::printf("%-22s %10s %10s %12s %12s %9s\n", "scenario", "events",
-              "worms", "events/s", "worms/s", "best(s)");
+  // gen/hdr/rel/done split `events` by kind (SimResult::events_by_kind).
+  std::printf("%-22s %10s %9s %9s %9s %9s %10s %12s %12s %9s\n", "scenario",
+              "events", "gen", "hdr", "rel", "done", "worms", "events/s",
+              "worms/s", "best(s)");
   for (const mcs::bench::PerfScenario& scenario : scenarios) {
     const mcs::bench::PerfMeasurement m =
         mcs::bench::measure(scenario, repeats);
-    std::printf("%-22s %10llu %10llu %12.0f %12.0f %9.4f%s\n",
-                m.id.c_str(), static_cast<unsigned long long>(m.events),
-                static_cast<unsigned long long>(m.worms), m.events_per_sec,
-                m.worms_per_sec, m.best_seconds,
-                m.saturated ? "  [SATURATED]" : "");
+    const auto count = [](std::uint64_t v) {
+      return static_cast<unsigned long long>(v);
+    };
+    std::printf(
+        "%-22s %10llu %9llu %9llu %9llu %9llu %10llu %12.0f %12.0f %9.4f%s\n",
+        m.id.c_str(), count(m.events), count(m.events_by_kind[0]),
+        count(m.events_by_kind[1]), count(m.events_by_kind[2]),
+        count(m.events_by_kind[3]), count(m.worms), m.events_per_sec,
+        m.worms_per_sec, m.best_seconds, m.saturated ? "  [SATURATED]" : "");
     report.measurements.push_back(m);
   }
 

@@ -161,6 +161,7 @@ PerfMeasurement measure(const PerfScenario& scenario, int repeats) {
 
     if (r == 0) {
       m.events = result.events_processed;
+      m.events_by_kind = result.events_by_kind;
       m.worms = result.worms_spawned;
       m.latency_mean = result.latency.mean;
       m.saturated = result.saturated;
@@ -168,6 +169,7 @@ PerfMeasurement measure(const PerfScenario& scenario, int repeats) {
       // Same seed + same code must replay the same simulation exactly;
       // a divergence means the build is unsound for benchmarking.
       MCS_ASSERT(m.events == result.events_processed);
+      MCS_ASSERT(m.events_by_kind == result.events_by_kind);
       MCS_ASSERT(m.worms == result.worms_spawned);
       MCS_ASSERT(m.latency_mean == result.latency.mean);
     }
@@ -196,6 +198,9 @@ void write_report_json(const PerfReport& report, std::ostream& out) {
     out << "      \"repeats\": " << m.repeats << ",\n";
     out << "      \"best_seconds\": " << m.best_seconds << ",\n";
     out << "      \"events\": " << m.events << ",\n";
+    out << "      \"events_by_kind\": [" << m.events_by_kind[0] << ", "
+        << m.events_by_kind[1] << ", " << m.events_by_kind[2] << ", "
+        << m.events_by_kind[3] << "],\n";
     out << "      \"worms\": " << m.worms << ",\n";
     out << "      \"events_per_sec\": " << m.events_per_sec << ",\n";
     out << "      \"worms_per_sec\": " << m.worms_per_sec << ",\n";
@@ -218,7 +223,7 @@ void write_report_json_file(const PerfReport& report,
   write_report_json(report, out);
 }
 
-std::vector<std::pair<std::string, double>> read_baseline_events_per_sec(
+std::vector<std::pair<std::string, double>> read_baseline_worms_per_sec(
     const std::string& path) {
   std::ifstream in(path);
   if (!in) throw ConfigError("cannot open perf baseline '" + path + "'");
@@ -243,11 +248,11 @@ std::vector<std::pair<std::string, double>> read_baseline_events_per_sec(
       return value;
     };
     if (const std::string id = grab("id"); !id.empty()) pending_id = id;
-    if (const std::string eps = grab("events_per_sec"); !eps.empty()) {
+    if (const std::string wps = grab("worms_per_sec"); !wps.empty()) {
       if (pending_id.empty())
         throw ConfigError("malformed perf baseline '" + path +
-                          "': events_per_sec before any id");
-      out.emplace_back(pending_id, std::strtod(eps.c_str(), nullptr));
+                          "': worms_per_sec before any id");
+      out.emplace_back(pending_id, std::strtod(wps.c_str(), nullptr));
       pending_id.clear();
     }
   }
@@ -259,7 +264,7 @@ std::vector<std::pair<std::string, double>> read_baseline_events_per_sec(
 std::vector<std::string> compare_to_baseline(const PerfReport& report,
                                              const std::string& baseline_path,
                                              double tolerance) {
-  const auto baseline = read_baseline_events_per_sec(baseline_path);
+  const auto baseline = read_baseline_worms_per_sec(baseline_path);
   std::vector<std::string> violations;
 
   for (const PerfMeasurement& m : report.measurements) {
@@ -273,16 +278,16 @@ std::vector<std::string> compare_to_baseline(const PerfReport& report,
       continue;
     }
     const double floor = (1.0 - tolerance) * it->second;
-    if (m.events_per_sec < floor) {
+    if (m.worms_per_sec < floor) {
       std::ostringstream msg;
-      msg << "scenario '" << m.id << "' regressed: " << m.events_per_sec
-          << " events/s vs baseline " << it->second << " (floor " << floor
+      msg << "scenario '" << m.id << "' regressed: " << m.worms_per_sec
+          << " worms/s vs baseline " << it->second << " (floor " << floor
           << ")";
       violations.push_back(msg.str());
     }
   }
-  for (const auto& [id, eps] : baseline) {
-    (void)eps;
+  for (const auto& [id, wps] : baseline) {
+    (void)wps;
     const bool present = std::any_of(
         report.measurements.begin(), report.measurements.end(),
         [&](const PerfMeasurement& m) { return m.id == id; });

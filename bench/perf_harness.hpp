@@ -11,9 +11,12 @@
 // The JSON report (mcs_perf --out) is both the human-facing record and the
 // regression baseline: `compare_to_baseline` re-reads a saved report (CI
 // uses bench/perf_baseline_ci.json) and flags any scenario whose
-// events/sec dropped by more than the tolerance.
+// worms/sec dropped by more than the tolerance. Worms/sec is the gated
+// unit because a worm is a fixed amount of simulated work; an event is
+// not: how many a worm pops depends on contention (DESIGN.md §9.1).
 #pragma once
 
+#include <array>
 #include <cstdint>
 #include <iosfwd>
 #include <string>
@@ -49,6 +52,8 @@ struct PerfMeasurement {
   int repeats = 0;
   double best_seconds = 0.0;
   std::uint64_t events = 0;       ///< events processed per repeat
+  /// `events` split by EventKind: generate, header advance, release, done.
+  std::array<std::uint64_t, sim::kEventKinds> events_by_kind{};
   std::uint64_t worms = 0;        ///< worms spawned per repeat
   double events_per_sec = 0.0;
   double worms_per_sec = 0.0;
@@ -71,7 +76,7 @@ struct PerfReport {
   int threads_available = 0;
   /// Build/host/resource provenance (git describe, compiler, flags,
   /// wall/CPU time, peak RSS): a committed report says what produced it.
-  /// Its field names never collide with read_baseline_events_per_sec's
+  /// Its field names never collide with read_baseline_worms_per_sec's
   /// line greps, so old and new reports stay interchangeable as baselines.
   obs::RunManifest manifest;
   std::vector<PerfMeasurement> measurements;
@@ -81,15 +86,15 @@ void write_report_json(const PerfReport& report, std::ostream& out);
 void write_report_json_file(const PerfReport& report,
                             const std::string& path);
 
-/// Extract {id -> events_per_sec} from a report previously written by
+/// Extract {id -> worms_per_sec} from a report previously written by
 /// write_report_json. Throws mcs::ConfigError on unreadable/mismatched
 /// files (a hand-edited baseline should fail loudly, not parse quietly).
 [[nodiscard]] std::vector<std::pair<std::string, double>>
-read_baseline_events_per_sec(const std::string& path);
+read_baseline_worms_per_sec(const std::string& path);
 
 /// Compare against a committed baseline report. Returns the list of
 /// human-readable violations (empty = pass): a scenario regresses when
-/// new_events_per_sec < (1 - tolerance) * baseline_events_per_sec.
+/// new_worms_per_sec < (1 - tolerance) * baseline_worms_per_sec.
 /// Scenarios present on only one side are reported as violations too —
 /// silently dropping a workload is how perf gates rot.
 [[nodiscard]] std::vector<std::string> compare_to_baseline(

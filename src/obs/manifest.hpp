@@ -31,7 +31,7 @@ struct RunManifest {
   /// Emit as one JSON object `{...}` (no trailing newline), `indent`
   /// leading spaces on each inner line when > 0, compact when 0. Field
   /// names are chosen to never collide with the perf baseline reader's
-  /// line greps ("id", "events_per_sec").
+  /// line greps ("id", "worms_per_sec").
   void write_json(std::ostream& out, int indent = 0) const;
 
  private:

@@ -162,6 +162,16 @@ void WormholeEngine::request(WormId id, double now) {
   const GlobalChannelId c =
       path_pool_[row(id) + static_cast<std::size_t>(w.hop)];
   ChannelState& ch = channels_[static_cast<std::size_t>(c)];
+  if (ch.holder == ChannelState::kDraining && ch.wait_head == Worm::kNoWorm) {
+    // The release was never pushed. If it would already have popped, the
+    // channel is free; otherwise push it at its reserved place in the
+    // order and queue behind it.
+    if (queue_.popped_before(ch.free_at, ch.free_seq)) {
+      ch.holder = Worm::kNoWorm;
+    } else {
+      queue_.push_reserved(ch.free_at, EventKind::kRelease, c, ch.free_seq);
+    }
+  }
   if (ch.holder == Worm::kNoWorm) {
     MCS_ASSERT(ch.wait_head == Worm::kNoWorm);
     acquire(id, now);
@@ -198,6 +208,9 @@ void WormholeEngine::handle(const Event& event) {
       header_advanced(event.a, event.time);
       break;
     case EventKind::kRelease:
+      // Only releases with a waiter are ever pushed (finish_header).
+      MCS_ASSERT(channels_[static_cast<std::size_t>(event.a)].wait_head !=
+                 Worm::kNoWorm);
       release(event.a, event.time);
       break;
     case EventKind::kWormDone: {
@@ -313,11 +326,26 @@ void WormholeEngine::finish_header(WormId id, double now) {
   // non-decreasing in j; the worm is done when the tail crosses the last
   // channel. The max() guards the M == path-length edge case where a
   // release could precede this event (see the header comment).
+  //
+  // Each release takes its seq now, in hop order, but is pushed only when
+  // a worm already waits for the channel; otherwise the channel drains
+  // and request() pushes it (or finds it past) when a worm asks. A
+  // release with no waiter changes no state when it pops, so skipping it
+  // leaves every other event's order and effect unchanged (DESIGN.md
+  // §9.1).
   double done = now;
   for (std::size_t j = 0; j < hops; ++j) {
     const double rel = std::max(prev[j] + svc[j], now);
     account(path[j], acquire[j], rel);
-    queue_.push(rel, EventKind::kRelease, path[j]);
+    const std::uint64_t seq = queue_.reserve_seq();
+    ChannelState& ch = channels_[static_cast<std::size_t>(path[j])];
+    ch.holder = ChannelState::kDraining;
+    if (ch.wait_head != Worm::kNoWorm) {
+      queue_.push_reserved(rel, EventKind::kRelease, path[j], seq);
+    } else {
+      ch.free_at = rel;
+      ch.free_seq = seq;
+    }
     done = std::max(done, rel);
   }
   queue_.push(done, EventKind::kWormDone, id);

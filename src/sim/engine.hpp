@@ -132,10 +132,18 @@ class WormholeEngine {
   }
 
  private:
+  /// holder == kDraining: a worm's tail is draining out of the channel,
+  /// and its kRelease (free_at, free_seq) is pushed only once a waiter
+  /// queues (DESIGN.md §9.1). With waiters it is in the queue; without,
+  /// it was never pushed.
   struct ChannelState {
     WormId holder = Worm::kNoWorm;
     WormId wait_head = Worm::kNoWorm;
     WormId wait_tail = Worm::kNoWorm;
+    double free_at = 0.0;
+    std::uint64_t free_seq = 0;
+
+    static constexpr WormId kDraining = -2;
   };
 
   [[nodiscard]] std::size_t row(WormId id) const {

@@ -1,15 +1,16 @@
 // Pending-event set for the discrete-event simulator: a 4-ary min-heap
 // over 16-byte packed entries, ordered by (time, sequence number).
 //
-// Determinism contract: every pushed event gets a unique, monotonically
-// increasing sequence number, so (time, seq) is a STRICT total order over
-// all events that ever coexist in the queue. Any correct priority queue
-// over a strict total order pops the exact same sequence — which is what
-// lets the heap layout change (binary -> 4-ary, packed entries, hole
-// sifting) without perturbing simulation results by a single bit. The
-// property tests in tests/event_queue_test.cpp check this equivalence
-// against a std::priority_queue oracle; tests/sim_golden_test.cpp pins
-// end-to-end results.
+// Determinism contract: every event gets a unique, monotonically
+// increasing sequence number when it is scheduled (push, or reserve_seq
+// for an event pushed later or never), so (time, seq) is a STRICT total
+// order over all events that ever coexist in the queue. Any correct
+// priority queue over a strict total order pops the exact same sequence
+// — which is what lets the heap layout change (binary -> 4-ary, packed
+// entries, hole sifting) without perturbing simulation results by a
+// single bit. The property tests in tests/event_queue_test.cpp check this
+// equivalence against a std::priority_queue oracle;
+// tests/sim_golden_test.cpp pins end-to-end results.
 //
 // Layout choices (DESIGN.md §9):
 //  - 4-ary: the simulator is pop-heavy (every push is eventually popped
@@ -37,6 +38,7 @@ enum class EventKind : std::uint8_t {
   kRelease,        ///< a = global channel id (tail crossed; free it)
   kWormDone        ///< a = worm id (tail fully at endpoint)
 };
+inline constexpr std::size_t kEventKinds = 4;
 
 struct Event {
   double time;
@@ -79,18 +81,36 @@ class EventQueue {
 
   void push(double time, EventKind kind, std::int32_t a) {
     MCS_EXPECTS(time >= last_pop_time_);
+    insert(time, kind, a, reserve_seq());
+  }
+
+  /// Take the next sequence number without pushing anything. The event it
+  /// orders is pushed later through push_reserved(), or never: a number
+  /// that is never pushed only leaves a gap in the seq order, so every
+  /// event that is pushed pops exactly where it would have (DESIGN.md
+  /// §9.1).
+  [[nodiscard]] std::uint64_t reserve_seq() {
     // seq gets 64 - 26 = 38 bits in the packed word; wrapping would
     // silently break the tie-break total order, so fail loudly instead
     // (~2.75e11 events; a register compare + never-taken branch).
     MCS_EXPECTS(next_seq_ < (std::uint64_t{1} << (64 - kABits - kKindBits)));
-    const Packed packed{
-        time, (next_seq_++ << (kABits + kKindBits)) |
-                  (static_cast<std::uint64_t>(kind) << kABits) |
-                  static_cast<std::uint64_t>(static_cast<std::uint32_t>(a))};
-    std::vector<Packed>& lane =
-        gen_lane_ && kind == EventKind::kGenerate ? gen_ : heap_;
-    lane.push_back(packed);
-    sift_up(lane, lane.size() - 1);
+    return next_seq_++;
+  }
+
+  /// Push under a seq taken by reserve_seq(). The event must still order
+  /// after the last popped one (for a fresh seq: not in the past).
+  void push_reserved(double time, EventKind kind, std::int32_t a,
+                     std::uint64_t seq) {
+    MCS_EXPECTS(seq < next_seq_ && !popped_before(time, seq));
+    insert(time, kind, a, seq);
+  }
+
+  /// True when (time, seq) orders before the last popped event — while
+  /// that event is being handled, an event with this key would already
+  /// have popped had it been pushed.
+  [[nodiscard]] bool popped_before(double time, std::uint64_t seq) const {
+    return time < last_pop_time_ ||
+           (time == last_pop_time_ && seq < last_pop_seq_);
   }
 
   [[nodiscard]] bool empty() const { return heap_.empty() && gen_.empty(); }
@@ -107,10 +127,13 @@ class EventQueue {
     lane.front() = lane.back();
     lane.pop_back();
     if (!lane.empty()) sift_down(lane, 0);
-    last_pop_time_ = out.time;
-    return unpack(out);
+    const Event event = unpack(out);
+    last_pop_time_ = event.time;
+    last_pop_seq_ = event.seq;
+    return event;
   }
 
+  /// Sequence numbers handed out so far, pushed or only reserved.
   [[nodiscard]] std::uint64_t pushed() const { return next_seq_; }
 
  private:
@@ -129,6 +152,18 @@ class EventQueue {
              ((time == other.time) & (meta > other.meta));
     }
   };
+
+  void insert(double time, EventKind kind, std::int32_t a,
+              std::uint64_t seq) {
+    const Packed packed{
+        time, (seq << (kABits + kKindBits)) |
+                  (static_cast<std::uint64_t>(kind) << kABits) |
+                  static_cast<std::uint64_t>(static_cast<std::uint32_t>(a))};
+    std::vector<Packed>& lane =
+        gen_lane_ && kind == EventKind::kGenerate ? gen_ : heap_;
+    lane.push_back(packed);
+    sift_up(lane, lane.size() - 1);
+  }
 
   static Event unpack(const Packed& p) {
     return Event{p.time, p.meta >> (kABits + kKindBits),
@@ -194,6 +229,7 @@ class EventQueue {
   bool gen_lane_ = false;
   std::uint64_t next_seq_ = 0;
   double last_pop_time_ = 0.0;
+  std::uint64_t last_pop_seq_ = 0;
 };
 
 }  // namespace mcs::sim

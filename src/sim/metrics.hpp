@@ -1,11 +1,13 @@
 // Result structures reported by one simulation run.
 #pragma once
 
+#include <array>
 #include <cstdint>
 #include <string>
 #include <vector>
 
 #include "obs/probe.hpp"
+#include "sim/event_queue.hpp"
 #include "topology/fat_tree.hpp"
 #include "util/stats.hpp"
 
@@ -63,6 +65,11 @@ struct SimResult {
 
   double end_time = 0.0;
   std::uint64_t events_processed = 0;
+  /// Popped events by EventKind (generate, header advance, release, worm
+  /// done); sums to events_processed, and the generate count equals
+  /// `generated`. A speed-up that moves a count other than the kind it
+  /// removes changed the simulation, not just its cost.
+  std::array<std::uint64_t, kEventKinds> events_by_kind{};
   std::uint64_t worms_spawned = 0;
 
   /// Initial-transient deletion (SimConfig::warmup_deletion): measured

@@ -78,8 +78,8 @@ Simulator::Simulator(const topo::MultiClusterTopology& topology,
   // Pre-size the hot pools: recycled worm rows for the expected number of
   // concurrently live worms, and the pending-event heap's high-water mark
   // (the standing kGenerate event per node plus the in-flight worm events
-  // — a worm contributes one pending event while advancing and a burst of
-  // path-length + 1 at drain time).
+  // — a worm contributes one pending event while advancing and, at drain
+  // time, its kWormDone plus up to one kRelease per hop).
   engine_.reserve_worms(256, layout_.max_path_len);
   queue_.enable_generate_lane(static_cast<std::size_t>(n));
   queue_.reserve(static_cast<std::size_t>(n) +
@@ -122,8 +122,14 @@ Simulator::Simulator(const topo::MultiClusterTopology& topology,
   }
 }
 
+std::uint64_t Simulator::events_processed() const {
+  std::uint64_t sum = 0;
+  for (const std::uint64_t n : events_by_kind_) sum += n;
+  return sum;
+}
+
 Simulator::StopCause Simulator::should_stop(double now) const {
-  if (events_processed_ > config_.max_events) return StopCause::kEvents;
+  if (events_processed() > config_.max_events) return StopCause::kEvents;
   if (now > config_.max_time) return StopCause::kTime;
   if (engine_.waiting_worms() > waiting_cap_) return StopCause::kWorms;
   if (generated_ > generated_cap_) return StopCause::kGenerated;
@@ -165,10 +171,16 @@ SimResult Simulator::run() {
     result.saturation_reason = text.reason;
     result.saturation_cause = text.cause;
   };
+  // The resource caps are polled every 4096 pops (`popped` stays in a
+  // register; events_by_kind_ counts the same pops by kind). The drift
+  // test is read at each pop, so an overloaded run stops at the measured
+  // batch whose mean fired it.
   double now = 0.0;
-  while (delivered_measured_ < config_.measured_messages) {
+  std::uint64_t popped = 0;
+  while (delivered_measured_ < config_.measured_messages &&
+         !drift_.fired()) {
     MCS_ASSERT(!queue_.empty());
-    if ((events_processed_ & 0xFFF) == 0) {
+    if ((popped & 0xFFF) == 0) {
       const StopCause cause = should_stop(now);
       if (cause != StopCause::kNone) {
         mark_saturated(cause);
@@ -176,7 +188,8 @@ SimResult Simulator::run() {
       }
     }
     const Event ev = queue_.pop();
-    ++events_processed_;
+    ++popped;
+    ++events_by_kind_[static_cast<std::size_t>(ev.kind)];
     now = ev.time;
     if (ev.kind == EventKind::kGenerate) {
       handle_generate(ev.a, now);
@@ -188,9 +201,12 @@ SimResult Simulator::run() {
     // event flow is bit-identical with probes on or off.
     if (probes_ != nullptr && probes_->due(now)) record_probe(now);
   }
-  // The drift test may fire after the last cap check; reading it here
-  // keeps the verdict independent of the check cadence.
-  if (!result.saturated && drift_.fired()) mark_saturated(StopCause::kDrift);
+  // A cap may be crossed after the last poll; re-reading every stop here
+  // keeps the verdict independent of the polling cadence.
+  if (!result.saturated) {
+    const StopCause cause = should_stop(now);
+    if (cause != StopCause::kNone) mark_saturated(cause);
+  }
   if (probes_ != nullptr &&
       (probes_->samples().empty() || now > probes_->samples().back().time)) {
     // Always close the series with the final state: short runs whose
@@ -239,7 +255,8 @@ SimResult Simulator::run() {
   result.measured_external =
       static_cast<std::int64_t>(external_latency_.count());
   result.end_time = now;
-  result.events_processed = events_processed_;
+  result.events_processed = popped;
+  result.events_by_kind = events_by_kind_;
   result.worms_spawned = engine_.total_spawned();
   for (const auto& m : per_cluster_) {
     result.per_cluster_latency.push_back(m.mean());
@@ -262,7 +279,7 @@ SimResult Simulator::run() {
 void Simulator::record_probe(double now) {
   obs::ProbeSample s;
   s.time = now;
-  s.events = events_processed_;
+  s.events = events_processed();
   s.queue_depth = static_cast<std::int64_t>(queue_.size());
   s.live_worms = engine_.live_worms();
   s.waiting_worms = engine_.waiting_worms();

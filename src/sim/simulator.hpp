@@ -6,6 +6,7 @@
 // phasing, and full determinism from a single seed.
 #pragma once
 
+#include <array>
 #include <cstdint>
 #include <limits>
 #include <span>
@@ -64,6 +65,9 @@ struct SimConfig {
   // cap is hit before all measured messages are delivered, or as soon as
   // the measured latency's batch means drift upward (util::DriftTest,
   // DESIGN.md §11.5; its constants live with the test, not here).
+  /// Cap on popped events (SimResult::events_processed). A channel
+  /// release nobody waits for is never pushed or popped (DESIGN.md §9.1),
+  /// so the pops per worm depend on contention.
   std::uint64_t max_events = 400'000'000;
   double max_time = std::numeric_limits<double>::infinity();
   /// Cap on simultaneously blocked worms; <= 0 selects 50 * total nodes.
@@ -126,6 +130,7 @@ class Simulator : private WormholeEngine::Listener {
     kDrift,
   };
   [[nodiscard]] StopCause should_stop(double now) const;
+  [[nodiscard]] std::uint64_t events_processed() const;
   /// Take one probe snapshot at `now` (config_.probes must be set).
   void record_probe(double now);
   /// Emit the completed leg's trace spans (worm wait/leg/hop spans).
@@ -190,7 +195,8 @@ class Simulator : private WormholeEngine::Listener {
   std::vector<util::OnlineMoments> per_cluster_;
   std::int64_t waiting_cap_ = 0;
   std::int64_t generated_cap_ = 0;
-  std::uint64_t events_processed_ = 0;
+  /// Pops by EventKind; their sum is events_processed().
+  std::array<std::uint64_t, kEventKinds> events_by_kind_{};
 
   // Observability state (null/zero when observers are off). The
   // per-class busy accumulators turn the engine's cumulative busy-time

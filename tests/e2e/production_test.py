@@ -277,6 +277,10 @@ def test_perf_smoke_contract(h):
     check(doc.get("scenarios"), "perf report has no scenario measurements")
     check("manifest" in doc, "perf report has no manifest")
     check("events" in proc.stdout, "perf table not printed")
+    for s in doc["scenarios"]:
+        check(sum(s["events_by_kind"]) == s["events"],
+              f"{s['id']}: pops by kind {s['events_by_kind']} do not sum "
+              f"to {s['events']} events")
     return f"{len(doc['scenarios'])} perf scenarios measured"
 
 

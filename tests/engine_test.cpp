@@ -103,6 +103,28 @@ TEST(Engine, FifoOrderAmongThreeWaiters) {
   EXPECT_LT(capture.done[2], capture.done[1]);
 }
 
+TEST(Engine, LateReleaseKeepsItsReservedPlaceInTheOrder) {
+  // A's tail frees X at t=4 with nobody waiting, so the release is only
+  // reserved (at t=1). C's header event for t=4 is scheduled after that,
+  // at t=3; B asks for X at t=3.5, which pushes the release. It must pop
+  // at its reserved place, before C's header: B then gets X, and its next
+  // header event (t=5) is pushed before C's, so B wins V at t=5. Pushing
+  // the release under a fresh seq would hand V to C instead.
+  const GlobalChannelId w = 0, x = 1, y = 2, u = 3, v = 4;
+  EventQueue queue;
+  DoneCapture capture;
+  WormholeEngine engine({1.0, 1.0, 1.0, 1.0, 1.0}, 4, queue, capture);
+  capture.engine = &engine;
+  engine.spawn(/*A*/ 0, std::vector<GlobalChannelId>{x}, 0.0);
+  engine.spawn(/*B*/ 1, std::vector<GlobalChannelId>{w, x, v}, 2.5);
+  while (queue.top().time <= 1.0) engine.handle(queue.pop());
+  engine.spawn(/*C*/ 2, std::vector<GlobalChannelId>{y, u, v}, 3.0);
+  run_all(queue, engine);
+  EXPECT_EQ(capture.acquires[1], (std::vector<double>{2.5, 4.0, 5.0}));
+  EXPECT_EQ(capture.acquires[2][1], 4.0);
+  EXPECT_GT(capture.acquires[2][2], 5.0);
+}
+
 TEST(Engine, WormSlotsAreRecycled) {
   EventQueue queue;
   DoneCapture capture;

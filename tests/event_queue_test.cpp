@@ -126,6 +126,88 @@ TEST(EventQueueProperty, MatchesPriorityQueueOracleOnRandomWorkloads) {
   }
 }
 
+TEST(EventQueueProperty, LatePushedReservationsKeepTheOracleOrder) {
+  // reserve_seq() hands out a seq without pushing; a random subset of
+  // those reservations is pushed later through push_reserved() (while
+  // popped_before() says its turn has not come), the rest never. A shadow
+  // oracle holds EVERY scheduled event, pushed or not: the queue must pop
+  // the pushed ones in oracle order, the shadow events that pass between
+  // two pops must all be unpushed reservations, and popped_before() must
+  // name exactly the reservations the shadow has passed.
+  for (std::uint64_t trial = 0; trial < 40; ++trial) {
+    util::Rng rng(5000 + trial);
+    EventQueue q;
+    Oracle oracle;  // pushed events
+    Oracle shadow;  // every scheduled event
+    std::vector<Event> pending;  // reserved, not (yet) pushed
+    std::vector<bool> pushed;    // by seq
+    std::vector<bool> passed;    // by seq: the shadow popped it
+    double now = 0.0;
+    const auto pop_and_check = [&] {
+      const Event expected = oracle.top();
+      oracle.pop();
+      const Event got = q.pop();
+      ASSERT_EQ(got.time, expected.time);
+      ASSERT_EQ(got.seq, expected.seq);
+      ASSERT_EQ(got.kind, expected.kind);
+      ASSERT_EQ(got.a, expected.a);
+      for (;;) {
+        const Event s = shadow.top();
+        shadow.pop();
+        if (s.seq == got.seq) break;
+        ASSERT_FALSE(pushed[s.seq]);  // a pushed event may not be skipped
+        passed[s.seq] = true;
+      }
+      now = got.time;
+      for (const Event& r : pending)
+        ASSERT_EQ(q.popped_before(r.time, r.seq), passed[r.seq]);
+    };
+    for (int step = 0; step < 4000; ++step) {
+      const std::uint64_t op = rng.next_below(100);
+      // Offsets are 0 in over 40% of draws and small integers in more, so
+      // exact time ties are common across every source, including the
+      // event just popped.
+      const std::uint64_t tie = rng.next_below(3);
+      const double time =
+          now + (tie == 2 ? rng.next_double() * 8.0
+                          : static_cast<double>(tie * rng.next_below(3)));
+      const auto kind = static_cast<EventKind>(rng.next_below(4));
+      const auto a = static_cast<std::int32_t>(rng.next_below(512));
+      if (op < 30) {
+        const Event e{time, q.pushed(), kind, a};
+        q.push(time, kind, a);
+        oracle.push(e);
+        shadow.push(e);
+        pushed.push_back(true);
+        passed.push_back(false);
+      } else if (op < 55) {
+        const Event e{time, q.reserve_seq(), kind, a};
+        shadow.push(e);
+        pending.push_back(e);
+        pushed.push_back(false);
+        passed.push_back(false);
+      } else if (op < 70 && !pending.empty()) {
+        const std::size_t i = rng.next_below(pending.size());
+        const Event e = pending[i];
+        pending.erase(pending.begin() + static_cast<std::ptrdiff_t>(i));
+        if (q.popped_before(e.time, e.seq)) continue;  // its turn is gone
+        q.push_reserved(e.time, e.kind, e.a, e.seq);
+        oracle.push(e);
+        pushed[e.seq] = true;
+      } else if (!oracle.empty()) {
+        pop_and_check();
+        if (HasFatalFailure()) return;
+      }
+      ASSERT_EQ(q.size(), oracle.size());
+    }
+    while (!oracle.empty()) {
+      pop_and_check();
+      if (HasFatalFailure()) return;
+    }
+    EXPECT_TRUE(q.empty());
+  }
+}
+
 TEST(EventQueueProperty, BurstyTiesPopInSeqOrder) {
   // Adversarial tie pattern: many bursts pushed at identical times in
   // shuffled arrival order must come out in global seq order per time.
@@ -173,6 +255,16 @@ TEST(EventQueueProperty, ReserveDoesNotChangeBehavior) {
 TEST(EventQueueDeathTest, PopOnEmptyAborts) {
   EventQueue q;
   EXPECT_DEATH((void)q.pop(), "precondition");
+}
+
+TEST(EventQueueDeathTest, PushingAReservationPastItsTurnAborts) {
+  EventQueue q;
+  const std::uint64_t seq = q.reserve_seq();
+  q.push(1.0, EventKind::kHeaderAdvance, 0);
+  (void)q.pop();
+  EXPECT_TRUE(q.popped_before(1.0, seq));
+  EXPECT_DEATH(q.push_reserved(1.0, EventKind::kRelease, 0, seq),
+               "precondition");
 }
 
 TEST(EventQueueDeathTest, SchedulingInThePastAborts) {

@@ -123,7 +123,7 @@ TEST(ObsContract, GoldenFingerprintUnchangedUnderInstrumentation) {
             "p95=0x1.6da9fbe776p+5 p99=0x1.a984401af0c8fp+5 "
             "int=0x1.1a8ca7212bc6ep+4 ext=0x1.517f4110574acp+5 "
             "srcw=0x1.6106691841892p-6 end=0x1.41d917121a988p+18 "
-            "events=44474 gen=2200 nint=703 next=1297");
+            "events=25967 gen=2200 nint=703 next=1297");
 }
 
 TEST(ObsContract, AllGoldenVariantsBitIdenticalWithObservers) {

@@ -281,10 +281,10 @@ TEST(RunManifest, CapturesProvenanceAndResources) {
   EXPECT_EQ(doc.at("git").string, manifest.git);
   EXPECT_EQ(doc.at("hostname").string, manifest.hostname);
   EXPECT_GE(doc.at("wall_seconds").number, 0.0);
-  // The perf baseline reader line-greps for "id": and "events_per_sec":;
+  // The perf baseline reader line-greps for "id": and "worms_per_sec":;
   // the manifest must never emit those substrings or old baselines break.
   EXPECT_EQ(compact.str().find("\"id\":"), std::string::npos);
-  EXPECT_EQ(compact.str().find("\"events_per_sec\":"), std::string::npos);
+  EXPECT_EQ(compact.str().find("\"worms_per_sec\":"), std::string::npos);
 
   std::ostringstream indented;
   manifest.write_json(indented, 4);

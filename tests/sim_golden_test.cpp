@@ -80,7 +80,7 @@ TEST(SimGolden, WormholeFatTree) {
             "p95=0x1.6da9fbe776p+5 p99=0x1.a984401af0c8fp+5 "
             "int=0x1.1a8ca7212bc6ep+4 ext=0x1.517f4110574acp+5 "
             "srcw=0x1.6106691841892p-6 end=0x1.41d917121a988p+18 "
-            "events=44474 gen=2200 nint=703 next=1297");
+            "events=25967 gen=2200 nint=703 next=1297");
 }
 
 TEST(SimGolden, WormholeTorus) {
@@ -89,7 +89,7 @@ TEST(SimGolden, WormholeTorus) {
             "p95=0x1.aaac08312p+5 p99=0x1.f7811de43c87p+5 "
             "int=0x1.0a9e689bc318ap+4 ext=0x1.8a6c045fd2c29p+5 "
             "srcw=0x1.f7aa0a37a4dcfp-7 end=0x1.b49bc7a1a3dep+17 "
-            "events=49348 gen=2201 nint=319 next=1681");
+            "events=28830 gen=2201 nint=319 next=1681");
 }
 
 TEST(SimGolden, StoreAndForwardFatTree) {
@@ -130,7 +130,7 @@ TEST(SimGolden, WormholeHeteroTechnology) {
             "p95=0x1.e76872b01ep+5 p99=0x1.31ae3e1f8b6b8p+6 "
             "int=0x1.cb15ee2d01fd2p+4 ext=0x1.8556834ce0efep+5 "
             "srcw=0x1.8cbfeca8424e5p-5 end=0x1.41d605eb311f9p+18 "
-            "events=44474 gen=2200 nint=703 next=1297");
+            "events=25977 gen=2200 nint=703 next=1297");
 }
 
 TEST(SimGolden, WormholeHeteroLoadScale) {
@@ -144,7 +144,7 @@ TEST(SimGolden, WormholeHeteroLoadScale) {
             "p95=0x1.6da9fbe776p+5 p99=0x1.ac2bc518f3599p+5 "
             "int=0x1.14900995c48f7p+4 ext=0x1.4f9adbb91f0c3p+5 "
             "srcw=0x1.17f283224148p-6 end=0x1.464d187fb1ef5p+18 "
-            "events=45468 gen=2200 nint=557 next=1443");
+            "events=26638 gen=2200 nint=557 next=1443");
 }
 
 TEST(SimGolden, WormholeCutThroughRelay) {
@@ -155,15 +155,15 @@ TEST(SimGolden, WormholeCutThroughRelay) {
             "p95=0x1.4f851eb85p+4 p99=0x1.f5ba2d2d3979ap+4 "
             "int=0x1.1a8ca7212bc6ep+4 ext=0x1.4494fb66ad2d4p+4 "
             "srcw=0x1.ad83128d0106dp-6 end=0x1.41d4cfe7188b6p+18 "
-            "events=41632 gen=2200 nint=703 next=1297");
+            "events=23130 gen=2200 nint=703 next=1297");
 }
 
 TEST(SimGolden, DriftStopOverloaded) {
   // 2.4x the refined knee (4.13e-3) of the tree system: the latency batch
-  // means climb from the first batch and the drift test stops the run
-  // after 8 of its 20 batches, long before the 8800-message generation
-  // cap. Without the test the run delivered all 2000 measured messages
-  // and reported a 736.8-cycle mean as a completed run.
+  // means climb from the first batch and the drift test stops the run at
+  // the end of its 7th of 20 batches, long before the 8800-message
+  // generation cap. Without the test the run delivered all 2000 measured
+  // messages and reported a 736.8-cycle mean as a completed run.
   topo::MultiClusterTopology topology(tree_system());
   model::NetworkParams params;
   Simulator sim(topology, params, 1e-2, golden_config());
@@ -174,7 +174,32 @@ TEST(SimGolden, DriftStopOverloaded) {
                 " events=" + std::to_string(r.events_processed) +
                 " gen=" + std::to_string(r.generated) +
                 " delivered=" + std::to_string(r.delivered_measured),
-            "end=0x1.b04521f2a726p+11 events=20480 gen=1167 delivered=801");
+            "end=0x1.867a18d04d9fdp+11 events=13286 gen=1050 delivered=700");
+}
+
+TEST(SimGolden, EventKindCounts) {
+  // Pops by EventKind on the fat-tree and torus goldens. The generate,
+  // header-advance and worm-done counts equal those of an engine that
+  // pushes every channel release; only the release pops may differ, since
+  // a release nobody waits for is never pushed (DESIGN.md §9.1). Pushing
+  // every release pops 18616 and 20624 of them here.
+  const auto kinds = [](const topo::SystemConfig& system) {
+    topo::MultiClusterTopology topology(system);
+    model::NetworkParams params;
+    Simulator sim(topology, params, 2e-4, golden_config());
+    const SimResult r = sim.run();
+    std::uint64_t sum = 0;
+    for (const std::uint64_t n : r.events_by_kind) sum += n;
+    EXPECT_EQ(sum, r.events_processed);
+    EXPECT_EQ(r.events_by_kind[0], static_cast<std::uint64_t>(r.generated));
+    return "gen=" + std::to_string(r.events_by_kind[0]) +
+           " hdr=" + std::to_string(r.events_by_kind[1]) +
+           " rel=" + std::to_string(r.events_by_kind[2]) +
+           " done=" + std::to_string(r.events_by_kind[3]);
+  };
+  EXPECT_EQ(kinds(tree_system()), "gen=2200 hdr=18616 rel=109 done=5042");
+  EXPECT_EQ(kinds(torus_system(/*wrap=*/true)),
+            "gen=2201 hdr=20627 rel=106 done=5896");
 }
 
 }  // namespace

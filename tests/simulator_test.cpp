@@ -128,6 +128,21 @@ TEST_F(SimulatorTest, SaturationIsDetectedAndFlagged) {
   EXPECT_FALSE(r.saturation_reason.empty());
 }
 
+TEST_F(SimulatorTest, CapVerdictDoesNotDependOnPollCadence) {
+  // The caps are polled every 4096 pops, and this run ends in fewer: the
+  // time cap must still be read once the loop is done.
+  SimConfig cfg = small_run(100);
+  cfg.warmup_messages = 20;
+  cfg.batch_size = 50;
+  const SimResult full = Simulator(topo_, params_, 1e-4, cfg).run();
+  ASSERT_FALSE(full.saturated);
+  ASSERT_LT(full.events_processed, 4096u);
+  cfg.max_time = 0.5 * full.end_time;
+  const SimResult capped = Simulator(topo_, params_, 1e-4, cfg).run();
+  EXPECT_TRUE(capped.saturated);
+  EXPECT_EQ(capped.saturation_cause, "time");
+}
+
 TEST_F(SimulatorTest, ChannelStatsMatchOfferedLoad) {
   SimConfig cfg = small_run(12000);
   cfg.collect_channel_stats = true;
