@@ -2,7 +2,9 @@
 // of PaperModel/RefinedModel predict() and of find_saturation() on
 // configurations spanning both Table 1 organizations, a large homogeneous
 // fat tree, per-cluster technology and load overrides, a locality-biased
-// p_out_override, store-and-forward flow control and every graph ICN2.
+// p_out_override, store-and-forward flow control and every graph ICN2
+// (the torus also as a mesh, under store-and-forward, with mixed cluster
+// heights and overrides, and at 128 clusters).
 //
 // Like sim_golden_test these are bit-exact: doubles are rendered as C
 // hexfloats (%a), so any restructuring of the model kernels (hoisting,
@@ -223,6 +225,46 @@ TEST(ModelGolden, GraphIcn2s) {
             "  mean=0x1.919b57b7c40c3p+5 stable=1 clusters=86b807eec19dc034\n"
             "  mean=0x1.12192c205d15dp+6 stable=1 clusters=15bbf572e3047b3c\n"
             "  mean=inf stable=0 clusters=2e3b2df1b6b983cf");
+  EXPECT_EQ(refined(graph_system(topo::Icn2Kind::kTorus), {},
+                    FlowControl::kStoreAndForward),
+            "refined sat=0x1.6d4d3dcb08d3fp-9 it=12\n"
+            "  mean=0x1.f5143155c907ap+6 stable=1 clusters=aa8d487540ea10d6\n"
+            "  mean=0x1.13758218348f4p+7 stable=1 clusters=27ffaeaf200c5fd4\n"
+            "  mean=inf stable=0 clusters=96b3dcf5beaa0ca3");
+  topo::SystemConfig mesh = graph_system(topo::Icn2Kind::kTorus);
+  mesh.icn2.torus_wrap = false;
+  EXPECT_EQ(refined(mesh),
+            "refined sat=0x1.f91e58469ee59p-10 it=13\n"
+            "  mean=0x1.8a5fc43cab862p+5 stable=1 clusters=0b35353b36bc92ab\n"
+            "  mean=0x1.000b75cc52dfep+6 stable=1 clusters=e0960ab7201dfe27\n"
+            "  mean=inf stable=0 clusters=c67ff384dfdb8503");
+
+  // A torus whose clusters differ in height and load, behind an ICN2 of
+  // its own technology: every per-source and per-destination input of
+  // the graph leg differs.
+  topo::SystemConfig cfg;
+  cfg.m = 4;
+  cfg.cluster_heights = {2, 3, 2, 1, 2, 3};
+  cfg.icn2.kind = topo::Icn2Kind::kTorus;
+  cfg.icn2_net.alpha_net = 0.04;
+  cfg.icn2_net.beta_net = 0.001;
+  cfg.load_scale = {2.0, 0.5, 1.0, 1.5, 0.75, 1.0};
+  EXPECT_EQ(refined(cfg),
+            "refined sat=0x1.76b8f1d286494p-9 it=11\n"
+            "  mean=0x1.4958373d406a6p+5 stable=1 clusters=d8dfa7c5c90eb658\n"
+            "  mean=0x1.150d6df43ae8cp+6 stable=1 clusters=612ff156a11cb8b9\n"
+            "  mean=inf stable=0 clusters=d9ae3b97628b9521");
+
+  // The 128-cluster 16x8 torus of the model campaign: 16,256 routed pairs.
+  topo::SystemConfig big = topo::SystemConfig::homogeneous(8, 2, 128);
+  big.icn2.kind = topo::Icn2Kind::kTorus;
+  big.icn2.torus_rows = 16;
+  big.icn2.torus_cols = 8;
+  EXPECT_EQ(refined(big),
+            "refined sat=0x1.cb2cdf8a1d0dfp-16 it=17\n"
+            "  mean=0x1.bc4ee83d9dcf7p+5 stable=1 clusters=7a8e595d13870187\n"
+            "  mean=0x1.e23c51686f264p+5 stable=1 clusters=1b715f662917ee6e\n"
+            "  mean=inf stable=0 clusters=72a9ccedd910fcf0");
 }
 
 }  // namespace
