@@ -30,35 +30,50 @@ struct PhysStage {
   double rate;
 };
 
-/// Convert physical stages to recursion stages. Under wormhole a worm
-/// occupies channel k for roughly M times the slowest channel at or
-/// beyond k (the body drains at the downstream bottleneck's rate), so
+/// The recursion base of a channel with flit time `t`, stepping backward
+/// from the journey's end. Under wormhole a worm occupies channel k for
+/// roughly M times the slowest channel at or beyond k (the body drains at
+/// the downstream bottleneck's rate), so
 ///   base_k = M * max_{k' >= k} t_{k'};
 /// under store-and-forward each channel is held for exactly one full
 /// message transmission, base_k = M * t_k, released before the next hop.
-/// Returns the recursion result (with the M/D/1-style residual waits) and,
-/// via `zero_load`, the contention-free occupancy of the first channel.
-/// `stages` is the caller's scratch buffer.
-RecursionResult run_stages(const std::vector<PhysStage>& phys, int flits,
-                           FlowControl flow, double& zero_load,
-                           std::vector<Stage>& stages) {
-  stages.resize(phys.size());
-  double run_max = 0.0;
-  for (std::size_t idx = phys.size(); idx-- > 0;) {
-    run_max = std::max(run_max, phys[idx].t);
-    const double per_flit =
-        flow == FlowControl::kStoreAndForward ? phys[idx].t : run_max;
-    stages[idx] = Stage{flits * per_flit, phys[idx].rate};
-  }
-  zero_load = stages.front().base;
-  return stage_recursion(stages, WaitModel::kResidual);
+/// `suffix_max` carries max t over the channels beyond k and takes in t_k.
+double occupancy(double t, double& suffix_max, int flits, FlowControl flow) {
+  suffix_max = std::max(suffix_max, t);
+  return flits * (flow == FlowControl::kStoreAndForward ? t : suffix_max);
 }
+
+/// The recursion (with the M/D/1-style residual waits) over physical
+/// stages ordered source to destination. Returns its result and, via
+/// `zero_load`, the contention-free occupancy of the first channel.
+RecursionResult run_stages(const std::vector<PhysStage>& phys, int flits,
+                           FlowControl flow, double& zero_load) {
+  MCS_EXPECTS(!phys.empty());
+  double suffix_max = 0.0;
+  SuffixState state;
+  double s = 0.0;
+  for (std::size_t idx = phys.size(); idx-- > 0;) {
+    zero_load = occupancy(phys[idx].t, suffix_max, flits, flow);
+    s = recursion_step({zero_load, phys[idx].rate}, WaitModel::kResidual,
+                       state);
+  }
+  return {s, state.stable};
+}
+
+/// One node of a graph ICN2 suffix tree under evaluation: run_stages'
+/// running values after stepping the node's channel.
+struct SuffixNode {
+  double suffix_max = 0.0;
+  SuffixState state;
+  double base = 0.0;  ///< the channel's occupancy
+  double s = 0.0;     ///< its service time S_k
+};
 
 }  // namespace
 
 struct RefinedModel::Scratch {
   std::vector<PhysStage> phys;
-  std::vector<Stage> stages;
+  std::vector<SuffixNode> suffix;  ///< one destination's suffix tree
 };
 
 RefinedModel::RefinedModel(topo::SystemConfig config, NetworkParams params,
@@ -115,6 +130,7 @@ RefinedModel::RefinedModel(topo::SystemConfig config, NetworkParams params,
 
   std::vector<double> p_out;
   for (const ClusterCache& c : clusters_) p_out.push_back(c.p_out);
+  const int c_count = config_.cluster_count();
   if (config_.icn2.kind == topo::Icn2Kind::kFatTree) {
     icn2_ = std::make_unique<topo::FatTree>(
         topo::TreeShape{config_.m, config_.icn2_height()});
@@ -128,7 +144,6 @@ RefinedModel::RefinedModel(topo::SystemConfig config, NetworkParams params,
     // funnel prefix up_i[1..h-1] of the source, the inbound coefficient
     // and down prefix down_v[1..h-1] of the destination, and the NCA level
     // h. Label both sides per level, then key each pair by all three.
-    const int c_count = config_.cluster_count();
     const int levels = config_.icn2_height();
     const auto prefix_equal = [](const std::vector<double>& a,
                                  const std::vector<double>& b, int h) {
@@ -171,6 +186,22 @@ RefinedModel::RefinedModel(topo::SystemConfig config, NetworkParams params,
     icn2_graph_ =
         std::make_unique<topo::ChannelGraph>(topo::make_icn2_graph(config_));
     icn2_coeff_ = GraphLoad::compute(*icn2_graph_, config_, p_out).coeff;
+
+    // One suffix tree per destination (suffix_forest.hpp), so the leg's
+    // recursion steps each distinct route suffix once.
+    icn2_suffixes_ = SuffixForest(icn2_graph_->channel_count());
+    std::vector<topo::ChannelId> route;
+    for (int v = 0; v < c_count; ++v) {
+      icn2_suffixes_.begin_tree();
+      for (int i = 0; i < c_count; ++i) {
+        if (i == v) continue;
+        route.clear();
+        const int stages =
+            icn2_graph_->route_into(static_cast<topo::EndpointId>(i),
+                                    static_cast<topo::EndpointId>(v), route);
+        icn2_graph_legs_.push_back({icn2_suffixes_.add(route), stages});
+      }
+    }
   }
 }
 
@@ -199,8 +230,7 @@ RefinedModel::SegmentResult RefinedModel::internal_segment(
     phys.push_back({tcn, lambda_int});  // ejection channel
     double zero_load = 0.0;
     const RecursionResult rec =
-        run_stages(phys, params_.message_flits, flow_, zero_load,
-                   scratch.stages);
+        run_stages(phys, params_.message_flits, flow_, zero_load);
     out.stable = out.stable && rec.stable;
     const double pj = c.hop_prob[static_cast<std::size_t>(j - 1)];
     out.s_mean += pj * rec.s0;
@@ -243,8 +273,7 @@ RefinedModel::SegmentResult RefinedModel::ecn1_outbound_segment(
     phys.push_back({tcn, funnel});  // ejection into the concentrator
     double zero_load = 0.0;
     const RecursionResult rec =
-        run_stages(phys, params_.message_flits, flow_, zero_load,
-                   scratch.stages);
+        run_stages(phys, params_.message_flits, flow_, zero_load);
     out.stable = out.stable && rec.stable;
     const double pj = c.conc_prob[static_cast<std::size_t>(j - 1)];
     out.s_mean += pj * rec.s0;
@@ -264,53 +293,30 @@ RefinedModel::SegmentResult RefinedModel::icn2_segment(
   const double out_rate = ci.nodes * ci.p_out * (ci.scale * lambda_g);
   const double in_rate = cv.in_coeff * lambda_g;
 
+  // Exact distance between the two concentrators in the ICN2 tree.
+  const int h = icn2_->nca_level(static_cast<topo::EndpointId>(i),
+                                 static_cast<topo::EndpointId>(v));
   std::vector<PhysStage>& phys = scratch.phys;
   phys.clear();
-
-  if (icn2_graph_) {
-    // Graph ICN2: walk the deterministic route i -> v; every channel's
-    // rate is its routing-table flow coefficient (graph_load.hpp). The
-    // switch segment comes by reference and `phys` is the call's scratch
-    // — predict() visits all C*(C-1) pairs, so this loop must not
-    // allocate.
-    auto coeff_stage = [&](topo::ChannelId c, double t) {
-      phys.push_back({t, icn2_coeff_[static_cast<std::size_t>(c)] *
+  phys.push_back({tcn, out_rate});
+  // Ascending and descending rates use the precomputed exact d-mod-k
+  // funnel coefficients (see the constructor): the down chain toward
+  // conc_v aggregates the inbound traffic of v's whole ICN2 leaf group —
+  // the true system bottleneck when large clusters share a leaf.
+  for (int l = 1; l < h; ++l)
+    phys.push_back({tcs, icn2_up_coeff_[static_cast<std::size_t>(i)]
+                                       [static_cast<std::size_t>(l)] *
                              lambda_g});
-    };
-    coeff_stage(icn2_graph_->injection_channel(
-                    static_cast<topo::EndpointId>(i)),
-                tcn);
-    for (const topo::ChannelId c : icn2_graph_->switch_route(
-             static_cast<topo::EndpointId>(i),
-             static_cast<topo::EndpointId>(v)))
-      coeff_stage(c, tcs);
-    coeff_stage(icn2_graph_->ejection_channel(
-                    static_cast<topo::EndpointId>(v)),
-                tcn);
-  } else {
-    // Exact distance between the two concentrators in the ICN2 tree.
-    const int h = icn2_->nca_level(static_cast<topo::EndpointId>(i),
-                                   static_cast<topo::EndpointId>(v));
-    phys.push_back({tcn, out_rate});
-    // Ascending and descending rates use the precomputed exact d-mod-k
-    // funnel coefficients (see the constructor): the down chain toward
-    // conc_v aggregates the inbound traffic of v's whole ICN2 leaf group —
-    // the true system bottleneck when large clusters share a leaf.
-    for (int l = 1; l < h; ++l)
-      phys.push_back({tcs, icn2_up_coeff_[static_cast<std::size_t>(i)]
+  for (int l = h - 1; l >= 1; --l)
+    phys.push_back({tcs, icn2_down_coeff_[static_cast<std::size_t>(v)]
                                          [static_cast<std::size_t>(l)] *
-                               lambda_g});
-    for (int l = h - 1; l >= 1; --l)
-      phys.push_back({tcs, icn2_down_coeff_[static_cast<std::size_t>(v)]
-                                           [static_cast<std::size_t>(l)] *
-                               lambda_g});
-    phys.push_back({tcn, in_rate});
-  }
+                             lambda_g});
+  phys.push_back({tcn, in_rate});
 
   SegmentResult out;
   double zero_load = 0.0;
-  const RecursionResult rec = run_stages(phys, params_.message_flits, flow_,
-                                         zero_load, scratch.stages);
+  const RecursionResult rec =
+      run_stages(phys, params_.message_flits, flow_, zero_load);
   out.stable = rec.stable;
   out.s_mean = rec.s0;
   out.s_zero = zero_load;
@@ -347,8 +353,7 @@ RefinedModel::SegmentResult RefinedModel::ecn1_inbound_segment(
     phys.push_back({tcn, per_node});
     double zero_load = 0.0;
     const RecursionResult rec =
-        run_stages(phys, params_.message_flits, flow_, zero_load,
-                   scratch.stages);
+        run_stages(phys, params_.message_flits, flow_, zero_load);
     out.stable = out.stable && rec.stable;
     const double pj = c.conc_prob[static_cast<std::size_t>(j - 1)];
     out.s_mean += pj * rec.s0;
@@ -356,6 +361,74 @@ RefinedModel::SegmentResult RefinedModel::ecn1_inbound_segment(
     out.r_mean += pj * pipeline_r(2 * j, c.net, flow_);
   }
   return out;
+}
+
+std::vector<RefinedModel::SegmentResult> RefinedModel::icn2_averages(
+    double lambda_g, Scratch& scratch) const {
+  const int c_count = config_.cluster_count();
+  std::vector<SegmentResult> avg(static_cast<std::size_t>(c_count));
+  // Adds the (i, v) leg with its uniform-destination weight N_v/(N - N_i).
+  // Each source's terms arrive in increasing v on both ICN2 paths.
+  const auto add = [&](int i, int v, const SegmentResult& leg) {
+    const double w = clusters_[static_cast<std::size_t>(v)].nodes /
+                     (total_nodes_ - clusters_[static_cast<std::size_t>(i)].nodes);
+    SegmentResult& a = avg[static_cast<std::size_t>(i)];
+    a.s_mean += w * leg.s_mean;
+    a.s_zero += w * leg.s_zero;
+    a.r_mean += w * leg.r_mean;
+    a.stable = a.stable && leg.stable;
+  };
+
+  if (!icn2_graph_) {
+    // Fat tree: the leg is a pair-class property, one segment per class.
+    std::vector<SegmentResult> class_legs;
+    class_legs.reserve(icn2_pairs_.rep.size());
+    for (const auto& [i, v] : icn2_pairs_.rep)
+      class_legs.push_back(icn2_segment(i, v, lambda_g, scratch));
+    for (int i = 0; i < c_count; ++i)
+      for (int v = 0; v < c_count; ++v)
+        if (v != i) add(i, v, class_legs[icn2_pairs_(i, v)]);
+    return avg;
+  }
+
+  // Graph ICN2: every channel's rate is its routing-table flow coefficient
+  // (graph_load.hpp). Destination by destination, one recursion step per
+  // suffix-tree node, parents first, repeats run_stages' operations on
+  // each pair's route [injection, switch route, ejection]; a pair's leg
+  // is its whole-route node.
+  const double tcn = icn2_params_.t_cn();
+  const double tcs = icn2_params_.t_cs();
+  std::vector<SuffixNode>& nodes = scratch.suffix;
+  std::size_t pair = 0;
+  for (int v = 0; v < c_count; ++v) {
+    const auto parents = icn2_suffixes_.parents(static_cast<std::size_t>(v));
+    const auto channels =
+        icn2_suffixes_.channels(static_cast<std::size_t>(v));
+    nodes.resize(parents.size());
+    for (std::size_t k = 0; k < parents.size(); ++k) {
+      SuffixNode& node = nodes[k];
+      node = parents[k] < 0 ? SuffixNode{}
+                            : nodes[static_cast<std::size_t>(parents[k])];
+      const topo::ChannelId c = channels[k];
+      const topo::ChannelKind kind = icn2_graph_->channel(c).kind;
+      const bool endpoint = kind == topo::ChannelKind::kInjection ||
+                            kind == topo::ChannelKind::kEjection;
+      node.base = occupancy(endpoint ? tcn : tcs, node.suffix_max,
+                            params_.message_flits, flow_);
+      node.s = recursion_step(
+          {node.base, icn2_coeff_[static_cast<std::size_t>(c)] * lambda_g},
+          WaitModel::kResidual, node.state);
+    }
+    for (int i = 0; i < c_count; ++i) {
+      if (i == v) continue;
+      const GraphLeg& leg = icn2_graph_legs_[pair++];
+      const SuffixNode& node = nodes[static_cast<std::size_t>(leg.node)];
+      add(i, v,
+          {node.s, node.base, pipeline_r(leg.stages, icn2_params_, flow_),
+           node.state.stable});
+    }
+  }
+  return avg;
 }
 
 std::vector<ClusterBreakdown> RefinedModel::evaluate_stations(
@@ -378,13 +451,9 @@ std::vector<ClusterBreakdown> RefinedModel::evaluate_stations(
     return t;
   };
 
-  // On the fat tree the ICN2 leg is a pair-class property: one segment
-  // per class, looked up per pair below.
   Scratch scratch;
-  std::vector<SegmentResult> class_legs;
-  class_legs.reserve(icn2_pairs_.rep.size());
-  for (const auto& [i, v] : icn2_pairs_.rep)
-    class_legs.push_back(icn2_segment(i, v, lambda_g, scratch));
+  const std::vector<SegmentResult> icn2_legs =
+      icn2_averages(lambda_g, scratch);
 
   std::vector<ClusterBreakdown> out(static_cast<std::size_t>(c_count));
   for (int i = 0; i < c_count; ++i) {
@@ -403,22 +472,9 @@ std::vector<ClusterBreakdown> RefinedModel::evaluate_stations(
                              ecn1_outbound_segment(i, lambda_g, scratch));
 
     // Station 2 — concentrator: arrivals are the cluster's whole outbound
-    // flow; service is the ICN2 leg (the next segment's S_0) averaged over
-    // destination clusters with uniform-destination weights N_v/(N - N_i).
-    SegmentResult seg2_avg;
-    for (int v = 0; v < c_count; ++v) {
-      if (v == i) continue;
-      const ClusterCache& cv = clusters_[static_cast<std::size_t>(v)];
-      const double w = cv.nodes / (total_nodes_ - ci.nodes);
-      const SegmentResult seg2 = icn2_graph_
-                                     ? icn2_segment(i, v, lambda_g, scratch)
-                                     : class_legs[icn2_pairs_(i, v)];
-      seg2_avg.s_mean += w * seg2.s_mean;
-      seg2_avg.s_zero += w * seg2.s_zero;
-      seg2_avg.r_mean += w * seg2.r_mean;
-      seg2_avg.stable = seg2_avg.stable && seg2.stable;
-    }
-    cb.stations[2] = station(ci.nodes * ci.p_out * lam, seg2_avg);
+    // flow; service is the destination-averaged ICN2 leg.
+    cb.stations[2] = station(ci.nodes * ci.p_out * lam,
+                             icn2_legs[static_cast<std::size_t>(i)]);
     if (c_count == 1) cb.stations[2].present = false;
 
     // Station 3 — dispatcher of cluster i as DESTINATION: the inbound

@@ -27,6 +27,7 @@
 //    matrix sum rather than the uniform-load shortcut N_v * P_o^v.
 #pragma once
 
+#include <cstdint>
 #include <memory>
 #include <vector>
 
@@ -34,6 +35,7 @@
 #include "model/graph_load.hpp"
 #include "model/latency.hpp"
 #include "model/pair_classes.hpp"
+#include "model/suffix_forest.hpp"
 #include "topology/fat_tree.hpp"
 #include "topology/graph.hpp"
 
@@ -87,18 +89,31 @@ class RefinedModel final : public LatencyModel {
   };
 
   /// Work buffers of one evaluate_stations() call. The call owns them
-  /// and passes them down, so the per-pair loop reuses them instead of
+  /// and passes them down, so the segment loops reuse them instead of
   /// allocating while the model itself stays an immutable, shareable
   /// object (defined in the .cpp).
   struct Scratch;
+
+  /// A graph ICN2 pair's leg: its whole-route node in the destination's
+  /// suffix tree and its channel count.
+  struct GraphLeg {
+    std::int32_t node = 0;
+    std::int32_t stages = 0;
+  };
 
   [[nodiscard]] SegmentResult internal_segment(int cluster, double lambda_g,
                                                Scratch& scratch) const;
   [[nodiscard]] SegmentResult ecn1_outbound_segment(int cluster,
                                                     double lambda_g,
                                                     Scratch& scratch) const;
+  /// The fat-tree ICN2 leg of the pair (i, v).
   [[nodiscard]] SegmentResult icn2_segment(int i, int v, double lambda_g,
                                            Scratch& scratch) const;
+  /// Every source's ICN2 leg averaged over destination clusters with
+  /// uniform-destination weights N_v/(N - N_i): the concentrator's
+  /// service (station 2).
+  [[nodiscard]] std::vector<SegmentResult> icn2_averages(
+      double lambda_g, Scratch& scratch) const;
   [[nodiscard]] SegmentResult ecn1_inbound_segment(int cluster,
                                                    double lambda_g,
                                                    Scratch& scratch) const;
@@ -118,6 +133,11 @@ class RefinedModel final : public LatencyModel {
   /// per-channel flow coefficients, replacing the tree funnel below.
   std::unique_ptr<topo::ChannelGraph> icn2_graph_;
   std::vector<double> icn2_coeff_;
+  /// Its routes merged per destination cluster into suffix trees
+  /// (DESIGN.md §3.2), and every pair's leg (i, v), i != v, in (v, i)
+  /// order.
+  SuffixForest icn2_suffixes_;
+  std::vector<GraphLeg> icn2_graph_legs_;
   double total_nodes_ = 0.0;
   double gen_weight_ = 0.0;  ///< sum_i N_i * scale_i: Eq. (36) denominator
 
@@ -130,8 +150,9 @@ class RefinedModel final : public LatencyModel {
   std::vector<std::vector<double>> icn2_down_coeff_;  ///< [v][l]
   std::vector<std::vector<double>> icn2_up_coeff_;    ///< [i][l]
   /// Fat-tree ICN2 pair classes (pair_classes.hpp). Graph ICN2s have
-  /// none: per-channel flow under real routing keeps nearly every pair
-  /// distinct (DESIGN.md §3.2).
+  /// none: per-channel flow under real routing keeps nearly every whole
+  /// leg distinct, so they share work per route suffix instead
+  /// (icn2_suffixes_, DESIGN.md §3.2).
   PairClasses icn2_pairs_;
 };
 

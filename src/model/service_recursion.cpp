@@ -1,42 +1,15 @@
 #include "model/service_recursion.hpp"
 
-#include "util/contracts.hpp"
-
 namespace mcs::model {
 
 RecursionResult stage_recursion(std::span<const Stage> stages,
                                 WaitModel wait_model) {
   MCS_EXPECTS(!stages.empty());
-  // Cap on the per-stage utilization used inside the residual divisor;
-  // beyond it the journey is flagged unstable.
-  constexpr double kMaxRho = 0.999;
-
-  RecursionResult result;
-  double downstream_waits = 0.0;
-  double s_front = 0.0;
-  for (std::size_t idx = stages.size(); idx-- > 0;) {
-    const Stage& stage = stages[idx];
-    MCS_EXPECTS(stage.base > 0.0 && stage.rate >= 0.0);
-    const double s = stage.base + downstream_waits;
-    double blocked = stage.rate * s;  // Eq. (17)
-    if (blocked > 1.0) {
-      blocked = 1.0;
-      result.stable = false;
-    }
-    if (wait_model == WaitModel::kPaper) {
-      downstream_waits += 0.5 * s * blocked;  // Eq. (16)
-    } else {
-      double rho = stage.rate * s;
-      if (rho > kMaxRho) {
-        rho = kMaxRho;
-        result.stable = false;
-      }
-      downstream_waits += 0.5 * s * blocked / (1.0 - rho);
-    }
-    s_front = s;
-  }
-  result.s0 = s_front;
-  return result;
+  SuffixState state;
+  double s = 0.0;
+  for (std::size_t idx = stages.size(); idx-- > 0;)
+    s = recursion_step(stages[idx], wait_model, state);
+  return {s, state.stable};
 }
 
 }  // namespace mcs::model

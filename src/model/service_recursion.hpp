@@ -29,6 +29,8 @@
 
 #include <span>
 
+#include "util/contracts.hpp"
+
 namespace mcs::model {
 
 /// One stage of a journey: contention-free message transfer time and the
@@ -47,6 +49,44 @@ enum class WaitModel {
   kPaper,     ///< W = (1/2) * eta * S^2 (Eqs. 16-17, literal)
   kResidual,  ///< W = (1/2) * eta * S^2 / (1 - eta*S) (M/D/1-style)
 };
+
+/// The recursion's running state behind a stage k: the waits
+/// sum_{s>k} W_s to acquire every later channel, and whether any clamp
+/// fired there. It depends only on the journey's suffix k+1..K-1.
+struct SuffixState {
+  double waits = 0.0;
+  bool stable = true;
+};
+
+/// One backward step of Eqs. (16)-(18) at stage k: returns
+/// S_k = base_k + the suffix's waits and adds W_k into `state`, clamping
+/// P_B (and, under kResidual, rho) as described above. stage_recursion
+/// folds it over one journey; journeys that share a suffix can step it
+/// once and branch from the shared state (RefinedModel's graph ICN2 leg).
+inline double recursion_step(const Stage& stage, WaitModel wait_model,
+                             SuffixState& state) {
+  MCS_EXPECTS(stage.base > 0.0 && stage.rate >= 0.0);
+  // Cap on the per-stage utilization used inside the residual divisor;
+  // beyond it the journey is flagged unstable.
+  constexpr double kMaxRho = 0.999;
+  const double s = stage.base + state.waits;
+  double blocked = stage.rate * s;  // Eq. (17)
+  if (blocked > 1.0) {
+    blocked = 1.0;
+    state.stable = false;
+  }
+  if (wait_model == WaitModel::kPaper) {
+    state.waits += 0.5 * s * blocked;  // Eq. (16)
+  } else {
+    double rho = stage.rate * s;
+    if (rho > kMaxRho) {
+      rho = kMaxRho;
+      state.stable = false;
+    }
+    state.waits += 0.5 * s * blocked / (1.0 - rho);
+  }
+  return s;
+}
 
 /// Evaluate Eqs. (16)-(18) over the given stages (ordered source to
 /// destination). O(K).

@@ -3,7 +3,11 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
+#include <cstdint>
+#include <thread>
+#include <vector>
 
 #include "model/paper_model.hpp"
 #include "model/saturation.hpp"
@@ -113,6 +117,42 @@ TEST_F(RefinedModelTest, ConcentratorWaitGrowsWithClusterSize) {
   // The 128-node cluster funnels 16x the traffic of an 8-node cluster
   // through its concentrator.
   EXPECT_GT(p.clusters[31].w_conc_disp, p.clusters[0].w_conc_disp);
+}
+
+TEST_F(RefinedModelTest, OneModelSharedByThreadsGivesSerialBits) {
+  // Sweep and search tasks may share a model: predict() keeps its work
+  // buffers per call, so concurrent calls (checked for races under TSan)
+  // reproduce the serial results bit for bit, on both ICN2 paths.
+  topo::SystemConfig torus = topo::SystemConfig::homogeneous(4, 2, 16);
+  torus.icn2.kind = topo::Icn2Kind::kTorus;
+  for (const topo::SystemConfig& cfg : {org_b_, torus}) {
+    const RefinedModel model(cfg, params_);
+    const double knee = find_saturation(model).lambda_sat;
+    constexpr int kLoads = 16;
+    const auto load = [&](int k) { return knee * (k + 1) / kLoads; };
+    std::vector<std::uint64_t> serial;
+    for (int k = 0; k < kLoads; ++k)
+      serial.push_back(
+          std::bit_cast<std::uint64_t>(model.predict(load(k)).mean_latency));
+
+    constexpr int kThreads = 4;
+    std::vector<std::vector<std::uint64_t>> shared(kThreads);
+    std::vector<std::thread> threads;
+    for (int t = 0; t < kThreads; ++t)
+      threads.emplace_back([&, t] {
+        for (int k = 0; k < kLoads; ++k)
+          shared[static_cast<std::size_t>(t)].push_back(
+              std::bit_cast<std::uint64_t>(
+                  model.predict(load((k + t) % kLoads)).mean_latency));
+      });
+    for (std::thread& thread : threads) thread.join();
+    for (int t = 0; t < kThreads; ++t)
+      for (int k = 0; k < kLoads; ++k)
+        EXPECT_EQ(shared[static_cast<std::size_t>(t)]
+                        [static_cast<std::size_t>(k)],
+                  serial[static_cast<std::size_t>((k + t) % kLoads)])
+            << "thread " << t << " load " << k;
+  }
 }
 
 }  // namespace
