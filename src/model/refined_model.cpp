@@ -370,8 +370,9 @@ std::vector<RefinedModel::SegmentResult> RefinedModel::icn2_averages(
   // Adds the (i, v) leg with its uniform-destination weight N_v/(N - N_i).
   // Each source's terms arrive in increasing v on both ICN2 paths.
   const auto add = [&](int i, int v, const SegmentResult& leg) {
-    const double w = clusters_[static_cast<std::size_t>(v)].nodes /
-                     (total_nodes_ - clusters_[static_cast<std::size_t>(i)].nodes);
+    const ClusterCache& ci = clusters_[static_cast<std::size_t>(i)];
+    const ClusterCache& cv = clusters_[static_cast<std::size_t>(v)];
+    const double w = cv.nodes / (total_nodes_ - ci.nodes);
     SegmentResult& a = avg[static_cast<std::size_t>(i)];
     a.s_mean += w * leg.s_mean;
     a.s_zero += w * leg.s_zero;
@@ -392,10 +393,10 @@ std::vector<RefinedModel::SegmentResult> RefinedModel::icn2_averages(
   }
 
   // Graph ICN2: every channel's rate is its routing-table flow coefficient
-  // (graph_load.hpp). Destination by destination, one recursion step per
-  // suffix-tree node, parents first, repeats run_stages' operations on
-  // each pair's route [injection, switch route, ejection]; a pair's leg
-  // is its whole-route node.
+  // (graph_load.hpp). Per destination, one recursion step per suffix-tree
+  // node, parents first: each pair's whole-route node then holds what
+  // run_stages returns for its route [injection, switch route, ejection],
+  // bit for bit (DESIGN.md §3.2).
   const double tcn = icn2_params_.t_cn();
   const double tcs = icn2_params_.t_cs();
   std::vector<SuffixNode>& nodes = scratch.suffix;

@@ -16,7 +16,8 @@
 // Three extensions beyond the paper's scope:
 //  * graph-shaped ICN2s (SystemConfig::icn2.kind != kFatTree): the ICN2
 //    leg uses per-channel rates from the routing-table flow model
-//    (graph_load.hpp) instead of the d-mod-k funnel coefficients;
+//    (graph_load.hpp) instead of the d-mod-k funnel coefficients, and is
+//    evaluated once per distinct route suffix (suffix_forest.hpp);
 //  * store-and-forward flow control: channel occupancies become M full
 //    message transmissions per hop instead of the wormhole span;
 //  * true heterogeneity (DESIGN.md §10): per-cluster / ICN2 technology

@@ -225,14 +225,11 @@ int ChannelGraph::switch_level(SwitchId s) const {
 }
 
 int ChannelGraph::switch_hops(EndpointId src, EndpointId dst) const {
-  return static_cast<int>(switch_route(src, dst).size());
-}
-
-const std::vector<ChannelId>& ChannelGraph::switch_route(
-    EndpointId src, EndpointId dst) const {
   MCS_EXPECTS(built_);
-  return table_route(endpoint_switch_[static_cast<std::size_t>(src)],
-                     endpoint_switch_[static_cast<std::size_t>(dst)]);
+  return static_cast<int>(
+      table_route(endpoint_switch_[static_cast<std::size_t>(src)],
+                  endpoint_switch_[static_cast<std::size_t>(dst)])
+          .size());
 }
 
 }  // namespace mcs::topo

@@ -88,11 +88,6 @@ class ChannelGraph final : public Network {
   /// Switch-to-switch hops of the route src -> dst (route length minus
   /// injection and ejection). Requires build_routes().
   [[nodiscard]] int switch_hops(EndpointId src, EndpointId dst) const;
-  /// The precomputed switch-channel segment of the route src -> dst
-  /// (everything between injection and ejection), by reference — the
-  /// allocation-free counterpart of route() for per-pair model loops.
-  [[nodiscard]] const std::vector<ChannelId>& switch_route(
-      EndpointId src, EndpointId dst) const;
 
  private:
   [[nodiscard]] const std::vector<ChannelId>& table_route(SwitchId s,
