@@ -1,12 +1,17 @@
 #include "exp/result_cache.hpp"
 
+#include <algorithm>
+#include <cerrno>
 #include <cstdio>
 #include <cstdlib>
 #include <filesystem>
 #include <sstream>
+#include <system_error>
+#include <vector>
 
 #include "obs/manifest.hpp"
 #include "util/atomic_file.hpp"
+#include "util/contracts.hpp"
 #include "util/error.hpp"
 #include "util/hash.hpp"
 
@@ -262,6 +267,27 @@ bool decode_row_payload(const std::string& payload, SweepRow& row) {
   return ok && fields == 23;
 }
 
+namespace {
+
+/// Create this instance's segment `<dir>/<pid>.<n>.pack` with the smallest
+/// free n. The open is exclusive ("x"), so an existing segment — another
+/// process's, or one torn by an earlier process with a reused pid — is
+/// never appended to.
+std::FILE* create_segment(const std::string& dir) {
+  const std::string prefix =
+      dir + "/" + std::to_string(util::process_id()) + ".";
+  for (long n = 0;; ++n) {
+    const std::string path = prefix + std::to_string(n) + ".pack";
+    errno = 0;
+    if (std::FILE* f = std::fopen(path.c_str(), "wbx")) return f;
+    if (errno != EEXIST)
+      throw ConfigError("result cache: cannot create segment '" + path +
+                        "': " + std::generic_category().message(errno));
+  }
+}
+
+}  // namespace
+
 ResultCache::ResultCache(std::string dir) : dir_(std::move(dir)) {
   namespace fs = std::filesystem;
   std::error_code ec;
@@ -269,20 +295,64 @@ ResultCache::ResultCache(std::string dir) : dir_(std::move(dir)) {
   if (ec || !fs::is_directory(dir_))
     throw ConfigError("result cache: cannot create directory '" + dir_ +
                       "'" + (ec ? ": " + ec.message() : std::string()));
+
+  std::vector<std::string> packs;
+  for (const auto& entry : fs::directory_iterator(dir_, ec))
+    if (entry.path().extension() == ".pack")
+      packs.push_back(entry.path().string());
+  std::sort(packs.begin(), packs.end());
+  for (const std::string& pack : packs) {
+    const std::optional<std::string> text = util::read_file(pack);
+    if (!text) continue;
+    // Only newline-terminated lines count: a crash mid-append leaves at
+    // most a torn fragment after the last newline, which is dropped.
+    std::size_t begin = 0;
+    for (std::size_t end = text->find('\n'); end != std::string::npos;
+         begin = end + 1, end = text->find('\n', begin)) {
+      const std::size_t space = text->find(' ', begin);
+      if (space == begin || space >= end) continue;  // no digest
+      index_.insert_or_assign(text->substr(begin, space - begin),
+                              text->substr(space + 1, end - space - 1));
+    }
+  }
 }
 
-std::string ResultCache::entry_path(const std::string& digest) const {
-  return dir_ + "/" + digest + ".row";
+ResultCache::~ResultCache() {
+  if (segment_ != nullptr) std::fclose(segment_);
 }
 
 std::optional<std::string> ResultCache::load(
     const std::string& digest) const {
-  return util::read_file(entry_path(digest));
+  const std::lock_guard<std::mutex> lock(mutex_);
+  const auto it = index_.find(digest);
+  if (it == index_.end()) return std::nullopt;
+  return it->second;
 }
 
 void ResultCache::store(const std::string& digest,
                         const std::string& payload) const {
-  util::write_file_atomic(entry_path(digest), payload);
+  MCS_EXPECTS(!digest.empty() &&
+              digest.find_first_of(" \n") == std::string::npos);
+  MCS_EXPECTS(payload.find('\n') == std::string::npos);
+  std::string line;
+  line.reserve(digest.size() + payload.size() + 2);
+  line += digest;
+  line += ' ';
+  line += payload;
+  line += '\n';
+
+  const std::lock_guard<std::mutex> lock(mutex_);
+  if (segment_ == nullptr) segment_ = create_segment(dir_);
+  if (std::fwrite(line.data(), 1, line.size(), segment_) != line.size() ||
+      std::fflush(segment_) != 0) {
+    // The segment may now end in a torn line: close it, so the next store
+    // starts a fresh segment instead of appending behind the fragment.
+    std::fclose(segment_);
+    segment_ = nullptr;
+    throw ConfigError("result cache: append to a segment in '" + dir_ +
+                      "' failed (disk full?)");
+  }
+  index_.insert_or_assign(digest, payload);
 }
 
 }  // namespace mcs::exp

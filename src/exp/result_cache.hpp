@@ -17,8 +17,11 @@
 // are byte-equal to a cold run's (pinned by tests/exp_service_test.cpp).
 #pragma once
 
+#include <cstdio>
+#include <mutex>
 #include <optional>
 #include <string>
+#include <unordered_map>
 
 #include "exp/scenario.hpp"
 #include "exp/sweep.hpp"
@@ -49,14 +52,26 @@ namespace mcs::exp {
 [[nodiscard]] bool decode_row_payload(const std::string& payload,
                                       SweepRow& row);
 
-/// Directory of content-addressed row payloads: one file per digest,
-/// written atomically (write-temp-then-rename), shared safely between
-/// concurrent sweep processes. Load misses are normal, not errors.
+/// Directory of content-addressed row payloads, stored as append-only
+/// segment files ("packs"). Each instance that stores anything creates its
+/// own segment `<pid>.<n>.pack` exclusively on its first store and appends
+/// one line `<digest> <payload>\n` per row to it; no writer ever appends to
+/// a file it did not create, so concurrent sweep processes sharing `dir`
+/// never interleave and a crash can tear only the last line of its own
+/// segment. A row costs one append, not a file: creating a file costs
+/// more than a model-only row's model work. Load misses are normal, not
+/// errors. Safe to share between threads.
 class ResultCache {
  public:
-  /// Creates `dir` (and parents) when absent. Throws mcs::ConfigError
-  /// when the path exists but is not a directory or cannot be created.
+  /// Creates `dir` (and parents) when absent, then indexes the complete
+  /// lines of every `*.pack` in it (sorted by name; a later line of a
+  /// digest supersedes an earlier one). A torn trailing line is dropped;
+  /// any other file is ignored. Throws mcs::ConfigError when the path
+  /// exists but is not a directory or cannot be created.
   explicit ResultCache(std::string dir);
+  ~ResultCache();
+  ResultCache(const ResultCache&) = delete;
+  ResultCache& operator=(const ResultCache&) = delete;
 
   [[nodiscard]] const std::string& dir() const { return dir_; }
 
@@ -64,14 +79,19 @@ class ResultCache {
   [[nodiscard]] std::optional<std::string> load(
       const std::string& digest) const;
 
-  /// Store `payload` under `digest` (atomic; last writer wins — all
-  /// writers of one digest hold identical bytes by construction).
+  /// Append `payload` under `digest` to this instance's segment and index
+  /// it, so a later load() on this instance hits. `digest` must hold no
+  /// space or newline and `payload` no newline. Throws mcs::ConfigError
+  /// when the segment cannot be created or written.
   void store(const std::string& digest, const std::string& payload) const;
 
  private:
-  [[nodiscard]] std::string entry_path(const std::string& digest) const;
-
   std::string dir_;
+  mutable std::mutex mutex_;  // guards index_ and segment_
+  // mcs-lint: note(unordered-iter) lookup-only index: probed by digest in
+  // load() and store(), never iterated, so hash order reaches no output.
+  mutable std::unordered_map<std::string, std::string> index_;
+  mutable std::FILE* segment_ = nullptr;  // created on the first store()
 };
 
 }  // namespace mcs::exp

@@ -22,18 +22,21 @@ namespace {
 /// keeps two threads of one process apart.
 std::string temp_sibling(const std::string& path) {
   static std::atomic<std::uint64_t> counter{0};
-#ifdef MCS_HAVE_GETPID
-  const long pid = static_cast<long>(::getpid());
-#else
-  const long pid = 0;
-#endif
   std::ostringstream name;
-  name << path << ".tmp." << pid << "."
+  name << path << ".tmp." << process_id() << "."
        << counter.fetch_add(1, std::memory_order_relaxed);
   return name.str();
 }
 
 }  // namespace
+
+long process_id() {
+#ifdef MCS_HAVE_GETPID
+  return static_cast<long>(::getpid());
+#else
+  return 0;
+#endif
+}
 
 void write_file_atomic(const std::string& path, const std::string& content) {
   const std::string tmp = temp_sibling(path);

@@ -1,4 +1,4 @@
-// Small-file IO primitives for checkpoint journals and cache entries:
+// Small-file IO primitives for checkpoint journals and result caches:
 // atomic whole-file writes (write-temp-then-rename — a reader never sees
 // a half-written file, and a crash mid-write leaves the previous version
 // intact) plus a plain in-place append for line-oriented append segments.
@@ -22,6 +22,10 @@ void write_file_atomic(const std::string& path, const std::string& content);
 /// checkpoint journal drops everything after the last newline). Throws
 /// mcs::ConfigError when the file cannot be opened or the write fails.
 void append_file(const std::string& path, const std::string& content);
+
+/// The id of the running process (0 where the platform has none): with a
+/// per-process counter it names files no concurrent process can pick.
+[[nodiscard]] long process_id();
 
 /// The whole file as a string, or nullopt when it does not exist or is
 /// unreadable. No exceptions — absence is an expected state for caches.

@@ -13,6 +13,8 @@ tests cannot see from inside the process:
     typo'd flags with closest-match suggestions),
   * warm-cache re-runs executing zero simulations with identical bytes,
   * SIGKILL mid-run followed by --resume completing identically,
+  * SIGKILL mid-run followed by a rerun from the same --cache completing
+    identically,
   * fig3_m32's overloaded rows stopped by the latency-drift test and its
     rows below the knee steady, read from the parsed JSON rows,
   * a deliberate hang caught by the harness wall-clock timeout, the
@@ -254,6 +256,68 @@ def test_kill_and_resume(h):
     return f"resume and journal byte-identical; {how}"
 
 
+def test_kill_and_cache(h):
+    """SIGKILL a --cache run once its segment holds a complete row, then
+    rerun with the same --cache: the rerun restores the rows that landed,
+    computes the rest, and its CSV is byte-identical to an uninterrupted
+    run. A kill mid-append can leave a torn last line in the segment; the
+    reader drops it and no writer appends behind it, so a third run
+    restores every row."""
+    cache = h.path("kill_cache")
+    shutil.rmtree(cache, ignore_errors=True)
+    # Same flags as test_kill_and_resume: long enough phases to land the
+    # kill between two rows.
+    flags = ["--measured=400000", "--warmup=500", "--threads=1"]
+    h.run("mcs_sweep", SCENARIO, "--quiet", *flags, "--csv=cache_ref.csv")
+
+    def complete_lines():
+        if not os.path.isdir(cache):
+            return 0
+        lines = 0
+        for name in os.listdir(cache):
+            if name.endswith(".pack"):
+                with open(os.path.join(cache, name), "rb") as f:
+                    lines += f.read().count(b"\n")
+        return lines
+
+    cmd = [os.path.join(h.build_dir, "mcs_sweep"), SCENARIO, "--quiet",
+           f"--cache={cache}"] + flags
+    victim = subprocess.Popen(cmd, cwd=h.workdir,
+                              stdout=subprocess.DEVNULL,
+                              stderr=subprocess.DEVNULL)
+    killed_midway = False
+    deadline = time.monotonic() + DEFAULT_TIMEOUT
+    while time.monotonic() < deadline and victim.poll() is None:
+        if complete_lines() >= 1:
+            victim.send_signal(signal.SIGKILL)
+            killed_midway = True
+            break
+        time.sleep(0.005)
+    victim.wait(timeout=DEFAULT_TIMEOUT)
+
+    proc = h.run("mcs_sweep", SCENARIO, "--quiet", *flags,
+                 f"--cache={cache}", "--csv=cached.csv")
+    m = h.summary_metrics(proc.stdout)
+    check(h.read("cached.csv") == h.read("cache_ref.csv"),
+          "campaign rerun from a killed run's cache differs from the "
+          "uninterrupted run")
+    if killed_midway:
+        check(m["restored"] >= 1,
+              f"rerun restored nothing from the killed run's cache: {m}")
+
+    proc = h.run("mcs_sweep", SCENARIO, "--quiet", *flags,
+                 f"--cache={cache}", "--csv=cached_warm.csv")
+    warm = h.summary_metrics(proc.stdout)
+    check(warm["restored"] == 4 and warm["sim_runs"] == 0,
+          f"third run should restore all 4 rows: {warm}")
+    check(h.read("cached_warm.csv") == h.read("cache_ref.csv"),
+          "warm CSV differs from the uninterrupted run")
+    how = (f"killed with {m['restored']} rows cached"
+           if killed_midway else
+           "victim finished before the kill window (machine too fast)")
+    return f"rerun and warm run byte-identical; {how}"
+
+
 def test_hang_caught_by_timeout(h):
     """A pathological invocation that runs far beyond its budget must be
     caught by the harness wall-clock ceiling — the black-box equivalent
@@ -327,6 +391,7 @@ TESTS = [
     test_malformed_scenario_rejected,
     test_warm_cache_zero_sims,
     test_kill_and_resume,
+    test_kill_and_cache,
     test_hang_caught_by_timeout,
     test_perf_smoke_contract,
 ]

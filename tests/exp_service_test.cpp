@@ -13,6 +13,7 @@
 #include <optional>
 #include <sstream>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "exp/checkpoint.hpp"
@@ -251,6 +252,98 @@ TEST(ResultCacheService, CorruptEntryIsTreatedAsMiss) {
   const SweepResult rerun = runner.run(options);
   EXPECT_EQ(rerun.cached_rows, 0);  // misses, not crashes or stale rows
   expect_rows_identical(cold, rerun);
+}
+
+/// The segment files (`*.pack`) in a cache directory, sorted by name.
+std::vector<std::string> packs_in(const std::string& dir) {
+  std::vector<std::string> packs;
+  for (const auto& entry : fs::directory_iterator(dir))
+    if (entry.path().extension() == ".pack")
+      packs.push_back(entry.path().string());
+  std::sort(packs.begin(), packs.end());
+  return packs;
+}
+
+TEST(ResultCacheService, TornLastLineMissesOnlyThatDigest) {
+  const std::string dir = scratch_dir("torn") + "/cache";
+  {
+    const ResultCache cache(dir);
+    cache.store("d1", "mcs-row-payload v1 a=1 b=2");
+    cache.store("d2", "mcs-row-payload v1 a=3 b=4");
+  }
+  const std::vector<std::string> packs = packs_in(dir);
+  ASSERT_EQ(packs.size(), 1U);
+  std::string bytes = util::read_file(packs[0]).value();
+  ASSERT_EQ(bytes.back(), '\n');
+  bytes.pop_back();  // a crash before the last newline landed
+  util::write_file_atomic(packs[0], bytes);
+
+  const ResultCache reopened(dir);
+  EXPECT_EQ(reopened.load("d1"), "mcs-row-payload v1 a=1 b=2");
+  EXPECT_EQ(reopened.load("d2"), std::nullopt);
+
+  // The re-store goes to a new segment, never behind the torn fragment.
+  reopened.store("d2", "mcs-row-payload v1 a=3 b=4");
+  EXPECT_EQ(util::read_file(packs[0]), bytes);
+  EXPECT_EQ(packs_in(dir).size(), 2U);
+  EXPECT_EQ(ResultCache(dir).load("d2"), "mcs-row-payload v1 a=3 b=4");
+}
+
+TEST(ResultCacheService, InstancesWriteSeparateSegmentsAThirdSeesBoth) {
+  const std::string dir = scratch_dir("two_writers") + "/cache";
+  const ResultCache a(dir);
+  const ResultCache b(dir);
+  a.store("da", "payload from a");
+  b.store("db", "payload from b");
+  EXPECT_EQ(packs_in(dir).size(), 2U);
+
+  const ResultCache c(dir);
+  EXPECT_EQ(c.load("da"), "payload from a");
+  EXPECT_EQ(c.load("db"), "payload from b");
+}
+
+TEST(ResultCacheService, ConcurrentStoresReloadByteEqual) {
+  const std::string dir = scratch_dir("threads") + "/cache";
+  constexpr int kThreads = 4;
+  constexpr int kPerThread = 100;
+  const auto digest = [](int t, int i) {
+    return "t" + std::to_string(t) + "i" + std::to_string(i);
+  };
+  const auto payload = [](int t, int i) {
+    std::ostringstream out;
+    out << "mcs-row-payload v1 thread=" << t << " i=" << i
+        << " x=" << std::hexfloat << (t + 1) * 0.1 * i;
+    return out.str();
+  };
+  {
+    const ResultCache cache(dir);
+    std::vector<std::thread> writers;
+    for (int t = 0; t < kThreads; ++t)
+      writers.emplace_back([&, t] {
+        for (int i = 0; i < kPerThread; ++i)
+          cache.store(digest(t, i), payload(t, i));
+      });
+    for (std::thread& w : writers) w.join();
+    EXPECT_EQ(cache.load(digest(3, kPerThread - 1)),
+              payload(3, kPerThread - 1));
+  }
+  EXPECT_EQ(packs_in(dir).size(), 1U);
+  const ResultCache reloaded(dir);
+  for (int t = 0; t < kThreads; ++t)
+    for (int i = 0; i < kPerThread; ++i)
+      EXPECT_EQ(reloaded.load(digest(t, i)), payload(t, i)) << digest(t, i);
+}
+
+TEST(ResultCacheService, LegacyRowFilesRestoreNothing) {
+  const std::string dir = scratch_dir("legacy") + "/cache";
+  fs::create_directories(dir);
+  const std::string digest(64, 'a');
+  util::write_file_atomic(dir + "/" + digest + ".row",
+                          "mcs-row-payload v1 paper_run=0");
+
+  std::optional<ResultCache> cache;
+  ASSERT_NO_THROW(cache.emplace(dir));
+  EXPECT_EQ(cache->load(digest), std::nullopt);
 }
 
 // --- plan ----------------------------------------------------------------
