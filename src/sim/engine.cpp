@@ -1,54 +1,12 @@
 #include "sim/engine.hpp"
 
 #include <algorithm>
-#include <cstring>
 #include <limits>
 
+#include "sim/drain.hpp"
 #include "util/contracts.hpp"
 
 namespace mcs::sim {
-
-namespace {
-
-// Fixed-path-length drain kernel: the whole start(f, j) row lives in
-// locals, so the compiler keeps it in registers and the out-of-order core
-// overlaps the add/max chains of consecutive flit rows on its own — no
-// store/load round-trips in the latency-critical recurrence. The formulas
-// and evaluation order per cell are EXACTLY the generic loop's, so the
-// computed doubles are bit-identical.
-template <int K>
-void drain_fixed(const double* acquire, const double* svc_in, int rows,
-                 double* out) {
-  static_assert(K >= 2);
-  double svc[K];
-  double p[K];
-  for (int j = 0; j < K; ++j) svc[j] = svc_in[j];
-  for (int j = 0; j < K; ++j) p[j] = acquire[j];
-  for (; rows > 0; --rows) {
-    double c[K];
-    c[0] = std::max(p[0] + svc[0], p[1]);
-    for (int j = 1; j + 1 < K; ++j)
-      c[j] = std::max(c[j - 1] + svc[j - 1], p[j + 1]);
-    c[K - 1] = std::max(c[K - 2] + svc[K - 2], p[K - 1] + svc[K - 1]);
-    for (int j = 0; j < K; ++j) p[j] = c[j];
-  }
-  for (int j = 0; j < K; ++j) out[j] = p[j];
-}
-
-using DrainFn = void (*)(const double*, const double*, int, double*);
-
-// Dispatch table for the path lengths that occur in practice (trees:
-// 2..2*height; cut-through relays: up to 4*height + ICN2 diameter).
-constexpr DrainFn kDrainFixed[] = {
-    nullptr,          nullptr,          drain_fixed<2>,  drain_fixed<3>,
-    drain_fixed<4>,   drain_fixed<5>,   drain_fixed<6>,  drain_fixed<7>,
-    drain_fixed<8>,   drain_fixed<9>,   drain_fixed<10>, drain_fixed<11>,
-    drain_fixed<12>,  drain_fixed<13>,  drain_fixed<14>, drain_fixed<15>,
-    drain_fixed<16>};
-constexpr std::size_t kMaxFixedDrain =
-    sizeof(kDrainFixed) / sizeof(kDrainFixed[0]) - 1;
-
-}  // namespace
 
 WormholeEngine::WormholeEngine(std::vector<double> channel_service,
                                int message_flits, EventQueue& queue,
@@ -63,16 +21,18 @@ WormholeEngine::WormholeEngine(std::vector<double> channel_service,
   MCS_EXPECTS(service_.size() <=
               static_cast<std::size_t>(EventQueue::kMaxPayload));
   crossing_.resize(service_.size());
-  for (std::size_t c = 0; c < service_.size(); ++c)
+  lane_.resize(service_.size());
+  for (std::size_t c = 0; c < service_.size(); ++c) {
     crossing_[c] = flow_control_ == FlowControl::kWormhole
                        ? service_[c]
                        : flits_ * service_[c];
+    lane_[c] = queue_.delay_lane(crossing_[c]);
+  }
   busy_time_.assign(service_.size(), 0.0);
   traversals_.assign(service_.size(), 0);
   drain_svc_.resize(stride_);
-  drain_prev_.resize(stride_);
-  drain_mid_.resize(stride_);
-  drain_cur_.resize(stride_);
+  drain_last_.resize(stride_);
+  drain_scratch_.resize(3 * stride_);
 }
 
 void WormholeEngine::enable_channel_stats() {
@@ -116,9 +76,8 @@ void WormholeEngine::grow_stride(std::int32_t needed_len) {
   acquire_pool_ = std::move(acquire);
   stride_ = new_stride;
   drain_svc_.resize(stride_);
-  drain_prev_.resize(stride_);
-  drain_mid_.resize(stride_);
-  drain_cur_.resize(stride_);
+  drain_last_.resize(stride_);
+  drain_scratch_.resize(3 * stride_);
 }
 
 WormId WormholeEngine::spawn(std::int32_t msg,
@@ -198,8 +157,14 @@ void WormholeEngine::acquire(WormId id, double now) {
   acquire_pool_[row(id) + hop] = now;
   // Wormhole: the header crosses in one flit time. Store-and-forward: the
   // entire message crosses before anything else happens (see crossing_).
-  queue_.push(now + crossing_[static_cast<std::size_t>(c)],
-              EventKind::kHeaderAdvance, id);
+  // `now` never decreases, so each lane receives its events in order.
+  const double at = now + crossing_[static_cast<std::size_t>(c)];
+  const int lane = lane_[static_cast<std::size_t>(c)];
+  if (lane != EventQueue::kNoLane) {
+    queue_.push_lane(lane, at, EventKind::kHeaderAdvance, id);
+  } else {
+    queue_.push(at, EventKind::kHeaderAdvance, id);
+  }
 }
 
 void WormholeEngine::handle(const Event& event) {
@@ -261,65 +226,15 @@ void WormholeEngine::finish_header(WormId id, double now) {
   for (std::size_t j = 0; j < hops; ++j)
     svc[j] = service_[static_cast<std::size_t>(path[j])];
 
-  // Evaluate the drain recurrence. Row f holds start(f, j); the header row
-  // is start(0, j) = acquire[j].
-  //
-  // Every cell is computed with the ORIGINAL per-flit formula on the
-  // original operands — reordering independent cells cannot change their
-  // values, so results stay bit-identical (the golden tests pin this).
-  // The loop is software-pipelined two flit rows per pass: cell (f+1, j-1)
-  // only needs (f, j), so the second row trails the first by one column
-  // and the two serial add/max dependency chains overlap — the recurrence
-  // is latency-bound, and this halves its critical path.
-  double* prev = drain_prev_.data();
-  double* mid = drain_mid_.data();
-  double* cur = drain_cur_.data();
-  int rows = flits_ - 1;
-  if (hops == 1) {
-    // Degenerate single-channel path: the recurrence is a chain of adds.
-    prev[0] = acquire[0];
-    for (; rows > 0; --rows) prev[0] += svc[0];
-  } else if (hops <= kMaxFixedDrain) {
-    // Reads acquire[] directly and fills prev[] completely.
-    kDrainFixed[hops](acquire, svc, rows, prev);
+  // Last flit row start(M-1, j) of the drain recurrence, from the header
+  // row start(0, j) = acquire[j] (sim/drain.hpp). A wormhole header walk
+  // satisfies acquire[j+1] >= acquire[j] + svc[j], so the closed form is
+  // exact whenever the service shape allows it.
+  double* const last = drain_last_.data();
+  if (drain_is_monotone(svc, hops)) {
+    drain_closed_form(acquire, svc, hops, flits_, last);
   } else {
-    std::copy_n(acquire, hops, prev);
-    const std::size_t last = hops - 1;
-    // One row: to = next flit row after from. (j = 0: flits wait in the
-    // source, constrained by channel reuse and the buffer one stage
-    // ahead; j = last: tail leaves through both service terms.)
-    const auto single = [&](const double* from, double* to) {
-      to[0] = std::max(from[0] + svc[0], from[1]);
-      for (std::size_t j = 1; j + 1 < hops; ++j)
-        to[j] = std::max(to[j - 1] + svc[j - 1], from[j + 1]);
-      to[last] =
-          std::max(to[last - 1] + svc[last - 1], from[last] + svc[last]);
-    };
-    // Two rows: m = row after from, to = row after m, interleaved. Only
-    // paths longer than every fixed-K kernel reach this fallback, so the
-    // steady-state loop needs no short-path special cases.
-    MCS_ASSERT(hops > kMaxFixedDrain);
-    const auto dual = [&](const double* from, double* m, double* to) {
-      m[0] = std::max(from[0] + svc[0], from[1]);
-      m[1] = std::max(m[0] + svc[0], from[2]);
-      to[0] = std::max(m[0] + svc[0], m[1]);
-      for (std::size_t j = 2; j + 1 < hops; ++j) {
-        m[j] = std::max(m[j - 1] + svc[j - 1], from[j + 1]);
-        to[j - 1] = std::max(to[j - 2] + svc[j - 2], m[j]);
-      }
-      m[last] =
-          std::max(m[last - 1] + svc[last - 1], from[last] + svc[last]);
-      to[last - 1] = std::max(to[last - 2] + svc[last - 2], m[last]);
-      to[last] = std::max(to[last - 1] + svc[last - 1], m[last] + svc[last]);
-    };
-    for (; rows >= 2; rows -= 2) {
-      dual(prev, mid, cur);
-      std::swap(prev, cur);
-    }
-    if (rows == 1) {
-      single(prev, cur);
-      std::swap(prev, cur);
-    }
+    drain_grid(acquire, svc, hops, flits_, last, drain_scratch_.data());
   }
 
   // Release channel j when the tail finishes crossing it. Releases are
@@ -335,7 +250,7 @@ void WormholeEngine::finish_header(WormId id, double now) {
   // §9.1).
   double done = now;
   for (std::size_t j = 0; j < hops; ++j) {
-    const double rel = std::max(prev[j] + svc[j], now);
+    const double rel = std::max(last[j] + svc[j], now);
     account(path[j], acquire[j], rel);
     const std::uint64_t seq = queue_.reserve_seq();
     ChannelState& ch = channels_[static_cast<std::size_t>(path[j])];

@@ -15,9 +15,10 @@
 //                        finish(f-1, j),        [channel j free again]
 //                        start(f-1, j+1) )      [buffer ahead vacated]
 //
-// evaluated in closed form at header arrival (O(M*K) arithmetic instead of
-// O(M*K) heap events). A brute-force per-flit event simulator in the test
-// suite verifies the recurrence.
+// evaluated at header arrival (sim/drain.hpp: O(M*K) arithmetic instead of
+// O(M*K) heap events, or one chain of M-1 adds on a monotone path). A
+// brute-force per-flit event simulator in the test suite verifies the
+// recurrence.
 //
 // Hot-path data layout (DESIGN.md §9): worm records are plain structs in a
 // free-listed pool, and their per-hop path/acquire arrays live in two flat
@@ -163,6 +164,10 @@ class WormholeEngine {
   /// flits_ * service_[c] under store-and-forward — precomputed so
   /// acquire() pays neither the branch nor the multiply.
   std::vector<double> crossing_;
+  /// Delay lane of each channel's header advances: channels with one
+  /// crossing value share a lane (EventQueue::delay_lane), and values
+  /// past the queue's lane cap get kNoLane and use the heap.
+  std::vector<int> lane_;
   int flits_;
   FlowControl flow_control_;
   EventQueue& queue_;
@@ -186,14 +191,12 @@ class WormholeEngine {
   std::vector<double> busy_time_;
   std::vector<std::uint64_t> traversals_;
 
-  // Scratch rows for the drain recurrence (avoid per-worm allocation):
-  // hoisted per-hop service times plus the rolling start(f, j) rows. The
-  // third row lets finish_header evaluate two flit rows per pass (see the
-  // software-pipelining note there).
+  // Scratch rows for the drain (avoid per-worm allocation): hoisted
+  // per-hop service times, the last flit row, and drain_grid's three
+  // rolling rows.
   std::vector<double> drain_svc_;
-  std::vector<double> drain_prev_;
-  std::vector<double> drain_mid_;
-  std::vector<double> drain_cur_;
+  std::vector<double> drain_last_;
+  std::vector<double> drain_scratch_;
 };
 
 }  // namespace mcs::sim

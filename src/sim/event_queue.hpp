@@ -22,10 +22,15 @@
 //    16 bytes instead of 24.
 //  - Hole sifting: the moving entry rides in a register and is stored
 //    exactly once, halving the store traffic of swap-based sifting.
+//  - Lanes: kGenerate events and constant-delay FIFO lanes bypass the
+//    worm heap; pop() takes the smallest lane head, which is the same
+//    global (time, seq) order.
 #pragma once
 
 #include <algorithm>
+#include <bit>
 #include <cstdint>
+#include <limits>
 #include <vector>
 
 #include "util/contracts.hpp"
@@ -62,6 +67,26 @@ class EventQueue {
   /// observable in pop order.
   void reserve(std::size_t expected_events) { heap_.reserve(expected_events); }
 
+  /// Most delay lanes one queue opens. A fixed bound, not a knob: a
+  /// homogeneous system needs two (t_cn and t_cs crossings), and every
+  /// lane adds one compare to each pop while the lanes hold events.
+  static constexpr int kMaxDelayLanes = 4;
+  static constexpr int kNoLane = -1;
+
+  /// The FIFO lane for events pushed at (current time + `delay`), opened
+  /// on first use; kNoLane once kMaxDelayLanes are open. Such a producer
+  /// pushes in (time, seq) order: the current time never decreases,
+  /// rounding to nearest is monotone, and seq only grows (DESIGN.md
+  /// §9.2). The lane is then sorted without a heap, and pop() merges its
+  /// head with the other sources' heads.
+  [[nodiscard]] int delay_lane(double delay) {
+    for (std::size_t l = 0; l < lanes_.size(); ++l)
+      if (lanes_[l].delay == delay) return static_cast<int>(l);
+    if (lanes_.size() == kMaxDelayLanes) return kNoLane;
+    lanes_.emplace_back().delay = delay;
+    return static_cast<int>(lanes_.size()) - 1;
+  }
+
   /// Route kGenerate events into their own heap. The traffic process
   /// keeps exactly one pending arrival per node — a large, slow-turnover
   /// population that would otherwise deepen every worm-event sift. With
@@ -82,6 +107,24 @@ class EventQueue {
   void push(double time, EventKind kind, std::int32_t a) {
     MCS_EXPECTS(time >= last_pop_time_);
     insert(time, kind, a, reserve_seq());
+  }
+
+  /// Push into a delay lane. The event must not order before the lane's
+  /// last event: its seq is fresh, so its time may not be earlier. While
+  /// the worm heap holds fewer than kArity events, a pop from it is one
+  /// compare round, cheaper than merging lane heads, so the event goes to
+  /// the heap instead; it pops in the same order from either.
+  void push_lane(int lane, double time, EventKind kind, std::int32_t a) {
+    Fifo& fifo = lanes_[static_cast<std::size_t>(lane)];
+    MCS_EXPECTS(time >= last_pop_time_ && time >= fifo.last_time);
+    fifo.last_time = time;
+    if (heap_.size() < kArity) {
+      insert(time, kind, a, reserve_seq());
+      return;
+    }
+    fifo.push(pack(time, kind, a, reserve_seq()));
+    ++lane_events_;
+    ++size_;
   }
 
   /// Take the next sequence number without pushing anything. The event it
@@ -113,20 +156,28 @@ class EventQueue {
            (time == last_pop_time_ && seq < last_pop_seq_);
   }
 
-  [[nodiscard]] bool empty() const { return heap_.empty() && gen_.empty(); }
-  [[nodiscard]] std::size_t size() const { return heap_.size() + gen_.size(); }
+  [[nodiscard]] bool empty() const { return size_ == 0; }
+  [[nodiscard]] std::size_t size() const { return size_; }
   [[nodiscard]] Event top() const {
     MCS_EXPECTS(!empty());
-    return unpack(pick_lane().front());
+    return unpack(*head(pick()));
   }
 
   Event pop() {
     MCS_EXPECTS(!empty());
-    std::vector<Packed>& lane = pick_lane();
-    const Packed out = lane.front();
-    lane.front() = lane.back();
-    lane.pop_back();
-    if (!lane.empty()) sift_down(lane, 0);
+    const int from = pick();
+    Packed out;
+    if (from >= 0) {
+      out = lanes_[static_cast<std::size_t>(from)].pop();
+      --lane_events_;
+    } else {
+      std::vector<Packed>& heap = from == kFromHeap ? heap_ : gen_;
+      out = heap.front();
+      heap.front() = heap.back();
+      heap.pop_back();
+      if (!heap.empty()) sift_down(heap, 0);
+    }
+    --size_;
     const Event event = unpack(out);
     last_pop_time_ = event.time;
     last_pop_seq_ = event.seq;
@@ -153,16 +204,55 @@ class EventQueue {
     }
   };
 
+  /// Orders after every event: an empty lane's head (see Fifo).
+  static constexpr Packed kEmptyHead{
+      std::numeric_limits<double>::infinity(),
+      std::numeric_limits<std::uint64_t>::max()};
+
+  /// Ring buffer of one delay lane. The slot at `tail` always holds
+  /// kEmptyHead, so front() is the lane's head, or kEmptyHead when the
+  /// lane is empty, and pick() needs no emptiness test.
+  struct Fifo {
+    std::vector<Packed> ring = std::vector<Packed>(16, kEmptyHead);
+    std::size_t head = 0;  ///< unwrapped indices; slot = index & mask
+    std::size_t tail = 0;
+    double delay = 0.0;
+    double last_time = -std::numeric_limits<double>::infinity();
+
+    [[nodiscard]] const Packed& front() const {
+      return ring[head & (ring.size() - 1)];
+    }
+    void push(const Packed& packed) {
+      ring[tail & (ring.size() - 1)] = packed;
+      if (++tail - head == ring.size()) grow();
+      ring[tail & (ring.size() - 1)] = kEmptyHead;
+    }
+    Packed pop() { return ring[head++ & (ring.size() - 1)]; }
+    void grow() {
+      std::vector<Packed> wider(2 * ring.size(), kEmptyHead);
+      for (std::size_t i = head; i != tail; ++i)
+        wider[i & (wider.size() - 1)] = ring[i & (ring.size() - 1)];
+      ring = std::move(wider);
+    }
+  };
+
+  static constexpr int kFromHeap = -1;
+  static constexpr int kFromGen = -2;
+
+  static Packed pack(double time, EventKind kind, std::int32_t a,
+                     std::uint64_t seq) {
+    return {time, (seq << (kABits + kKindBits)) |
+                      (static_cast<std::uint64_t>(kind) << kABits) |
+                      static_cast<std::uint64_t>(static_cast<std::uint32_t>(a))};
+  }
+
   void insert(double time, EventKind kind, std::int32_t a,
               std::uint64_t seq) {
-    const Packed packed{
-        time, (seq << (kABits + kKindBits)) |
-                  (static_cast<std::uint64_t>(kind) << kABits) |
-                  static_cast<std::uint64_t>(static_cast<std::uint32_t>(a))};
-    std::vector<Packed>& lane =
+    std::vector<Packed>& heap =
         gen_lane_ && kind == EventKind::kGenerate ? gen_ : heap_;
-    lane.push_back(packed);
-    sift_up(lane, lane.size() - 1);
+    heap.push_back(pack(time, kind, a, seq));
+    sift_up(heap, heap.size() - 1);
+    ++size_;
   }
 
   static Event unpack(const Packed& p) {
@@ -171,14 +261,42 @@ class EventQueue {
                  static_cast<std::int32_t>(p.meta & ((1u << kABits) - 1))};
   }
 
-  [[nodiscard]] const std::vector<Packed>& pick_lane() const {
-    if (gen_.empty()) return heap_;
-    if (heap_.empty()) return gen_;
-    return heap_.front().after(gen_.front()) ? gen_ : heap_;
+  /// (time, meta) as one unsigned 128-bit integer with the order of
+  /// Packed::after. Event times are never negative (every push checks
+  /// them against the last pop, which starts at 0), and the bit patterns
+  /// of non-negative doubles, +inf included, order as integers; clearing
+  /// the sign bit makes -0.0 equal to +0.0, as the double compare does.
+  static unsigned __int128 key(const Packed& p) {
+    const std::uint64_t bits =
+        std::bit_cast<std::uint64_t>(p.time) & ~(std::uint64_t{1} << 63);
+    return (static_cast<unsigned __int128>(bits) << 64) | p.meta;
   }
-  [[nodiscard]] std::vector<Packed>& pick_lane() {
-    return const_cast<std::vector<Packed>&>(
-        static_cast<const EventQueue*>(this)->pick_lane());
+
+  /// The source holding the next event: kFromHeap, kFromGen or a delay
+  /// lane's index. Ties between heads cannot occur (seq is unique). The
+  /// lanes are compared as integer keys, which the compiler selects
+  /// without branches: which lane holds the next event is data-dependent
+  /// and would mispredict as a branch.
+  [[nodiscard]] int pick() const {
+    const Packed* top = heap_.empty() ? &kEmptyHead : &heap_.front();
+    int from = kFromHeap;
+    if (!gen_.empty() && top->after(gen_.front())) {
+      top = &gen_.front();
+      from = kFromGen;
+    }
+    if (lane_events_ == 0) return from;
+    unsigned __int128 best = key(*top);
+    for (std::size_t l = 0; l < lanes_.size(); ++l) {
+      const unsigned __int128 k = key(lanes_[l].front());
+      const bool earlier = k < best;
+      best = earlier ? k : best;
+      from = earlier ? static_cast<int>(l) : from;
+    }
+    return from;
+  }
+  [[nodiscard]] const Packed* head(int from) const {
+    if (from >= 0) return &lanes_[static_cast<std::size_t>(from)].front();
+    return from == kFromHeap ? &heap_.front() : &gen_.front();
   }
 
   // Both sifts hold the moving entry in registers and shift the others
@@ -226,6 +344,9 @@ class EventQueue {
 
   std::vector<Packed> heap_;  ///< worm events (header/release/done)
   std::vector<Packed> gen_;   ///< kGenerate events (own lane when enabled)
+  std::vector<Fifo> lanes_;   ///< delay lanes (delay_lane)
+  std::size_t size_ = 0;      ///< events in heap_, gen_ and lanes_
+  std::size_t lane_events_ = 0;  ///< events in lanes_
   bool gen_lane_ = false;
   std::uint64_t next_seq_ = 0;
   double last_pop_time_ = 0.0;

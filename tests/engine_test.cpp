@@ -6,9 +6,11 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstring>
 #include <map>
 #include <vector>
 
+#include "sim/drain.hpp"
 #include "sim/event_queue.hpp"
 #include "support/flit_reference.hpp"
 #include "util/rng.hpp"
@@ -287,6 +289,89 @@ TEST_P(EngineVsReferenceLongPath, RandomScenarioMatchesFlitReference) {
 INSTANTIATE_TEST_SUITE_P(Seeds, EngineVsReference, ::testing::Range(0, 40));
 INSTANTIATE_TEST_SUITE_P(Seeds, EngineVsReferenceLongPath,
                          ::testing::Range(0, 12));
+
+// ---------------------------------------------------------------------------
+// Closed-form drain vs the full recurrence (sim/drain.hpp), bit for bit.
+// ---------------------------------------------------------------------------
+
+/// Random service shape that drain_is_monotone accepts: nondecreasing
+/// over hops 0..K-2 with frequent repeats (t_cs runs), and a last hop
+/// at most svc[K-2] (equal, as in a [t, ..., t] leg, or smaller, as the
+/// t_cn ejection of a relay leg).
+std::vector<double> monotone_service(util::Rng& rng, std::size_t hops) {
+  std::vector<double> svc(hops);
+  double s = 0.05 + rng.next_double();
+  for (std::size_t j = 0; j + 1 < hops; ++j) {
+    if (rng.next_below(3) == 0) s += rng.next_double();
+    svc[j] = s;
+  }
+  svc[hops - 1] = rng.next_below(3) == 0
+                      ? svc[hops - 2]
+                      : svc[hops - 2] * rng.next_double();
+  return svc;
+}
+
+TEST(DrainClosedForm, MatchesTheFullRecurrenceBitForBit) {
+  util::Rng rng(2026);
+  std::vector<double> scratch(3 * 20);
+  int grid_fallback = 0;  // trials with K past every fixed-K kernel
+  for (int trial = 0; trial < 4000; ++trial) {
+    const auto hops = static_cast<std::size_t>(2 + rng.next_below(19));
+    const int flits =
+        static_cast<int>(hops + rng.next_below(129 - hops));  // K..128
+    const std::vector<double> svc = monotone_service(rng, hops);
+    ASSERT_TRUE(drain_is_monotone(svc.data(), hops));
+    // Header row as the engine records it: hop j+1 granted exactly when
+    // hop j's crossing ends (a rounded tie), or after a random wait.
+    std::vector<double> acquire(hops);
+    acquire[0] = 1000.0 * rng.next_double();
+    const bool ties = trial % 2 == 0;
+    for (std::size_t j = 0; j + 1 < hops; ++j) {
+      acquire[j + 1] = acquire[j] + svc[j];
+      if (!ties && rng.next_below(2) == 0)
+        acquire[j + 1] += 3.0 * rng.next_double();
+    }
+    std::vector<double> grid(hops), closed(hops);
+    drain_grid(acquire.data(), svc.data(), hops, flits, grid.data(),
+               scratch.data());
+    drain_closed_form(acquire.data(), svc.data(), hops, flits,
+                      closed.data());
+    ASSERT_EQ(std::memcmp(grid.data(), closed.data(),
+                          hops * sizeof(double)),
+              0)
+        << "K=" << hops << " M=" << flits << " trial " << trial;
+    grid_fallback += hops > 16 ? 1 : 0;
+  }
+  EXPECT_GT(grid_fallback, 400);
+}
+
+TEST(DrainClosedForm, SingleHopIsAChainOfAdds) {
+  const double acquire = 3.7;
+  const double svc = 0.276;
+  double expected = acquire;
+  for (int f = 1; f < 32; ++f) expected += svc;
+  double out = 0.0;
+  ASSERT_TRUE(drain_is_monotone(&svc, 1));
+  drain_closed_form(&acquire, &svc, 1, 32, &out);
+  EXPECT_EQ(out, expected);
+}
+
+TEST(DrainClosedForm, ShapeTestRejectsMixedLegs) {
+  const double a = 0.276, b = 0.522;
+  // Store-and-forward relay legs: [t_cn, t_cs, ..., t_cs, t_cn].
+  const std::vector<double> relay = {a, b, b, b, a};
+  EXPECT_TRUE(drain_is_monotone(relay.data(), relay.size()));
+  const std::vector<double> pair = {a, a};
+  EXPECT_TRUE(drain_is_monotone(pair.data(), pair.size()));
+  // Cut-through merged worms: one relay leg after another.
+  const std::vector<double> merged = {a, b, a, a, b, a};
+  EXPECT_FALSE(drain_is_monotone(merged.data(), merged.size()));
+  // A last hop slower than the one before it.
+  const std::vector<double> slow_tail = {a, b, b, 2 * b};
+  EXPECT_FALSE(drain_is_monotone(slow_tail.data(), slow_tail.size()));
+  const std::vector<double> slow_head = {b, a, a};
+  EXPECT_FALSE(drain_is_monotone(slow_head.data(), slow_head.size()));
+}
 
 }  // namespace
 }  // namespace mcs::sim

@@ -129,23 +129,34 @@ TEST(EventQueueProperty, MatchesPriorityQueueOracleOnRandomWorkloads) {
 TEST(EventQueueProperty, LatePushedReservationsKeepTheOracleOrder) {
   // reserve_seq() hands out a seq without pushing; a random subset of
   // those reservations is pushed later through push_reserved() (while
-  // popped_before() says its turn has not come), the rest never. A shadow
-  // oracle holds EVERY scheduled event, pushed or not: the queue must pop
-  // the pushed ones in oracle order, the shadow events that pass between
-  // two pops must all be unpushed reservations, and popped_before() must
+  // popped_before() says its turn has not come), the rest never. Events
+  // also go to the generate lane (odd trials) and to 0-4 delay lanes,
+  // each pushed at (last pop time + its fixed delay). A shadow oracle
+  // holds EVERY scheduled event, pushed or not: the queue must pop the
+  // pushed ones in oracle order, the shadow events that pass between two
+  // pops must all be unpushed reservations, and popped_before() must
   // name exactly the reservations the shadow has passed.
   for (std::uint64_t trial = 0; trial < 40; ++trial) {
     util::Rng rng(5000 + trial);
     EventQueue q;
+    if (trial % 2 == 1) q.enable_generate_lane(64);
+    // Delays: 0 and small integers tie with each other and with the
+    // heap pushes below; a random one ties only through equal pop times.
+    const double delays[] = {1.0, 0.0, 0.5 + rng.next_double(), 2.0};
+    std::vector<int> lanes;
+    for (std::uint64_t l = 0; l < trial % 5; ++l)
+      lanes.push_back(q.delay_lane(delays[l]));
     Oracle oracle;  // pushed events
     Oracle shadow;  // every scheduled event
     std::vector<Event> pending;  // reserved, not (yet) pushed
     std::vector<bool> pushed;    // by seq
     std::vector<bool> passed;    // by seq: the shadow popped it
+    std::size_t lane_pushes = 0;
     double now = 0.0;
     const auto pop_and_check = [&] {
       const Event expected = oracle.top();
       oracle.pop();
+      ASSERT_EQ(q.top().seq, expected.seq);
       const Event got = q.pop();
       ASSERT_EQ(got.time, expected.time);
       ASSERT_EQ(got.seq, expected.seq);
@@ -162,6 +173,12 @@ TEST(EventQueueProperty, LatePushedReservationsKeepTheOracleOrder) {
       for (const Event& r : pending)
         ASSERT_EQ(q.popped_before(r.time, r.seq), passed[r.seq]);
     };
+    const auto push_both = [&](const Event& e) {
+      oracle.push(e);
+      shadow.push(e);
+      pushed.push_back(true);
+      passed.push_back(false);
+    };
     for (int step = 0; step < 4000; ++step) {
       const std::uint64_t op = rng.next_below(100);
       // Offsets are 0 in over 40% of draws and small integers in more, so
@@ -173,20 +190,17 @@ TEST(EventQueueProperty, LatePushedReservationsKeepTheOracleOrder) {
                           : static_cast<double>(tie * rng.next_below(3)));
       const auto kind = static_cast<EventKind>(rng.next_below(4));
       const auto a = static_cast<std::int32_t>(rng.next_below(512));
-      if (op < 30) {
+      if (op < 25) {
         const Event e{time, q.pushed(), kind, a};
         q.push(time, kind, a);
-        oracle.push(e);
-        shadow.push(e);
-        pushed.push_back(true);
-        passed.push_back(false);
-      } else if (op < 55) {
+        push_both(e);
+      } else if (op < 45) {
         const Event e{time, q.reserve_seq(), kind, a};
         shadow.push(e);
         pending.push_back(e);
         pushed.push_back(false);
         passed.push_back(false);
-      } else if (op < 70 && !pending.empty()) {
+      } else if (op < 58 && !pending.empty()) {
         const std::size_t i = rng.next_below(pending.size());
         const Event e = pending[i];
         pending.erase(pending.begin() + static_cast<std::ptrdiff_t>(i));
@@ -194,6 +208,13 @@ TEST(EventQueueProperty, LatePushedReservationsKeepTheOracleOrder) {
         q.push_reserved(e.time, e.kind, e.a, e.seq);
         oracle.push(e);
         pushed[e.seq] = true;
+      } else if (op < 72 && !lanes.empty()) {
+        const std::size_t l = rng.next_below(lanes.size());
+        const Event e{now + delays[l], q.pushed(), EventKind::kHeaderAdvance,
+                      a};
+        q.push_lane(lanes[l], e.time, e.kind, e.a);
+        push_both(e);
+        ++lane_pushes;
       } else if (!oracle.empty()) {
         pop_and_check();
         if (HasFatalFailure()) return;
@@ -205,7 +226,45 @@ TEST(EventQueueProperty, LatePushedReservationsKeepTheOracleOrder) {
       if (HasFatalFailure()) return;
     }
     EXPECT_TRUE(q.empty());
+    if (!lanes.empty()) {
+      EXPECT_GT(lane_pushes, 300u);
+    }
   }
+}
+
+TEST(EventQueue, DelayLanesAreKeyedByDelayAndCapped) {
+  EventQueue q;
+  for (int l = 0; l < EventQueue::kMaxDelayLanes; ++l)
+    EXPECT_EQ(q.delay_lane(0.5 + l), l);
+  EXPECT_EQ(q.delay_lane(1.5), 1);
+  EXPECT_EQ(q.delay_lane(9.0), EventQueue::kNoLane);
+}
+
+TEST(EventQueue, LaneHeadsTieSignedZerosBySeq) {
+  // Lane heads are merged through integer keys; -0.0 must tie with +0.0
+  // and fall back to seq, as the double compare does.
+  EventQueue q;
+  const int lane = q.delay_lane(1.0);
+  for (int i = 0; i < 4; ++i) q.push(0.0, EventKind::kWormDone, i);
+  q.push_lane(lane, -0.0, EventKind::kHeaderAdvance, 4);
+  q.push(0.0, EventKind::kWormDone, 5);
+  for (int i = 0; i < 6; ++i) EXPECT_EQ(q.pop().a, i);
+}
+
+TEST(EventQueue, DelayLaneGrowsInPlaceOfItsRing) {
+  // More events than the lane's initial ring, pushed while earlier ones
+  // pop, so the ring wraps before it grows. The far-future heap events
+  // keep the worm heap deep enough that push_lane uses the lane.
+  EventQueue q;
+  const int lane = q.delay_lane(1.0);
+  for (int i = 0; i < 4; ++i) q.push(1e9, EventKind::kWormDone, 1000 + i);
+  for (int i = 0; i < 10; ++i)
+    q.push_lane(lane, static_cast<double>(i), EventKind::kHeaderAdvance, i);
+  for (int i = 0; i < 5; ++i) EXPECT_EQ(q.pop().a, i);
+  for (int i = 10; i < 100; ++i)
+    q.push_lane(lane, static_cast<double>(i), EventKind::kHeaderAdvance, i);
+  for (int i = 5; i < 100; ++i) EXPECT_EQ(q.pop().a, i);
+  EXPECT_EQ(q.size(), 4u);
 }
 
 TEST(EventQueueProperty, BurstyTiesPopInSeqOrder) {
@@ -264,6 +323,15 @@ TEST(EventQueueDeathTest, PushingAReservationPastItsTurnAborts) {
   (void)q.pop();
   EXPECT_TRUE(q.popped_before(1.0, seq));
   EXPECT_DEATH(q.push_reserved(1.0, EventKind::kRelease, 0, seq),
+               "precondition");
+}
+
+TEST(EventQueueDeathTest, OutOfOrderLanePushAborts) {
+  EventQueue q;
+  const int lane = q.delay_lane(1.0);
+  q.push_lane(lane, 2.0, EventKind::kHeaderAdvance, 0);
+  q.push_lane(lane, 2.0, EventKind::kHeaderAdvance, 1);  // a tie is fine
+  EXPECT_DEATH(q.push_lane(lane, 1.5, EventKind::kHeaderAdvance, 2),
                "precondition");
 }
 

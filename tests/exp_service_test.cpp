@@ -306,8 +306,14 @@ TEST(ResultCacheService, ConcurrentStoresReloadByteEqual) {
   const std::string dir = scratch_dir("threads") + "/cache";
   constexpr int kThreads = 4;
   constexpr int kPerThread = 100;
+  // Appended piecewise: `"t" + std::to_string(...)` trips GCC 12's
+  // -Wrestrict false positive (GCC bug 105651) at -O3.
   const auto digest = [](int t, int i) {
-    return "t" + std::to_string(t) + "i" + std::to_string(i);
+    std::string d = "t";
+    d += std::to_string(t);
+    d += 'i';
+    d += std::to_string(i);
+    return d;
   };
   const auto payload = [](int t, int i) {
     std::ostringstream out;
