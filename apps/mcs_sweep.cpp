@@ -28,8 +28,9 @@
 //                     scenario's [search] block tunes precision targets,
 //                     replication bounds and warmup deletion)
 //   --quiet           suppress the table (summary only)
-//   --progress        log a progress/ETA heartbeat while the grid runs
-//                     (implies log level info)
+//   --progress        print a progress/ETA heartbeat on stderr while the
+//                     grid runs (about one line per 2 s, and always a
+//                     final N/N line)
 //
 // Production campaign service (DESIGN.md §14):
 //
@@ -64,18 +65,11 @@
 //                     (sim = false: the report names the model's
 //                     bottleneck station). [observe] explain=true in the
 //                     scenario is equivalent.
-//   --log-level=L     logger verbosity: debug | info | warn | error
-//                     (default warn; the MCS_LOG_LEVEL environment
-//                     variable is the fallback when the flag is absent)
-//   --icn2=KIND       force every system's ICN2 topology
-//                     (fat_tree | torus | mesh | dragonfly | random)
-//   --icn2-degree=D --icn2-switches=S --icn2-seed=X  its parameters
-//   --load-scale=LIST per-cluster offered-load multipliers applied to
-//                     every system: one value broadcasts, or one
-//                     comma-separated entry per cluster
-//   --icn2-alpha-net=A --icn2-alpha-sw=A --icn2-beta-net=B
-//                     give every system's ICN2 its own channel timing
-//                     (a distinct backbone technology)
+//
+// The system under study (ICN2 topology, per-cluster technology and
+// load, ICN2 channel timing) is described only by the scenario file's
+// [system], [cluster.<i>] and [icn2_params] keys, where the parser
+// checks it; no flag overrides it.
 //
 // Unknown options and unknown scenario names both fail with
 // closest-match suggestions (a typo like --find-saturaton must never
@@ -111,7 +105,7 @@ std::vector<std::string> known_options() {
   std::vector<std::string> names = {
       "list",      "threads",   "csv",        "json",     "stable-json",
       "quiet",     "progress",  "probe-out",  "trace-out", "explain",
-      "log-level", "cache",     "checkpoint", "resume"};
+      "cache",     "checkpoint", "resume"};
   for (const std::string& name : mcs::exp::spec_flag_names())
     names.push_back(name);
   return names;
@@ -161,19 +155,6 @@ int main(int argc, char** argv) {
     const std::string trace_out = args.get("trace-out", "");
     options.collect_probes = !probe_out.empty();
     options.collect_traces = !trace_out.empty();
-    // Logger verbosity: MCS_LOG_LEVEL is the fallback, the explicit
-    // --log-level flag wins, and --progress raises to info (its
-    // heartbeat logs there) unless a flag said otherwise.
-    mcs::util::apply_log_level_env();
-    if (options.progress)
-      mcs::util::set_log_level(mcs::util::LogLevel::kInfo);
-    if (args.has("log-level")) {
-      const auto level = mcs::util::parse_log_level(args.get("log-level", ""));
-      if (!level)
-        throw mcs::ConfigError("--log-level: expected debug|info|warn|error");
-      mcs::util::set_log_level(*level);
-    }
-
     const mcs::exp::SweepResult result = runner.run(options);
 
     if (!probe_out.empty()) {

@@ -206,9 +206,7 @@ void write_report_json(const PerfReport& report, std::ostream& out) {
     out << "      \"worms_per_sec\": " << m.worms_per_sec << ",\n";
     out << "      \"latency_mean\": " << m.latency_mean << ",\n";
     out << "      \"saturated\": " << (m.saturated ? "true" : "false")
-        << ",\n";
-    out << "      \"probe_decimations\": " << m.probe_decimations << ",\n";
-    out << "      \"trace_dropped\": " << m.trace_dropped << "\n";
+        << "\n";
     out << "    }" << (i + 1 < report.measurements.size() ? "," : "")
         << "\n";
   }

@@ -59,12 +59,6 @@ struct PerfMeasurement {
   double worms_per_sec = 0.0;
   double latency_mean = 0.0;      ///< result checksum, not a perf number
   bool saturated = false;
-  /// Flight-recorder health of the untimed instrumented pass (mcs_perf
-  /// --probe-out / --trace-out / --explain): how often the probe buffer
-  /// decimated and how many trace events were dropped. -1 = the pass did
-  /// not attach that instrument.
-  std::int64_t probe_decimations = -1;
-  std::int64_t trace_dropped = -1;
 };
 
 /// Run one scenario `repeats` times; aborts (contract) if repeats diverge.

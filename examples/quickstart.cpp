@@ -1,14 +1,14 @@
 // Quickstart: predict and measure the mean message latency of the paper's
 // Org A system (N=1120, C=32, m=8) at one offered load.
 //
-//   ./quickstart [--lambda=2e-4] [--measured=20000] [--seed=1]
+//   ./quickstart [--lambda=1e-4] [--measured=20000] [--seed=1]
 #include <cstdio>
 
 #include <mcs/mcs.hpp>
 
 int main(int argc, char** argv) {
   const mcs::util::Args args(argc, argv);
-  const double lambda = args.get_double("lambda", 2e-4);
+  const double lambda = args.get_double("lambda", 1e-4);
 
   // 1. Describe the system: Table 1's Org A, paper-default network
   //    parameters (M=32 flits of 256 bytes, 500 bytes/time-unit links).

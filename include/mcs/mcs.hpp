@@ -62,7 +62,6 @@
 #include "util/hash.hpp"
 #include "util/histogram.hpp"
 #include "util/json.hpp"
-#include "util/log.hpp"
 #include "util/rng.hpp"
 #include "util/stats.hpp"
 #include "util/table.hpp"

@@ -28,18 +28,12 @@ namespace mcs::exp {
 [[nodiscard]] std::string resolve_scenario_path(const std::string& arg,
                                                 const std::string& tool);
 
-/// Apply the --icn2* flag overrides to every [system] in the spec.
-void apply_icn2_overrides(const util::Args& args, ScenarioSpec& spec);
-
-/// Apply the heterogeneity flag overrides (--load-scale, --icn2-*-net/-sw
-/// channel timing) to every [system] in the spec.
-void apply_hetero_overrides(const util::Args& args, ScenarioSpec& spec);
-
 /// Apply every spec-shaping flag on top of the loaded file — seed,
-/// replications, phases (--warmup/--measured/--paper-scale), evaluation
-/// switches (--no-sim/--knee/--find-saturation) and the ICN2/heterogeneity
-/// overrides above. One entry point, so every caller shapes a spec the
-/// same way.
+/// replications, phases (--warmup/--measured/--paper-scale) and
+/// evaluation switches (--no-sim/--knee/--find-saturation). One entry
+/// point, so every caller shapes a spec the same way. The systems
+/// themselves are never overridden: they come from the file's [system],
+/// [cluster.<i>] and [icn2_params] keys, where the parser checks them.
 void apply_spec_flags(const util::Args& args, ScenarioSpec& spec);
 
 /// The spec-shaping flag names accepted by apply_spec_flags (for

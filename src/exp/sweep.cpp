@@ -18,7 +18,6 @@
 #include "model/saturation.hpp"
 #include "sim/replication.hpp"
 #include "util/error.hpp"
-#include "util/log.hpp"
 #include "util/rng.hpp"
 #include "util/stats.hpp"
 
@@ -509,16 +508,16 @@ SweepResult SweepRunner::run(const SweepRunOptions& options) const {
       const double eta =
           elapsed * static_cast<double>(total_tasks - done) /
           static_cast<double>(done);
-      char line[192];
-      std::snprintf(line, sizeof(line),
-                    "sweep %s: %lld/%lld tasks (%.0f%%), elapsed %.1fs, "
-                    "eta %.1fs",
-                    name.c_str(), static_cast<long long>(done),
-                    static_cast<long long>(total_tasks),
-                    100.0 * static_cast<double>(done) /
-                        static_cast<double>(total_tasks),
-                    elapsed, eta);
-      util::log_info(line);
+      // One fprintf call per line: stdio locks the stream for the call,
+      // so concurrent workers never interleave mid-line.
+      std::fprintf(stderr,
+                   "sweep %s: %lld/%lld tasks (%.0f%%), elapsed %.1fs, "
+                   "eta %.1fs\n",
+                   name.c_str(), static_cast<long long>(done),
+                   static_cast<long long>(total_tasks),
+                   100.0 * static_cast<double>(done) /
+                       static_cast<double>(total_tasks),
+                   elapsed, eta);
     };
   };
 

@@ -157,8 +157,8 @@ struct SweepRunOptions {
   int threads = 0;
   /// Run on an existing pool instead of creating one.
   ThreadPool* pool = nullptr;
-  /// Log a progress/ETA heartbeat through util::log_info (rate-limited
-  /// to roughly one line per 2 s of wall time).
+  /// Print a progress/ETA heartbeat line on stderr (rate-limited to
+  /// roughly one line per 2 s of wall time, always on the final task).
   bool progress = false;
   /// Attach a ProbeSeries (time-series probes) to replication 0 of every
   /// simulated row; the series land in SweepResult::row_probes.

@@ -1,7 +1,7 @@
 // Route validation and census utilities. The router itself lives in
 // FatTree::route (it needs the address arithmetic); these helpers verify
-// its guarantees and measure its load balance, and are used by both the
-// test suite and the utilization benches.
+// its guarantees and measure its load balance; the test suite
+// (fat_tree_test, routing_test) is their only caller.
 #pragma once
 
 #include <cstdint>

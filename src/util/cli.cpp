@@ -46,10 +46,6 @@ Args::Args(int argc, const char* const* argv) {
   }
 }
 
-bool Args::has(const std::string& name) const {
-  return options_.count(name) > 0;
-}
-
 std::string Args::get(const std::string& name,
                       const std::string& fallback) const {
   const auto it = options_.find(name);

@@ -43,7 +43,6 @@ class Args {
  public:
   Args(int argc, const char* const* argv);
 
-  [[nodiscard]] bool has(const std::string& name) const;
   [[nodiscard]] std::string get(const std::string& name,
                                 const std::string& fallback) const;
   /// `--name` as an integer of the fallback's type T; a value T cannot

@@ -11,6 +11,7 @@ tests cannot see from inside the process:
   * CSV/JSON output validity,
   * malformed-input rejection (bad scenario file, removed options,
     typo'd flags with closest-match suggestions),
+  * the --progress heartbeat's final N/N line on stderr,
   * warm-cache re-runs executing zero simulations with identical bytes,
   * SIGKILL mid-run followed by --resume completing identically,
   * SIGKILL mid-run followed by a rerun from the same --cache completing
@@ -146,12 +147,40 @@ def test_usage_errors(h):
     check("unknown option '--shard'" in proc.stderr,
           f"removed --shard must be an unknown flag: {proc.stderr}")
 
+    # Removed front ends: the system is described only by the scenario
+    # file, the heartbeat needs no log level, and mcs_perf measures
+    # throughput only (the flight recorder lives in mcs_sweep).
+    for tool, args, flag in (
+            ("mcs_sweep", (SCENARIO, "--icn2-degree=5"), "--icn2-degree"),
+            ("mcs_sweep", (SCENARIO, "--log-level=info"), "--log-level"),
+            ("mcs_perf", ("--explain",), "--explain")):
+        proc = h.run(tool, *args, expect=2)
+        check(f"unknown option '{flag}'" in proc.stderr,
+              f"removed {tool} {flag} must be an unknown flag: "
+              f"{proc.stderr}")
+
     # An integer the field cannot hold fails; 2^32 + 1 once wrapped to 1.
     proc = h.run("mcs_sweep", SCENARIO, "--replications=4294967297",
                  expect=1)
     check("--replications" in proc.stderr and "out of range" in proc.stderr,
           f"out-of-range --replications must be rejected: {proc.stderr}")
     return "usage and option errors rejected with the right exit codes"
+
+
+def test_progress_heartbeat(h):
+    """--progress alone prints the heartbeat on stderr, ending with the
+    final N/N line; stdout carries no heartbeat."""
+    proc = h.run("mcs_sweep", SCENARIO, "--quiet", "--progress",
+                 "--threads=2")
+    beats = [line for line in proc.stderr.splitlines()
+             if line.startswith(f"sweep {SCENARIO}: ")]
+    check(beats, f"no heartbeat on stderr: {proc.stderr!r}")
+    last = beats[-1].split(": ", 1)[1].split(" tasks ", 1)
+    done, total = last[0].split("/")
+    check(done == total and last[1].startswith("(100%)"),
+          f"last heartbeat is not the final N/N line: {beats[-1]!r}")
+    check("tasks (" not in proc.stdout, "heartbeat leaked to stdout")
+    return f"{len(beats)} heartbeat line(s), last {beats[-1]!r}"
 
 
 def test_typo_suggestions(h):
@@ -387,6 +416,7 @@ TESTS = [
     test_smoke_run_and_outputs,
     test_fig3_drift_verdicts,
     test_usage_errors,
+    test_progress_heartbeat,
     test_typo_suggestions,
     test_malformed_scenario_rejected,
     test_warm_cache_zero_sims,

@@ -158,8 +158,8 @@ TEST(Icn2ConfigLabel, MeshIsDistinguishedFromTorus) {
   icn2.torus_wrap = false;
   EXPECT_STREQ(icn2.label(), "mesh");
 
-  // The shared kind parser drives both the INI key and the --icn2 flag:
-  // "torus" must re-arm wrap after "mesh".
+  // The kind parser behind the INI key `icn2`: "torus" must re-arm wrap
+  // after "mesh".
   bool wrap = true;
   Icn2Kind kind = Icn2Kind::kFatTree;
   ASSERT_TRUE(parse_icn2_kind("mesh", kind, wrap));

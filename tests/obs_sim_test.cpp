@@ -69,6 +69,22 @@ topo::SystemConfig torus_system(bool wrap) {
   return cfg;
 }
 
+/// tree_system with per-cluster technologies, a distinct ICN2 backbone
+/// and a skewed load (DESIGN.md §10): the per-net service table and the
+/// per-cluster arrival rates under observation.
+topo::SystemConfig hetero_tech_system() {
+  topo::SystemConfig cfg = tree_system();
+  cfg.cluster_net.assign(3, {});
+  cfg.cluster_net[0].beta_net = 0.001;  // fast small clusters
+  cfg.cluster_net[1].beta_net = 0.001;
+  cfg.cluster_net[2].beta_net = 0.004;  // slow big cluster
+  cfg.cluster_net[2].alpha_sw = 0.02;
+  cfg.icn2_net.alpha_net = 0.04;  // long-haul backbone
+  cfg.icn2_net.beta_net = 0.001;
+  cfg.load_scale = {1.5, 1.5, 0.75};
+  return cfg;
+}
+
 SimResult run(const topo::SystemConfig& system, SimConfig cfg) {
   topo::MultiClusterTopology topology(system);
   model::NetworkParams params;
@@ -136,6 +152,10 @@ TEST(ObsContract, AllGoldenVariantsBitIdenticalWithObservers) {
   SimConfig cut = golden_config();
   cut.relay_mode = RelayMode::kCutThrough;
   run_both(tree_system(), cut);
+
+  const InstrumentedRun hetero =
+      run_both(hetero_tech_system(), golden_config());
+  EXPECT_FALSE(hetero.observed.saturated);
 }
 
 TEST(ObsContract, ChannelStatsRunUnperturbedByProbes) {

@@ -10,7 +10,6 @@
 #include "util/csv.hpp"
 #include "util/error.hpp"
 #include "util/hash.hpp"
-#include "util/log.hpp"
 #include "util/table.hpp"
 
 namespace mcs::util {
@@ -206,13 +205,6 @@ TEST(AtomicFile, ReadMissingFileIsNulloptAndWriteToBadDirThrows) {
   EXPECT_FALSE(read_file("/nonexistent_dir_xyz/missing.txt").has_value());
   EXPECT_THROW(write_file_atomic("/nonexistent_dir_xyz/out.txt", "x"),
                ConfigError);
-}
-
-TEST(Log, LevelFiltering) {
-  set_log_level(LogLevel::kError);
-  EXPECT_EQ(log_level(), LogLevel::kError);
-  log_debug("should not crash even when filtered");
-  set_log_level(LogLevel::kWarn);  // restore default
 }
 
 }  // namespace
