@@ -63,8 +63,7 @@
 //                     load) and embed an "explain" object per row in
 //                     --json output. Works on model-only scenarios too
 //                     (sim = false: the report names the model's
-//                     bottleneck station). [observe] explain=true in the
-//                     scenario is equivalent.
+//                     bottleneck station).
 //
 // The system under study (ICN2 topology, per-cluster technology and
 // load, ICN2 channel timing) is described only by the scenario file's
@@ -141,7 +140,7 @@ int main(int argc, char** argv) {
     // Flag overrides on top of the file; cache digests hash the
     // resulting spec.
     mcs::exp::apply_spec_flags(args, spec);
-    const bool explain = args.get_flag("explain") || spec.explain;
+    const bool explain = args.get_flag("explain");
 
     mcs::exp::SweepRunner runner(std::move(spec));
     mcs::exp::SweepRunOptions options;

@@ -74,7 +74,7 @@ const std::vector<std::string>& search_keys() {
 const std::vector<std::string>& observe_keys() {
   static const std::vector<std::string> keys = {
       "probe_interval", "probe_max_samples", "trace_sample",
-      "trace_max_events", "explain"};
+      "trace_max_events"};
   return keys;
 }
 
@@ -82,9 +82,8 @@ sim::WarmupDeletion parse_warmup_deletion(const std::string& source, int line,
                                           const std::string& value) {
   if (value == "off") return sim::WarmupDeletion::kOff;
   if (value == "mser5") return sim::WarmupDeletion::kMser5;
-  if (value == "fraction") return sim::WarmupDeletion::kFraction;
-  fail_unknown(source, line, "unknown warmup deletion mode", value,
-               {"off", "mser5", "fraction"});
+  fail(source, line,
+       "unknown warmup deletion mode '" + value + "'; expected off, mser5");
 }
 
 const std::vector<std::string>& system_keys() {
@@ -687,8 +686,6 @@ ScenarioSpec parse_scenario(std::istream& in, const std::string& source) {
         } else if (key == "trace_max_events") {
           spec.trace.max_events =
               parse_int<std::size_t>(source, line_no, value);
-        } else if (key == "explain") {
-          spec.explain = parse_bool(source, line_no, value);
         } else {
           fail_unknown(source, line_no, "unknown [observe] key", key,
                        observe_keys());

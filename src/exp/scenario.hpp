@@ -75,7 +75,7 @@
 // simulation-side saturation search (`find_saturation = true` in [sweep],
 // or mcs_sweep --find-saturation, turns it on; the block alone only
 // configures). Keys: `rel_precision`, `r_min`, `r_max` (the sequential
-// replication rule per probe), `warmup = off | mser5 | fraction`
+// replication rule per probe), `warmup = off | mser5`
 // (initial-transient deletion of the probe runs), `rel_tol` (bracket
 // width) and `blowup` (latency-blowup saturation predicate):
 //
@@ -90,10 +90,9 @@
 // the block only configures; probes and traces are actually emitted when
 // mcs_sweep's --probe-out / --trace-out flags (or SweepRunOptions) turn
 // collection on. Keys: `probe_interval` (virtual time; 0 = auto),
-// `probe_max_samples`, `trace_sample` (trace every K-th message),
-// `trace_max_events`, and `explain` (attribution mode by default — the
-// one [observe] key that enables collection on its own, equivalent to
-// mcs_sweep --explain):
+// `probe_max_samples`, `trace_sample` (trace every K-th message) and
+// `trace_max_events`. Attribution (DESIGN.md §13) is mcs_sweep --explain
+// alone:
 //
 //   [observe]
 //   probe_interval    = 0.5
@@ -175,11 +174,6 @@ struct ScenarioSpec {
   /// --probe-out / --trace-out) decides whether anything is collected.
   obs::ProbeConfig probe;
   obs::TraceConfig trace;
-  /// `[observe] explain = true`: the scenario asks for attribution mode
-  /// by default (equivalent to mcs_sweep --explain) — a LatencyAnatomy on
-  /// replication 0 of every simulated row plus the refined model's
-  /// per-station breakdown, joined in the output (exp/explain.hpp).
-  bool explain = false;
 
   /// Channel timing defaults shared by every grid point; message_flits and
   /// flit_bytes above override the corresponding fields per point.

@@ -443,6 +443,9 @@ SweepResult SweepRunner::run(const SweepRunOptions& options) const {
     }
   }
   std::vector<char> search_submitted(search_groups.size(), 0);
+  // Simulator runs of each search group's probes, one slot per group
+  // (written by its task, summed into sim_tasks after wait_idle()).
+  std::vector<std::int64_t> search_sims(search_groups.size(), 0);
   std::size_t search_task_count = 0;
   for (std::size_t g = 0; g < search_groups.size(); ++g) {
     search_submitted[g] =
@@ -596,8 +599,9 @@ SweepResult SweepRunner::run(const SweepRunOptions& options) const {
     const ModelGroup& mg = groups[sg.model_group];
     const topo::MultiClusterTopology& topology =
         *ex.topologies[static_cast<std::size_t>(mg.system_idx)];
-    pool->submit(instrument('k', [this, &sg, &mg, &topology, &patterns,
-                                  &rows, &restored, &complete_row] {
+    pool->submit(instrument('k', [this, g, &sg, &mg, &topology, &patterns,
+                                  &rows, &restored, &complete_row,
+                                  &search_sims] {
       const topo::SystemConfig& config =
           spec_.systems[static_cast<std::size_t>(mg.system_idx)].config;
       // Analytical seed knee, same preference order as the model tasks
@@ -631,6 +635,8 @@ SweepResult SweepRunner::run(const SweepRunOptions& options) const {
       const SaturationSearch search(topology, mg.params, cfg,
                                     spec_.search);
       const SaturationSearchResult found = search.run(model_sat);
+      for (const SaturationProbe& p : found.trace)
+        search_sims[g] += p.replications;
       for (const std::size_t r : sg.row_indices) {
         // Negative = missing, like every other output column: a search
         // that found no stable load reports no knee (never a
@@ -757,6 +763,7 @@ SweepResult SweepRunner::run(const SweepRunOptions& options) const {
   }
 
   pool->wait_idle();
+  for (const std::int64_t sims : search_sims) result.sim_tasks += sims;
 
   // Fold the journal's append segment into its sorted base: the mid-run
   // append order tracks task completion (scheduling-dependent), but the

@@ -120,6 +120,8 @@ struct SweepResult {
   std::string name;
   std::vector<SweepRow> rows;  ///< grid order (the spec's nesting order)
   int threads = 0;
+  /// Simulator runs executed: grid-row replications plus the replications
+  /// of every saturation-search probe. Restored rows add none.
   std::int64_t sim_tasks = 0;
   double wall_seconds = 0.0;
   /// Simulated rows whose sim_state != 0.
@@ -166,7 +168,7 @@ struct SweepRunOptions {
   /// Attach a TraceBuffer (worm-lifecycle spans) to replication 0 of
   /// every simulated row; the buffers land in SweepResult::row_traces.
   bool collect_traces = false;
-  /// Attribution mode (mcs_sweep --explain / [observe] explain=true):
+  /// Attribution mode (mcs_sweep --explain):
   /// attach a LatencyAnatomy to replication 0 of every simulated row AND
   /// compute the refined model's per-station breakdown per row, so the
   /// output can join measured vs predicted stage by stage

@@ -26,10 +26,9 @@ namespace mcs::sim {
 void drain_closed_form(const double* acquire, const double* svc,
                        std::size_t hops, int flits, double* out);
 
-/// start(M-1, j) by the full recurrence: a fixed-K register kernel for
-/// 2 <= K <= 16, a software-pipelined two-rows-per-pass loop above.
-/// `scratch` holds 3*K doubles.
+/// start(M-1, j) by the full recurrence, one flit row per pass over
+/// `out` (which must not alias `acquire`).
 void drain_grid(const double* acquire, const double* svc, std::size_t hops,
-                int flits, double* out, double* scratch);
+                int flits, double* out);
 
 }  // namespace mcs::sim

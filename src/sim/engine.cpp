@@ -32,7 +32,6 @@ WormholeEngine::WormholeEngine(std::vector<double> channel_service,
   traversals_.assign(service_.size(), 0);
   drain_svc_.resize(stride_);
   drain_last_.resize(stride_);
-  drain_scratch_.resize(3 * stride_);
 }
 
 void WormholeEngine::enable_channel_stats() {
@@ -77,7 +76,6 @@ void WormholeEngine::grow_stride(std::int32_t needed_len) {
   stride_ = new_stride;
   drain_svc_.resize(stride_);
   drain_last_.resize(stride_);
-  drain_scratch_.resize(3 * stride_);
 }
 
 WormId WormholeEngine::spawn(std::int32_t msg,
@@ -234,7 +232,7 @@ void WormholeEngine::finish_header(WormId id, double now) {
   if (drain_is_monotone(svc, hops)) {
     drain_closed_form(acquire, svc, hops, flits_, last);
   } else {
-    drain_grid(acquire, svc, hops, flits_, last, drain_scratch_.data());
+    drain_grid(acquire, svc, hops, flits_, last);
   }
 
   // Release channel j when the tail finishes crossing it. Releases are

@@ -105,8 +105,6 @@ class WormholeEngine {
   [[nodiscard]] std::uint64_t total_spawned() const { return spawned_; }
   /// Worms currently blocked in some channel FIFO (saturation signal).
   [[nodiscard]] std::int64_t waiting_worms() const { return waiting_; }
-  [[nodiscard]] int message_flits() const { return flits_; }
-  [[nodiscard]] FlowControl flow_control() const { return flow_control_; }
   /// Header-crossing time of channel c: service_[c] under wormhole, a
   /// full message transmission (flits * service) under store-and-forward
   /// — the exact per-hop term the acquire/advance events are scheduled
@@ -192,11 +190,9 @@ class WormholeEngine {
   std::vector<std::uint64_t> traversals_;
 
   // Scratch rows for the drain (avoid per-worm allocation): hoisted
-  // per-hop service times, the last flit row, and drain_grid's three
-  // rolling rows.
+  // per-hop service times and the last flit row.
   std::vector<double> drain_svc_;
   std::vector<double> drain_last_;
-  std::vector<double> drain_scratch_;
 };
 
 }  // namespace mcs::sim

@@ -24,7 +24,10 @@
 //    exactly once, halving the store traffic of swap-based sifting.
 //  - Lanes: kGenerate events and constant-delay FIFO lanes bypass the
 //    worm heap; pop() takes the smallest lane head, which is the same
-//    global (time, seq) order.
+//    global (time, seq) order. The traffic process keeps exactly one
+//    pending arrival per node — a large, slow-turnover population that
+//    would otherwise deepen every worm-event sift — so kGenerate events
+//    always live in a heap of their own.
 #pragma once
 
 #include <algorithm>
@@ -61,11 +64,15 @@ struct Event {
 
 class EventQueue {
  public:
-  /// Capacity hint for the backing storage. The simulator sizes it to the
-  /// expected high-water mark (≈ nodes + in-flight worm events) so warmup
-  /// does not pay repeated reallocation; purely an allocation hint, never
+  /// Capacity hints for the two heaps: the worm heap's expected
+  /// high-water mark of in-flight worm events, and the generate heap's
+  /// one pending arrival per node. The simulator sizes both so warmup
+  /// does not pay repeated reallocation; purely allocation hints, never
   /// observable in pop order.
-  void reserve(std::size_t expected_events) { heap_.reserve(expected_events); }
+  void reserve(std::size_t expected_worm_events, std::size_t expected_nodes) {
+    heap_.reserve(expected_worm_events);
+    gen_.reserve(expected_nodes);
+  }
 
   /// Most delay lanes one queue opens. A fixed bound, not a knob: a
   /// homogeneous system needs two (t_cn and t_cs crossings), and every
@@ -85,17 +92,6 @@ class EventQueue {
     if (lanes_.size() == kMaxDelayLanes) return kNoLane;
     lanes_.emplace_back().delay = delay;
     return static_cast<int>(lanes_.size()) - 1;
-  }
-
-  /// Route kGenerate events into their own heap. The traffic process
-  /// keeps exactly one pending arrival per node — a large, slow-turnover
-  /// population that would otherwise deepen every worm-event sift. With
-  /// the split, pop() compares the two lane tops, so the merged order is
-  /// still exactly the global (time, seq) order. Call before any push.
-  void enable_generate_lane(std::size_t expected_nodes) {
-    MCS_EXPECTS(empty() && next_seq_ == 0);
-    gen_lane_ = true;
-    gen_.reserve(expected_nodes);
   }
 
   /// Largest event payload id that fits the packed layout. Producers
@@ -248,8 +244,7 @@ class EventQueue {
 
   void insert(double time, EventKind kind, std::int32_t a,
               std::uint64_t seq) {
-    std::vector<Packed>& heap =
-        gen_lane_ && kind == EventKind::kGenerate ? gen_ : heap_;
+    std::vector<Packed>& heap = kind == EventKind::kGenerate ? gen_ : heap_;
     heap.push_back(pack(time, kind, a, seq));
     sift_up(heap, heap.size() - 1);
     ++size_;
@@ -343,11 +338,10 @@ class EventQueue {
   }
 
   std::vector<Packed> heap_;  ///< worm events (header/release/done)
-  std::vector<Packed> gen_;   ///< kGenerate events (own lane when enabled)
+  std::vector<Packed> gen_;   ///< kGenerate events
   std::vector<Fifo> lanes_;   ///< delay lanes (delay_lane)
   std::size_t size_ = 0;      ///< events in heap_, gen_ and lanes_
   std::size_t lane_events_ = 0;  ///< events in lanes_
-  bool gen_lane_ = false;
   std::uint64_t next_seq_ = 0;
   double last_pop_time_ = 0.0;
   std::uint64_t last_pop_seq_ = 0;

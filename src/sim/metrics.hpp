@@ -6,7 +6,6 @@
 #include <string>
 #include <vector>
 
-#include "obs/probe.hpp"
 #include "sim/event_queue.hpp"
 #include "topology/fat_tree.hpp"
 #include "util/stats.hpp"
@@ -78,8 +77,8 @@ struct SimResult {
   /// looked stationary from the start.
   std::int64_t warmup_deleted = 0;
   /// True when MSER-5 could not determine a cutoff (stream too short or
-  /// minimum on the search bound) and the fixed-fraction fallback was
-  /// applied instead.
+  /// minimum on the search bound) and the fixed 10% fallback was applied
+  /// instead.
   bool warmup_fallback = false;
 
   /// Mean latency by source cluster (Eq. 35's per-cluster view).
@@ -88,12 +87,6 @@ struct SimResult {
 
   /// Filled when SimConfig::collect_channel_stats is set.
   std::vector<ChannelClassStat> channel_classes;
-
-  /// The run's final probe snapshot (set when SimConfig::probes was
-  /// given): the cheapest view of how a run ended — queue depth, blocked
-  /// worms, per-net utilization — without carrying the whole series.
-  bool has_last_probe = false;
-  obs::ProbeSample last_probe;
 };
 
 }  // namespace mcs::sim

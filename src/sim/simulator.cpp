@@ -8,6 +8,17 @@
 
 namespace mcs::sim {
 
+namespace {
+
+/// Blocked-worm saturation cap: max(kMinWaitingCap, kWaitingPerNode * N).
+constexpr std::int64_t kMinWaitingCap = 10'000;
+constexpr std::int64_t kWaitingPerNode = 50;
+/// Share of the measured stream deleted when MSER-5 cannot determine a
+/// cutoff (DESIGN.md §11.2).
+constexpr double kMser5FallbackFraction = 0.1;
+
+}  // namespace
+
 const char* to_string(NetKind kind) {
   switch (kind) {
     case NetKind::kIcn1: return "ICN1";
@@ -30,8 +41,6 @@ Simulator::Simulator(const topo::MultiClusterTopology& topology,
           throw ConfigError("Simulator: lambda_g must be > 0");
         if (config_.measured_messages < 1 || config_.warmup_messages < 0)
           throw ConfigError("Simulator: bad phase configuration");
-        if (config_.warmup_fraction < 0.0 || config_.warmup_fraction >= 1.0)
-          throw ConfigError("Simulator: warmup_fraction must be in [0, 1)");
 
         // Canonical network order: (ICN1_0, ECN1_0, ICN1_1, ECN1_1, ...,
         // ICN2) with the global service-time table (layout.cpp).
@@ -76,18 +85,15 @@ Simulator::Simulator(const topo::MultiClusterTopology& topology,
   routes_.init(topology_, layout_);
 
   // Pre-size the hot pools: recycled worm rows for the expected number of
-  // concurrently live worms, and the pending-event heap's high-water mark
-  // (the standing kGenerate event per node plus the in-flight worm events
-  // — a worm contributes one pending event while advancing and, at drain
-  // time, its kWormDone plus up to one kRelease per hop).
+  // concurrently live worms, and the two event heaps' high-water marks
+  // (the in-flight worm events — a worm contributes one pending event
+  // while advancing and, at drain time, its kWormDone plus up to one
+  // kRelease per hop — and the standing kGenerate event per node).
   engine_.reserve_worms(256, layout_.max_path_len);
-  queue_.enable_generate_lane(static_cast<std::size_t>(n));
-  queue_.reserve(static_cast<std::size_t>(n) +
-                 256 * static_cast<std::size_t>(layout_.max_path_len + 2));
+  queue_.reserve(256 * static_cast<std::size_t>(layout_.max_path_len + 2),
+                 static_cast<std::size_t>(n));
 
-  waiting_cap_ = config_.max_waiting_worms > 0
-                     ? config_.max_waiting_worms
-                     : std::max<std::int64_t>(10'000, 50 * n);
+  waiting_cap_ = std::max(kMinWaitingCap, kWaitingPerNode * n);
   generated_cap_ =
       config_.max_generated > 0
           ? config_.max_generated
@@ -219,19 +225,16 @@ SimResult Simulator::run() {
   // latency stream in delivery order, then rebuild the latency statistics
   // from the suffix. Runs before the percentile pass below, which permutes
   // measured_latencies_ in place.
-  if (config_.warmup_deletion != WarmupDeletion::kOff &&
+  if (config_.warmup_deletion == WarmupDeletion::kMser5 &&
       !measured_latencies_.empty()) {
     const std::size_t measured = measured_latencies_.size();
-    std::size_t cut = static_cast<std::size_t>(
-        config_.warmup_fraction * static_cast<double>(measured));
-    if (config_.warmup_deletion == WarmupDeletion::kMser5) {
-      const util::Mser5Result mser = util::mser5_cutoff(measured_latencies_);
-      if (mser.undetermined) {
-        result.warmup_fallback = true;  // keep the fixed-fraction cut
-      } else {
-        cut = mser.cutoff;
-      }
-    }
+    const util::Mser5Result mser = util::mser5_cutoff(measured_latencies_);
+    result.warmup_fallback = mser.undetermined;
+    std::size_t cut =
+        mser.undetermined
+            ? static_cast<std::size_t>(kMser5FallbackFraction *
+                                       static_cast<double>(measured))
+            : mser.cutoff;
     if (cut >= measured) cut = measured - 1;  // always keep >= one message
     if (cut > 0) apply_warmup_deletion(cut);
     result.warmup_deleted = static_cast<std::int64_t>(cut);
@@ -268,10 +271,6 @@ SimResult Simulator::run() {
     for (std::size_t c = 0; c < busy.size(); ++c)
       busy[c] = engine_.busy_time(static_cast<GlobalChannelId>(c));
     anatomy_->finalize(result.end_time - measure_start_time_, busy);
-  }
-  if (probes_ != nullptr && !probes_->samples().empty()) {
-    result.has_last_probe = true;
-    result.last_probe = probes_->samples().back();
   }
   return result;
 }

@@ -34,10 +34,9 @@ namespace mcs::sim {
 /// empty-network start. Off by default: the PR 3 golden fingerprints and
 /// every fixed-phase experiment are bit-identical with deletion off.
 enum class WarmupDeletion : std::uint8_t {
-  kOff,       ///< keep every measured message (legacy behavior)
-  kMser5,     ///< MSER-5 cutoff over per-message latencies, with the
-              ///< fixed-fraction fallback when the rule is undetermined
-  kFraction,  ///< always delete the first warmup_fraction of the stream
+  kOff,    ///< keep every measured message (legacy behavior)
+  kMser5,  ///< MSER-5 cutoff over per-message latencies; the first 10%
+           ///< of the stream when the rule is undetermined
 };
 
 struct SimConfig {
@@ -57,21 +56,17 @@ struct SimConfig {
   /// internal/external split, per-cluster means) — the event flow, RNG
   /// consumption, end_time and event counts are identical either way.
   WarmupDeletion warmup_deletion = WarmupDeletion::kOff;
-  /// Fraction of the measured stream deleted by kFraction, and by kMser5
-  /// when the MSER scan is undetermined. Must be in [0, 1).
-  double warmup_fraction = 0.1;
 
   // Saturation guards: the run stops and is flagged `saturated` when any
   // cap is hit before all measured messages are delivered, or as soon as
   // the measured latency's batch means drift upward (util::DriftTest,
-  // DESIGN.md §11.5; its constants live with the test, not here).
+  // DESIGN.md §11.5; its constants live with the test, not here), or
+  // more than max(10,000, 50 * total nodes) worms are blocked at once.
   /// Cap on popped events (SimResult::events_processed). A channel
   /// release nobody waits for is never pushed or popped (DESIGN.md §9.1),
   /// so the pops per worm depend on contention.
   std::uint64_t max_events = 400'000'000;
   double max_time = std::numeric_limits<double>::infinity();
-  /// Cap on simultaneously blocked worms; <= 0 selects 50 * total nodes.
-  std::int64_t max_waiting_worms = -1;
   /// Cap on generated messages; <= 0 selects 4 * (warmup + measured).
   std::int64_t max_generated = -1;
 

@@ -18,7 +18,6 @@
 #include <string>
 
 #include "exp/explain.hpp"
-#include "exp/scenario.hpp"
 #include "model/refined_model.hpp"
 #include "sim/simulator.hpp"
 
@@ -292,31 +291,6 @@ TEST(Explain, RenderNamesEveryStation) {
         << obs::station_name(k);
   EXPECT_NE(text.find("bottleneck station"), std::string::npos);
   EXPECT_NE(text.find("conservation"), std::string::npos);
-}
-
-TEST(Scenario, ObserveExplainKeyParses) {
-  const exp::ScenarioSpec spec = exp::parse_scenario_string(
-      "[sweep]\n"
-      "name = explain_spec\n"
-      "loads = 1e-5\n"
-      "[observe]\n"
-      "explain = true\n"
-      "[system a]\n"
-      "preset = homogeneous\n"
-      "m = 4\n"
-      "height = 2\n"
-      "clusters = 2\n");
-  EXPECT_TRUE(spec.explain);
-  const exp::ScenarioSpec off = exp::parse_scenario_string(
-      "[sweep]\n"
-      "name = explain_off\n"
-      "loads = 1e-5\n"
-      "[system a]\n"
-      "preset = homogeneous\n"
-      "m = 4\n"
-      "height = 2\n"
-      "clusters = 2\n");
-  EXPECT_FALSE(off.explain);
 }
 
 }  // namespace

@@ -7,7 +7,8 @@ linkage against the library — and checks the service contracts that unit
 tests cannot see from inside the process:
 
   * exit-code discipline (0 ok, 1 runtime error, 2 usage error),
-  * the printed summary metrics (grid rows, restored rows, sim runs),
+  * the printed summary metrics (grid rows, restored rows, sim runs,
+    saturation-search simulations included),
   * CSV/JSON output validity,
   * malformed-input rejection (bad scenario file, removed options,
     typo'd flags with closest-match suggestions),
@@ -16,6 +17,8 @@ tests cannot see from inside the process:
   * SIGKILL mid-run followed by --resume completing identically,
   * SIGKILL mid-run followed by a rerun from the same --cache completing
     identically,
+  * one SIGKILL point read back through the journal alone and through
+    the cache alone, and the two restored counts compared,
   * fig3_m32's overloaded rows stopped by the latency-drift test and its
     rows below the knee steady, read from the parsed JSON rows,
   * a deliberate hang caught by the harness wall-clock timeout, the
@@ -347,6 +350,89 @@ def test_kill_and_cache(h):
     return f"rerun and warm run byte-identical; {how}"
 
 
+def test_search_sim_runs_counted(h):
+    """A saturation search's simulations count as sim runs: the summary
+    line and the JSON sim_tasks agree, and the grid's replications add on
+    top of the same searches."""
+    flags = ["--find-saturation", "--quiet", "--threads=2"]
+    proc = h.run("mcs_sweep", SCENARIO, "--no-sim", *flags,
+                 "--json=search.json")
+    searched = h.summary_metrics(proc.stdout)["sim_runs"]
+    doc = json.loads(h.read("search.json"))
+    check(searched == doc["sim_tasks"],
+          f"printed {searched} sim runs, JSON sim_tasks {doc['sim_tasks']}")
+    check(searched > 0, f"search-only run printed {searched} sim runs")
+
+    proc = h.run("mcs_sweep", SCENARIO, *flags)
+    both = h.summary_metrics(proc.stdout)["sim_runs"]
+    check(both == searched + 8,
+          f"grid + search printed {both} sim runs, wanted {searched} + 8")
+    return f"{searched} search sim runs printed and in JSON; {both} with grid"
+
+
+def test_kill_cache_vs_journal(h):
+    """SIGKILL one run that writes both --cache and --checkpoint once the
+    cache holds a complete row, then restore copies of that state twice:
+    through the journal alone (--checkpoint --resume) and through the
+    cache alone. Both must restore rows, and the cache at most one fewer
+    than the journal: a finished row is written to the journal first and
+    to the cache second, so one row can sit between the two writes."""
+    cache = h.path("both_cache")
+    journal = h.path("both.journal")
+    shutil.rmtree(cache, ignore_errors=True)
+    if os.path.exists(journal):
+        os.remove(journal)
+    # Same phases as test_kill_and_resume: long enough to land the kill
+    # between two rows.
+    flags = ["--measured=400000", "--warmup=500", "--threads=1"]
+
+    def cache_lines():
+        if not os.path.isdir(cache):
+            return 0
+        lines = 0
+        for name in os.listdir(cache):
+            if name.endswith(".pack"):
+                with open(os.path.join(cache, name), "rb") as f:
+                    lines += f.read().count(b"\n")
+        return lines
+
+    cmd = [os.path.join(h.build_dir, "mcs_sweep"), SCENARIO, "--quiet",
+           f"--cache={cache}", f"--checkpoint={journal}"] + flags
+    victim = subprocess.Popen(cmd, cwd=h.workdir,
+                              stdout=subprocess.DEVNULL,
+                              stderr=subprocess.DEVNULL)
+    killed_midway = False
+    deadline = time.monotonic() + DEFAULT_TIMEOUT
+    while time.monotonic() < deadline and victim.poll() is None:
+        if cache_lines() >= 1:
+            victim.send_signal(signal.SIGKILL)
+            killed_midway = True
+            break
+        time.sleep(0.005)
+    victim.wait(timeout=DEFAULT_TIMEOUT)
+    if not killed_midway:
+        return "victim finished before the kill window (machine too fast)"
+
+    # Each rerun gets its own copy of the killed state, so neither
+    # restores from rows the other wrote.
+    shutil.copyfile(journal, h.path("both_copy.journal"))
+    shutil.copytree(cache, h.path("both_copy_cache"))
+    proc = h.run("mcs_sweep", SCENARIO, "--quiet", *flags,
+                 "--checkpoint=both_copy.journal", "--resume")
+    from_journal = h.summary_metrics(proc.stdout)["restored"]
+    proc = h.run("mcs_sweep", SCENARIO, "--quiet", *flags,
+                 "--cache=both_copy_cache")
+    from_cache = h.summary_metrics(proc.stdout)["restored"]
+    check(from_journal >= 1 and from_cache >= 1,
+          f"journal restored {from_journal}, cache {from_cache}: "
+          "both must restore the rows that landed")
+    check(from_cache >= from_journal - 1,
+          f"cache restored {from_cache} rows, journal {from_journal}: "
+          "the cache may trail the journal by one row at most")
+    return (f"journal restored {from_journal} row(s), cache "
+            f"{from_cache}")
+
+
 def test_hang_caught_by_timeout(h):
     """A pathological invocation that runs far beyond its budget must be
     caught by the harness wall-clock ceiling — the black-box equivalent
@@ -422,6 +508,8 @@ TESTS = [
     test_warm_cache_zero_sims,
     test_kill_and_resume,
     test_kill_and_cache,
+    test_kill_cache_vs_journal,
+    test_search_sim_runs_counted,
     test_hang_caught_by_timeout,
     test_perf_smoke_contract,
 ]

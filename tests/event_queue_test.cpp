@@ -130,8 +130,8 @@ TEST(EventQueueProperty, LatePushedReservationsKeepTheOracleOrder) {
   // reserve_seq() hands out a seq without pushing; a random subset of
   // those reservations is pushed later through push_reserved() (while
   // popped_before() says its turn has not come), the rest never. Events
-  // also go to the generate lane (odd trials) and to 0-4 delay lanes,
-  // each pushed at (last pop time + its fixed delay). A shadow oracle
+  // also go to the generate heap (every kGenerate event) and to 0-4 delay
+  // lanes, each pushed at (last pop time + its fixed delay). A shadow oracle
   // holds EVERY scheduled event, pushed or not: the queue must pop the
   // pushed ones in oracle order, the shadow events that pass between two
   // pops must all be unpushed reservations, and popped_before() must
@@ -139,7 +139,6 @@ TEST(EventQueueProperty, LatePushedReservationsKeepTheOracleOrder) {
   for (std::uint64_t trial = 0; trial < 40; ++trial) {
     util::Rng rng(5000 + trial);
     EventQueue q;
-    if (trial % 2 == 1) q.enable_generate_lane(64);
     // Delays: 0 and small integers tie with each other and with the
     // heap pushes below; a random one ties only through equal pop times.
     const double delays[] = {1.0, 0.0, 0.5 + rng.next_double(), 2.0};
@@ -296,7 +295,7 @@ TEST(EventQueueProperty, ReserveDoesNotChangeBehavior) {
   util::Rng rng(7);
   EventQueue plain;
   EventQueue hinted;
-  hinted.reserve(10'000);
+  hinted.reserve(10'000, 10'000);
   for (int i = 0; i < 5000; ++i) {
     const double t = rng.next_double() * 100.0;
     plain.push(t, EventKind::kGenerate, i);

@@ -153,7 +153,7 @@ find_saturation = true
 rel_precision = 0.08
 r_min = 3
 r_max = 9
-warmup = fraction
+warmup = off
 rel_tol = 0.03
 blowup = 4.5
 
@@ -165,7 +165,7 @@ heights = 1, 1
   EXPECT_DOUBLE_EQ(spec.search.seq.rel_precision, 0.08);
   EXPECT_EQ(spec.search.seq.r_min, 3);
   EXPECT_EQ(spec.search.seq.r_max, 9);
-  EXPECT_EQ(spec.search_warmup, sim::WarmupDeletion::kFraction);
+  EXPECT_EQ(spec.search_warmup, sim::WarmupDeletion::kOff);
   EXPECT_DOUBLE_EQ(spec.search.rel_tol, 0.03);
   EXPECT_DOUBLE_EQ(spec.search.latency_blowup, 4.5);
 }

@@ -273,6 +273,21 @@ TEST(SweepRunner, FindSaturationFillsEveryRowThreadInvariantly) {
   const SweepResult b = runner.run(many);
   expect_rows_identical(a, b);
 
+  // The searches' simulations are sim runs: every search runs at least
+  // its anchor and one bracket probe of at least r_min replications each,
+  // and a probe's replications run serially, so the count does not
+  // depend on the thread count. Grid simulation adds its replications on
+  // top of the same searches.
+  std::int64_t searches = 0;
+  for (const TaskStat& t : a.task_stats) searches += t.kind == 'k' ? 1 : 0;
+  EXPECT_GT(searches, 0);
+  EXPECT_GE(a.sim_tasks, searches * 2 * spec.search.seq.r_min);
+  EXPECT_EQ(a.sim_tasks, b.sim_tasks);
+  spec.run_sim = true;
+  EXPECT_EQ(SweepRunner(spec).run(many).sim_tasks,
+            a.sim_tasks + spec.grid_size() *
+                              static_cast<std::int64_t>(spec.replications));
+
   for (const SweepRow& row : a.rows) {
     EXPECT_GT(row.sim_lambda_sat, 0.0);
     EXPECT_GT(row.knee_lambda, 0.0);

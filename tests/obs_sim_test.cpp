@@ -200,14 +200,10 @@ TEST(ObsProbes, SeriesInvariantsAndFinalSample) {
     EXPECT_EQ(p.per_cluster_delivered.size(), 3u);  // tree_system clusters
   }
 
-  // The final (forced) sample coincides with the end of the run and is
-  // mirrored into SimResult::last_probe.
+  // The final (forced) sample coincides with the end of the run.
   EXPECT_EQ(samples.back().time, r.observed.end_time);
   EXPECT_EQ(samples.back().events, r.observed.events_processed);
-  ASSERT_TRUE(r.observed.has_last_probe);
-  EXPECT_EQ(r.observed.last_probe.time, samples.back().time);
-  EXPECT_EQ(r.observed.last_probe.generated, r.observed.generated);
-  EXPECT_FALSE(r.bare.has_last_probe);
+  EXPECT_EQ(samples.back().generated, r.observed.generated);
 }
 
 TEST(ObsTrace, SpansNestCorrectlyAfterJsonRoundTrip) {

@@ -56,6 +56,24 @@ TEST(ScenarioNegative, RemovedParallelKeyIsUnknown) {
       << msg;
 }
 
+// Attribution is mcs_sweep --explain alone; the scenario key is gone.
+TEST(ScenarioNegative, RemovedObserveExplainKeyIsUnknown) {
+  const std::string msg =
+      error_of(valid_spec() + "[observe]\nexplain = true\n");
+  EXPECT_NE(msg.find("unknown [observe] key 'explain'"), std::string::npos)
+      << msg;
+}
+
+// The fixed-fraction deletion mode is gone; the error lists what is left.
+TEST(ScenarioNegative, RemovedFractionWarmupModeIsRejected) {
+  const std::string msg =
+      error_of(valid_spec() + "[search]\nwarmup = fraction\n");
+  EXPECT_NE(msg.find("unknown warmup deletion mode 'fraction'"),
+            std::string::npos)
+      << msg;
+  EXPECT_NE(msg.find("off, mser5"), std::string::npos) << msg;
+}
+
 TEST(ScenarioNegative, KneeLoadsRejectNonPositiveAndEmptyLists) {
   for (const char* bad : {"0", "-0.5", "0.5, 0"}) {
     const std::string msg = error_of(std::string("[sweep]\nknee_loads = ") +

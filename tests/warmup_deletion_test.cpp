@@ -1,14 +1,13 @@
 // Initial-transient (warmup) deletion in the simulator (DESIGN.md §11):
-// the post-run MSER-5 / fixed-fraction truncation of the measured latency
-// stream. Deletion must never perturb the event flow — only the reported
-// latency statistics change — and off must mean bit-identical (the PR 3
-// golden fingerprints separately pin the off path).
+// the post-run MSER-5 truncation of the measured latency stream.
+// Deletion must never perturb the event flow — only the reported latency
+// statistics change — and off must mean bit-identical (the PR 3 golden
+// fingerprints separately pin the off path).
 #include <gtest/gtest.h>
 
 #include <cmath>
 
 #include "sim/simulator.hpp"
-#include "util/error.hpp"
 
 namespace mcs::sim {
 namespace {
@@ -79,23 +78,11 @@ TEST(WarmupDeletion, ZeroFixedWarmupNearTheKneeGetsACut) {
   EXPECT_EQ(cleaned.end_time, biased.end_time);  // reporting-only change
 }
 
-TEST(WarmupDeletion, FractionModeDeletesTheExactFraction) {
-  SimConfig cfg = phases(100, 2'000);
-  cfg.warmup_deletion = WarmupDeletion::kFraction;
-  cfg.warmup_fraction = 0.2;
-  const SimResult r = run(cfg);
-  EXPECT_EQ(r.warmup_deleted,
-            static_cast<std::int64_t>(
-                0.2 * static_cast<double>(r.delivered_measured)));
-  EXPECT_FALSE(r.warmup_fallback);
-}
-
 TEST(WarmupDeletion, Mser5FallsBackOnShortStreams) {
   // 30 measured messages -> 6 MSER-5 batch means: undetermined, so the
-  // fixed-fraction fallback applies (and says so).
+  // fixed 10% fallback applies (and says so).
   SimConfig cfg = phases(100, 30);
   cfg.warmup_deletion = WarmupDeletion::kMser5;
-  cfg.warmup_fraction = 0.1;
   const SimResult r = run(cfg);
   EXPECT_TRUE(r.warmup_fallback);
   EXPECT_EQ(r.warmup_deleted, static_cast<std::int64_t>(0.1 * 30));
@@ -109,14 +96,6 @@ TEST(WarmupDeletion, DeterministicAcrossRuns) {
   EXPECT_EQ(a.warmup_deleted, b.warmup_deleted);
   EXPECT_EQ(a.latency.mean, b.latency.mean);
   EXPECT_EQ(a.latency_p95, b.latency_p95);
-}
-
-TEST(WarmupDeletion, RejectsBadFraction) {
-  SimConfig cfg = phases(100, 1'000);
-  cfg.warmup_fraction = 1.0;
-  EXPECT_THROW(run(cfg), ConfigError);
-  cfg.warmup_fraction = -0.1;
-  EXPECT_THROW(run(cfg), ConfigError);
 }
 
 }  // namespace
