@@ -10,9 +10,10 @@
 //
 // `digest` is the row's content-hash cache key (exp/result_cache.hpp) and
 // `payload` the rest of the line — the row's encode_row_payload record
-// (hexfloat doubles, so restoration is bit-exact). The `shard` line is
-// kept only for format compatibility: the sweep writes `shard 0 1`, and
-// older sharded journals still load (resume matches rows by digest).
+// (exp/sweep_io.hpp; hexfloat doubles, so restoration is bit-exact). The
+// `shard` line is kept only for format compatibility: the sweep writes
+// `shard 0 1`, and older sharded journals still load (resume matches rows
+// by digest).
 //
 // On disk the journal is a sorted BASE (written whole via
 // write-temp-then-rename) followed by an APPEND SEGMENT: each completed

@@ -3,9 +3,7 @@
 #include <algorithm>
 #include <cerrno>
 #include <cstdio>
-#include <cstdlib>
 #include <filesystem>
-#include <sstream>
 #include <system_error>
 #include <vector>
 
@@ -162,109 +160,6 @@ std::string row_digest(const ScenarioSpec& spec, const SweepRow& row,
     canon_pattern(c, sim::TrafficPattern{});  // implicit uniform pattern
 
   return util::sha256_hex(c.str());
-}
-
-namespace {
-
-constexpr const char* kPayloadMagic = "mcs-row-payload";
-constexpr const char* kPayloadVersion = "v1";
-
-void put(std::string& out, const char* key, const std::string& v) {
-  out += ' ';
-  out += key;
-  out += '=';
-  out += v;
-}
-
-}  // namespace
-
-std::string encode_row_payload(const SweepRow& row) {
-  std::string out = std::string(kPayloadMagic) + " " + kPayloadVersion;
-  put(out, "paper_run", row.paper_run ? "1" : "0");
-  put(out, "paper_latency", fmt_double(row.paper_latency));
-  put(out, "paper_stable", row.paper_stable ? "1" : "0");
-  put(out, "refined_run", row.refined_run ? "1" : "0");
-  put(out, "refined_latency", fmt_double(row.refined_latency));
-  put(out, "refined_stable", row.refined_stable ? "1" : "0");
-  put(out, "knee_lambda", fmt_double(row.knee_lambda));
-  put(out, "sim_lambda_sat", fmt_double(row.sim_lambda_sat));
-  put(out, "sat_ratio", fmt_double(row.sat_ratio));
-  put(out, "sim_run", row.sim_run ? "1" : "0");
-  put(out, "replications", std::to_string(row.replications));
-  put(out, "completed", std::to_string(row.completed));
-  put(out, "saturated", std::to_string(row.saturated));
-  put(out, "saturation_causes", row.saturation_causes);
-  put(out, "sim_latency", fmt_double(row.sim_latency));
-  put(out, "sim_ci", fmt_double(row.sim_ci));
-  put(out, "sim_internal", fmt_double(row.sim_internal));
-  put(out, "sim_external", fmt_double(row.sim_external));
-  put(out, "external_share", fmt_double(row.external_share));
-  put(out, "sim_p50", fmt_double(row.sim_p50));
-  put(out, "sim_p95", fmt_double(row.sim_p95));
-  put(out, "sim_p99", fmt_double(row.sim_p99));
-  put(out, "sim_state", std::to_string(row.sim_state));
-  return out;
-}
-
-bool decode_row_payload(const std::string& payload, SweepRow& row) {
-  std::istringstream in(payload);
-  std::string magic, version;
-  if (!(in >> magic >> version) || magic != kPayloadMagic ||
-      version != kPayloadVersion)
-    return false;
-
-  bool ok = true;
-  int fields = 0;
-  const auto as_double = [&](const std::string& v) {
-    char* end = nullptr;
-    const double x = std::strtod(v.c_str(), &end);
-    if (v.empty() || end != v.c_str() + v.size()) ok = false;
-    return x;
-  };
-  const auto as_int = [&](const std::string& v) {
-    char* end = nullptr;
-    const long x = std::strtol(v.c_str(), &end, 10);
-    if (v.empty() || end != v.c_str() + v.size()) ok = false;
-    return static_cast<int>(x);
-  };
-  const auto as_bool = [&](const std::string& v) {
-    if (v != "0" && v != "1") ok = false;
-    return v == "1";
-  };
-
-  std::string token;
-  while (in >> token) {
-    const std::size_t eq = token.find('=');
-    if (eq == std::string::npos) return false;
-    const std::string key = token.substr(0, eq);
-    const std::string value = token.substr(eq + 1);
-    ++fields;
-    if (key == "paper_run") row.paper_run = as_bool(value);
-    else if (key == "paper_latency") row.paper_latency = as_double(value);
-    else if (key == "paper_stable") row.paper_stable = as_bool(value);
-    else if (key == "refined_run") row.refined_run = as_bool(value);
-    else if (key == "refined_latency") row.refined_latency = as_double(value);
-    else if (key == "refined_stable") row.refined_stable = as_bool(value);
-    else if (key == "knee_lambda") row.knee_lambda = as_double(value);
-    else if (key == "sim_lambda_sat") row.sim_lambda_sat = as_double(value);
-    else if (key == "sat_ratio") row.sat_ratio = as_double(value);
-    else if (key == "sim_run") row.sim_run = as_bool(value);
-    else if (key == "replications") row.replications = as_int(value);
-    else if (key == "completed") row.completed = as_int(value);
-    else if (key == "saturated") row.saturated = as_int(value);
-    else if (key == "saturation_causes") row.saturation_causes = value;
-    else if (key == "sim_latency") row.sim_latency = as_double(value);
-    else if (key == "sim_ci") row.sim_ci = as_double(value);
-    else if (key == "sim_internal") row.sim_internal = as_double(value);
-    else if (key == "sim_external") row.sim_external = as_double(value);
-    else if (key == "external_share") row.external_share = as_double(value);
-    else if (key == "sim_p50") row.sim_p50 = as_double(value);
-    else if (key == "sim_p95") row.sim_p95 = as_double(value);
-    else if (key == "sim_p99") row.sim_p99 = as_double(value);
-    else if (key == "sim_state") row.sim_state = as_int(value);
-    else --fields;  // unknown key: tolerated (forward compatibility)
-  }
-  return ok && fields == 23;
 }
 
 namespace {

@@ -11,10 +11,11 @@
 // deliberate: any input change — including rebuilding the binary — makes
 // every old entry unreachable rather than silently stale.
 //
-// The cached value is a versioned text payload of every SweepRow output
-// field with doubles in hexfloat (%a), so a restored row is BIT-identical
-// to the freshly computed one — table/CSV/JSON rendered from cache hits
-// are byte-equal to a cold run's (pinned by tests/exp_service_test.cpp).
+// The cached value is the row's payload (exp::encode_row_payload in
+// exp/sweep_io.hpp): every SweepRow output field with doubles in hexfloat
+// (%a), so a restored row is BIT-identical to the freshly computed one —
+// table/CSV/JSON rendered from cache hits are byte-equal to a cold run's
+// (pinned by tests/exp_service_test.cpp).
 #pragma once
 
 #include <cstdio>
@@ -41,16 +42,6 @@ namespace mcs::exp {
 [[nodiscard]] std::string row_digest(const ScenarioSpec& spec,
                                      const SweepRow& row,
                                      const std::string& fingerprint);
-
-/// Serialize every output field of `row` (versioned, hexfloat doubles).
-[[nodiscard]] std::string encode_row_payload(const SweepRow& row);
-
-/// Restore the output fields encoded by encode_row_payload into `row`
-/// (coordinate fields are untouched). Returns false on a malformed or
-/// version-mismatched payload, leaving `row` in an unspecified state —
-/// callers treat that as a cache miss and recompute.
-[[nodiscard]] bool decode_row_payload(const std::string& payload,
-                                      SweepRow& row);
 
 /// Directory of content-addressed row payloads, stored as append-only
 /// segment files ("packs"). Each instance that stores anything creates its

@@ -13,6 +13,7 @@
 #include "exp/checkpoint.hpp"
 #include "exp/result_cache.hpp"
 #include "exp/saturation_search.hpp"
+#include "exp/sweep_io.hpp"
 #include "model/paper_model.hpp"
 #include "model/refined_model.hpp"
 #include "model/saturation.hpp"
@@ -35,16 +36,43 @@ struct ModelGroup {
   model::NetworkParams params;
   sim::FlowControl flow = sim::FlowControl::kWormhole;
   std::vector<double> p_out_override;  ///< empty for uniform traffic
-  bool refined_supported = true;  ///< cluster-symmetric pattern?
-  bool paper_supported = true;    ///< also needs a fat-tree ICN2
+  /// A model runs when the spec enables it and it covers the group (its
+  /// static unsupported_reason).
+  bool paper = false;
+  bool refined = false;
   std::vector<std::size_t> row_indices;
+};
+
+/// The analytical models a group runs.
+struct GroupModels {
+  GroupModels(const ModelGroup& group, const topo::SystemConfig& config) {
+    if (group.paper)
+      paper = std::make_unique<model::PaperModel>(config, group.params,
+                                                  group.p_out_override);
+    if (group.refined)
+      refined = std::make_unique<model::RefinedModel>(
+          config, group.params, group.p_out_override, group.flow);
+  }
+
+  /// The group's knee: the refined model's when it runs, else the paper
+  /// model's, else -1. The knee column and the saturation search's seed
+  /// both read it, so the sim/model ratio shares its denominator with
+  /// the column.
+  [[nodiscard]] double knee() const {
+    if (refined) return model::find_saturation(*refined).lambda_sat;
+    if (paper) return model::find_saturation(*paper).lambda_sat;
+    return -1.0;
+  }
+
+  std::unique_ptr<model::PaperModel> paper;
+  std::unique_ptr<model::RefinedModel> refined;
 };
 
 // One (system, message_flits, flit_bytes, pattern, relay, flow)
 // combination: the simulation-side saturation knee depends on the relay
 // mode too (unlike the analytical models), so search groups refine the
-// model groups by the relay dimension. Borrows the model group's support
-// flags for the analytical seed knee.
+// model groups by the relay dimension. Borrows the model group's models
+// for the analytical seed knee.
 struct SearchGroup {
   std::size_t model_group = 0;  ///< index into the ModelGroup vector
   int pattern_idx = 0;
@@ -56,12 +84,6 @@ struct SearchGroup {
 /// Seed-stream tag separating per-group search seeds from the row tasks'
 /// 8-coordinate replication chains.
 constexpr std::uint64_t kSearchSeedTag = 0x5ea4'c11f'0b15'ec75ULL;
-
-// The analytical models assume cluster-symmetric destination choice; the
-// hotspot pattern breaks that symmetry, so model columns stay empty.
-bool pattern_model_supported(const sim::TrafficPattern& pattern) {
-  return pattern.kind != sim::PatternKind::kHotspot;
-}
 
 const char* hetero_label(const topo::SystemConfig& config) {
   const bool net = config.heterogeneous_params();
@@ -153,17 +175,17 @@ Expansion expand_grid(const ScenarioSpec& spec,
                   group.flow = row.flow;
                   const sim::TrafficPattern& pattern =
                       ex.patterns[static_cast<std::size_t>(pi)].pattern;
-                  group.refined_supported = pattern_model_supported(pattern);
-                  // The paper-literal model is wormhole-only on top of
-                  // its own domain (fat tree, one technology and load).
-                  group.paper_supported =
-                      group.refined_supported &&
-                      row.flow == sim::FlowControl::kWormhole &&
-                      model::PaperModel::supports(
-                          spec.systems[static_cast<std::size_t>(sys)]
-                              .config);
+                  group.paper =
+                      spec.run_paper_model &&
+                      model::PaperModel::unsupported_reason(
+                          spec.systems[static_cast<std::size_t>(sys)].config,
+                          pattern, row.flow) == nullptr;
+                  group.refined =
+                      spec.run_refined_model &&
+                      model::RefinedModel::unsupported_reason(pattern) ==
+                          nullptr;
                   if (pattern.kind != sim::PatternKind::kUniform &&
-                      group.refined_supported) {
+                      (group.paper || group.refined)) {
                     const auto& topology = *ex.topologies[
                         static_cast<std::size_t>(sys)];
                     for (int c = 0;
@@ -604,19 +626,10 @@ SweepResult SweepRunner::run(const SweepRunOptions& options) const {
                                   &search_sims] {
       const topo::SystemConfig& config =
           spec_.systems[static_cast<std::size_t>(mg.system_idx)].config;
-      // Analytical seed knee, same preference order as the model tasks
-      // (refined when enabled and supported, else paper), so the ratio
-      // column shares its denominator with the knee column. <= 0 makes
-      // SaturationSearch fall back to the closed-form estimate.
-      double model_sat = -1.0;
-      if (spec_.run_refined_model && mg.refined_supported) {
-        const model::RefinedModel refined(config, mg.params,
-                                          mg.p_out_override, mg.flow);
-        model_sat = model::find_saturation(refined).lambda_sat;
-      } else if (spec_.run_paper_model && mg.paper_supported) {
-        const model::PaperModel paper(config, mg.params, mg.p_out_override);
-        model_sat = model::find_saturation(paper).lambda_sat;
-      }
+      // Analytical seed knee, the knee column's (GroupModels::knee).
+      // <= 0 makes SaturationSearch fall back to the closed-form
+      // estimate.
+      const double model_sat = GroupModels(mg, config).knee();
 
       sim::SimConfig cfg;
       cfg.seed = derive_seed(
@@ -664,43 +677,28 @@ SweepResult SweepRunner::run(const SweepRunOptions& options) const {
       pool->submit(instrument('m', [this, &group, &rows, &row_breakdown,
                                     &restored, &complete_row,
                                     explain_model] {
-        if (group.refined_supported) {
-          const topo::SystemConfig& config =
-              spec_.systems[static_cast<std::size_t>(group.system_idx)]
-                  .config;
-          std::unique_ptr<model::PaperModel> paper;
-          std::unique_ptr<model::RefinedModel> refined;
-          if (spec_.run_paper_model && group.paper_supported)
-            paper = std::make_unique<model::PaperModel>(
-                config, group.params, group.p_out_override);
-          if (spec_.run_refined_model)
-            refined = std::make_unique<model::RefinedModel>(
-                config, group.params, group.p_out_override, group.flow);
-          double knee = -1.0;
-          if (spec_.find_knee && (refined || paper)) {
-            const model::LatencyModel* knee_model =
-                refined
-                    ? static_cast<const model::LatencyModel*>(refined.get())
-                    : static_cast<const model::LatencyModel*>(paper.get());
-            knee = model::find_saturation(*knee_model).lambda_sat;
+        const GroupModels models(
+            group,
+            spec_.systems[static_cast<std::size_t>(group.system_idx)].config);
+        const double knee = spec_.find_knee ? models.knee() : -1.0;
+        for (const std::size_t r : group.row_indices) {
+          SweepRow& row = rows[r];
+          row.knee_lambda = knee;
+          if (models.paper) {
+            const model::LatencyPrediction p =
+                models.paper->predict(row.lambda);
+            row.paper_run = true;
+            row.paper_latency = p.mean_latency;
+            row.paper_stable = p.stable;
           }
-          for (const std::size_t r : group.row_indices) {
-            SweepRow& row = rows[r];
-            row.knee_lambda = knee;
-            if (paper) {
-              const model::LatencyPrediction p = paper->predict(row.lambda);
-              row.paper_run = true;
-              row.paper_latency = p.mean_latency;
-              row.paper_stable = p.stable;
-            }
-            if (refined) {
-              const model::LatencyPrediction p = refined->predict(row.lambda);
-              row.refined_run = true;
-              row.refined_latency = p.mean_latency;
-              row.refined_stable = p.stable;
-              if (explain_model)
-                row_breakdown[r] = refined->breakdown(row.lambda);
-            }
+          if (models.refined) {
+            const model::LatencyPrediction p =
+                models.refined->predict(row.lambda);
+            row.refined_run = true;
+            row.refined_latency = p.mean_latency;
+            row.refined_stable = p.stable;
+            if (explain_model)
+              row_breakdown[r] = models.refined->breakdown(row.lambda);
           }
         }
         for (const std::size_t r : group.row_indices)

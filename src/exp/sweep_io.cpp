@@ -1,9 +1,15 @@
 #include "exp/sweep_io.hpp"
 
-#include <fstream>
+#include <climits>
+#include <cstdint>
+#include <cstdio>
 #include <set>
+#include <string_view>
+#include <variant>
 
 #include "exp/explain.hpp"
+#include "util/atomic_file.hpp"
+#include "util/cli.hpp"
 #include "util/csv.hpp"
 #include "util/error.hpp"
 #include "util/json.hpp"
@@ -26,59 +32,226 @@ const char* to_string(sim::FlowControl flow) {
   return "?";
 }
 
+using util::json_escape;
+using util::json_field;
+
 namespace {
 
-std::string opt_num(bool present, double v, int precision) {
-  return present ? util::TextTable::num(v, precision) : std::string();
+// The fields of a SweepRow that reach CSV, JSON and the result-cache
+// payload, in output order. All three read this one list, so an output
+// field is one entry. A field's type says how it prints: text verbatim;
+// counts and flags as integers (a stored count must lie in [0, max]);
+// reals through TextTable::num, or ::sci, at `digits` in CSV, at stream
+// precision 12 in JSON and in hexfloat in the payload; names through
+// to_string.
+struct Text { std::string SweepRow::*member; };
+struct Count { int SweepRow::*member; int max = INT_MAX; };
+struct Flag { bool SweepRow::*member; };
+struct Real { double SweepRow::*member; int digits; bool sci = false; };
+template <typename Enum> struct Name { Enum SweepRow::*member; };
+
+/// When a field is present in a row: CSV writes "" for an absent field
+/// and JSON omits it. The payload keeps every field but the grid
+/// coordinates, present or not.
+enum class When : std::uint8_t {
+  kGrid,        ///< always: a grid coordinate, so not in the payload
+  kStored,      ///< never printed: a run flag only the payload keeps
+  kPaper,       ///< the paper model ran
+  kRefined,     ///< the refined model ran
+  kSet,         ///< a real >= 0 or a non-empty text (else "not computed")
+  kSim,         ///< the simulation ran
+  kCompleted,   ///< ... and a replication completed
+  kPercentile,  ///< ... and it measured percentiles (sim_p50 >= 0)
+};
+
+struct Field {
+  const char* key;
+  std::variant<Text, Count, Flag, Real, Name<sim::RelayMode>,
+               Name<sim::FlowControl>> value;
+  When when;
+};
+
+constexpr Field kFields[] = {
+    {"system", Text{&SweepRow::system_id}, When::kGrid},
+    {"icn2", Text{&SweepRow::icn2_kind}, When::kGrid},
+    {"hetero", Text{&SweepRow::hetero}, When::kGrid},
+    {"message_flits", Count{&SweepRow::message_flits}, When::kGrid},
+    {"flit_bytes", Real{&SweepRow::flit_bytes, 0}, When::kGrid},
+    {"pattern", Text{&SweepRow::pattern_id}, When::kGrid},
+    {"relay", Name<sim::RelayMode>{&SweepRow::relay}, When::kGrid},
+    {"flow", Name<sim::FlowControl>{&SweepRow::flow}, When::kGrid},
+    {"lambda", Real{&SweepRow::lambda, 6, true}, When::kGrid},
+    {"paper_run", Flag{&SweepRow::paper_run}, When::kStored},
+    {"paper_latency", Real{&SweepRow::paper_latency, 6}, When::kPaper},
+    {"paper_stable", Flag{&SweepRow::paper_stable}, When::kPaper},
+    {"refined_run", Flag{&SweepRow::refined_run}, When::kStored},
+    {"refined_latency", Real{&SweepRow::refined_latency, 6}, When::kRefined},
+    {"refined_stable", Flag{&SweepRow::refined_stable}, When::kRefined},
+    {"knee_lambda", Real{&SweepRow::knee_lambda, 8}, When::kSet},
+    {"sim_lambda_sat", Real{&SweepRow::sim_lambda_sat, 8}, When::kSet},
+    {"sat_ratio", Real{&SweepRow::sat_ratio, 4}, When::kSet},
+    {"sim_run", Flag{&SweepRow::sim_run}, When::kStored},
+    {"replications", Count{&SweepRow::replications}, When::kSim},
+    {"completed", Count{&SweepRow::completed}, When::kSim},
+    {"saturated", Count{&SweepRow::saturated}, When::kSim},
+    {"saturation_causes", Text{&SweepRow::saturation_causes}, When::kSet},
+    {"sim_latency", Real{&SweepRow::sim_latency, 6}, When::kCompleted},
+    {"sim_ci95", Real{&SweepRow::sim_ci, 6}, When::kCompleted},
+    {"sim_p50", Real{&SweepRow::sim_p50, 6}, When::kPercentile},
+    {"sim_p95", Real{&SweepRow::sim_p95, 6}, When::kPercentile},
+    {"sim_p99", Real{&SweepRow::sim_p99, 6}, When::kPercentile},
+    {"sim_internal", Real{&SweepRow::sim_internal, 6}, When::kCompleted},
+    {"sim_external", Real{&SweepRow::sim_external, 6}, When::kCompleted},
+    {"external_share", Real{&SweepRow::external_share, 4}, When::kSet},
+    {"sim_state", Count{&SweepRow::sim_state, 2}, When::kSim},
+};
+
+constexpr std::string_view kPayloadHead = "mcs-row-payload v2";
+
+template <typename... F>
+struct Overloaded : F... {
+  using F::operator()...;
+};
+
+bool present(const Field& field, const SweepRow& row) {
+  switch (field.when) {
+    case When::kGrid: return true;
+    case When::kStored: return false;
+    case When::kPaper: return row.paper_run;
+    case When::kRefined: return row.refined_run;
+    case When::kSet:
+      if (const Text* text = std::get_if<Text>(&field.value))
+        return !(row.*text->member).empty();
+      return row.*std::get<Real>(field.value).member >= 0.0;
+    case When::kSim: return row.sim_run;
+    case When::kCompleted: return row.sim_run && row.completed > 0;
+    case When::kPercentile:
+      return row.sim_run && row.completed > 0 && row.sim_p50 >= 0.0;
+  }
+  return false;
+}
+
+/// The field's CSV text; with `exact`, its payload text: the same but
+/// for reals, which print in hexfloat so that strtod restores their bits.
+std::string text_of(const Field& field, const SweepRow& row, bool exact) {
+  return std::visit(
+      Overloaded{
+          [&](const Text& t) { return row.*t.member; },
+          [&](const Count& c) { return std::to_string(row.*c.member); },
+          [&](const Flag& f) {
+            return std::string(row.*f.member ? "1" : "0");
+          },
+          [&](const Real& r) {
+            if (!exact)
+              return r.sci ? util::TextTable::sci(row.*r.member, r.digits)
+                           : util::TextTable::num(row.*r.member, r.digits);
+            char hex[48];
+            std::snprintf(hex, sizeof hex, "%a", row.*r.member);
+            return std::string(hex);
+          },
+          [&](const auto& name) {
+            return std::string(to_string(row.*name.member));
+          }},
+      field.value);
+}
+
+void json_value(std::ostream& out, const Field& field, const SweepRow& row,
+                bool& first) {
+  const char* key = field.key;
+  std::visit(
+      Overloaded{
+          [&](const Text& t) { json_field(out, key, row.*t.member, first); },
+          [&](const Count& c) {
+            json_field(out, key, std::int64_t{row.*c.member}, first);
+          },
+          [&](const Flag& f) { json_field(out, key, row.*f.member, first); },
+          [&](const Real& r) { json_field(out, key, row.*r.member, first); },
+          [&](const auto& name) {
+            json_field(out, key, to_string(row.*name.member), first);
+          }},
+      field.value);
+}
+
+/// Sets the field's member of `row` from its payload text. Throws
+/// mcs::ConfigError when the text is not a value the field can hold.
+void restore(const Field& field, const std::string& text, SweepRow& row) {
+  const char* key = field.key;
+  std::visit(
+      Overloaded{
+          [&](const Text& t) { row.*t.member = text; },
+          [&](const Count& c) {
+            row.*c.member =
+                static_cast<int>(util::parse_int(text, 0, c.max, key));
+          },
+          [&](const Flag& f) {
+            row.*f.member = util::parse_int(text, 0, 1, key) == 1;
+          },
+          [&](const Real& r) { row.*r.member = util::parse_double(text, key); },
+          [](const auto&) {}},  // names are grid coordinates, never stored
+      field.value);
 }
 
 }  // namespace
 
-void write_csv(const SweepResult& result, const std::string& path) {
-  util::CsvWriter csv(
-      path, {"system", "icn2", "hetero", "message_flits", "flit_bytes",
-             "pattern", "relay", "flow", "lambda", "paper_latency",
-             "paper_stable",
-             "refined_latency", "refined_stable", "knee_lambda",
-             "sim_lambda_sat", "sat_ratio",
-             "replications", "completed", "saturated", "saturation_causes",
-             "sim_latency",
-             "sim_ci95", "sim_p50", "sim_p95", "sim_p99", "sim_internal",
-             "sim_external", "external_share", "sim_state"});
-  for (const SweepRow& row : result.rows) {
-    const bool sim_ok = row.sim_run && row.completed > 0;
-    csv.add_row({row.system_id, row.icn2_kind, row.hetero,
-                 std::to_string(row.message_flits),
-                 util::TextTable::num(row.flit_bytes, 0), row.pattern_id,
-                 to_string(row.relay), to_string(row.flow),
-                 util::TextTable::sci(row.lambda, 6),
-                 opt_num(row.paper_run, row.paper_latency, 6),
-                 row.paper_run ? (row.paper_stable ? "1" : "0") : "",
-                 opt_num(row.refined_run, row.refined_latency, 6),
-                 row.refined_run ? (row.refined_stable ? "1" : "0") : "",
-                 opt_num(row.knee_lambda >= 0.0, row.knee_lambda, 8),
-                 opt_num(row.sim_lambda_sat >= 0.0, row.sim_lambda_sat, 8),
-                 opt_num(row.sat_ratio >= 0.0, row.sat_ratio, 4),
-                 std::to_string(row.replications),
-                 std::to_string(row.completed), std::to_string(row.saturated),
-                 row.saturation_causes,
-                 opt_num(sim_ok, row.sim_latency, 6),
-                 opt_num(sim_ok, row.sim_ci, 6),
-                 opt_num(sim_ok && row.sim_p50 >= 0.0, row.sim_p50, 6),
-                 opt_num(sim_ok && row.sim_p95 >= 0.0, row.sim_p95, 6),
-                 opt_num(sim_ok && row.sim_p99 >= 0.0, row.sim_p99, 6),
-                 opt_num(sim_ok, row.sim_internal, 6),
-                 opt_num(sim_ok, row.sim_external, 6),
-                 opt_num(row.external_share >= 0.0, row.external_share, 4),
-                 std::to_string(row.sim_state)});
+std::string encode_row_payload(const SweepRow& row) {
+  std::string out(kPayloadHead);
+  for (const Field& field : kFields) {
+    if (field.when == When::kGrid) continue;
+    out += ' ';
+    out += field.key;
+    out += '=';
+    out += text_of(field, row, /*exact=*/true);
   }
-  // Explicit close so a failed final flush throws here (the destructor
-  // must swallow it).
-  csv.close();
+  return out;
 }
 
-using util::json_escape;
-using util::json_field;
+bool decode_row_payload(const std::string& payload, SweepRow& row) {
+  // Every stored field, once, in list order: anything else (another
+  // version, a torn or edited line) is a miss.
+  std::string_view in = payload;
+  SweepRow restored = row;
+  if (!in.starts_with(kPayloadHead)) return false;
+  in.remove_prefix(kPayloadHead.size());
+  for (const Field& field : kFields) {
+    if (field.when == When::kGrid) continue;
+    const std::string_view key = field.key;
+    if (!in.starts_with(' ') || !in.substr(1).starts_with(key) ||
+        in.substr(key.size() + 1, 1) != "=")
+      return false;
+    in.remove_prefix(key.size() + 2);
+    const std::string text(in.substr(0, in.find(' ')));
+    in.remove_prefix(text.size());
+    try {
+      restore(field, text, restored);
+    } catch (const ConfigError&) {
+      return false;
+    }
+  }
+  if (!in.empty()) return false;
+  row = std::move(restored);
+  return true;
+}
+
+void write_csv(const SweepResult& result, const std::string& path) {
+  util::write_file(path, [&](std::ostream& out) {
+    // One line of `cell(field)` over the printed fields.
+    const auto line = [&](const auto& cell) {
+      const char* sep = "";
+      for (const Field& field : kFields) {
+        if (field.when == When::kStored) continue;
+        out << sep << util::csv_escape(cell(field));
+        sep = ",";
+      }
+      out << '\n';
+    };
+    line([](const Field& field) { return std::string(field.key); });
+    for (const SweepRow& row : result.rows)
+      line([&](const Field& field) {
+        return present(field, row) ? text_of(field, row, false)
+                                   : std::string();
+      });
+  });
+}
 
 void write_json(const SweepResult& result, std::ostream& out, bool stable) {
   out.precision(12);
@@ -113,55 +286,8 @@ void write_json(const SweepResult& result, std::ostream& out, bool stable) {
     first_row = false;
     out << "{";
     bool first = true;
-    json_field(out, "system", row.system_id, first);
-    json_field(out, "icn2", row.icn2_kind, first);
-    json_field(out, "hetero", row.hetero, first);
-    json_field(out, "message_flits",
-               static_cast<std::int64_t>(row.message_flits), first);
-    json_field(out, "flit_bytes", row.flit_bytes, first);
-    json_field(out, "pattern", row.pattern_id, first);
-    json_field(out, "relay", to_string(row.relay), first);
-    json_field(out, "flow", to_string(row.flow), first);
-    json_field(out, "lambda", row.lambda, first);
-    if (row.paper_run) {
-      json_field(out, "paper_latency", row.paper_latency, first);
-      json_field(out, "paper_stable", row.paper_stable, first);
-    }
-    if (row.refined_run) {
-      json_field(out, "refined_latency", row.refined_latency, first);
-      json_field(out, "refined_stable", row.refined_stable, first);
-    }
-    if (row.knee_lambda >= 0.0)
-      json_field(out, "knee_lambda", row.knee_lambda, first);
-    if (row.sim_lambda_sat >= 0.0)
-      json_field(out, "sim_lambda_sat", row.sim_lambda_sat, first);
-    if (row.sat_ratio >= 0.0)
-      json_field(out, "sat_ratio", row.sat_ratio, first);
-    if (row.sim_run) {
-      json_field(out, "replications",
-                 static_cast<std::int64_t>(row.replications), first);
-      json_field(out, "completed", static_cast<std::int64_t>(row.completed),
-                 first);
-      json_field(out, "saturated", static_cast<std::int64_t>(row.saturated),
-                 first);
-      if (!row.saturation_causes.empty())
-        json_field(out, "saturation_causes", row.saturation_causes, first);
-      if (row.completed > 0) {
-        json_field(out, "sim_latency", row.sim_latency, first);
-        json_field(out, "sim_ci95", row.sim_ci, first);
-        if (row.sim_p50 >= 0.0) {
-          json_field(out, "sim_p50", row.sim_p50, first);
-          json_field(out, "sim_p95", row.sim_p95, first);
-          json_field(out, "sim_p99", row.sim_p99, first);
-        }
-        json_field(out, "sim_internal", row.sim_internal, first);
-        json_field(out, "sim_external", row.sim_external, first);
-        if (row.external_share >= 0.0)
-          json_field(out, "external_share", row.external_share, first);
-      }
-      json_field(out, "sim_state", static_cast<std::int64_t>(row.sim_state),
-                 first);
-    }
+    for (const Field& field : kFields)
+      if (present(field, row)) json_value(out, field, row, first);
     // Flight-recorder health: lossy captures must say so in the output
     // (a decimated probe series / truncated trace reads very differently
     // from a complete one).
@@ -195,16 +321,8 @@ void write_json(const SweepResult& result, std::ostream& out, bool stable) {
 
 void write_json_file(const SweepResult& result, const std::string& path,
                      bool stable) {
-  std::ofstream out(path);
-  if (!out) throw ConfigError("cannot open '" + path + "' for writing");
-  write_json(result, out, stable);
-  out.flush();
-  // Same audit as CsvWriter: a full disk must fail the run, not silently
-  // truncate the report with exit code 0.
-  if (!out)
-    throw ConfigError("write to '" + path +
-                      "' failed (disk full or I/O error); output is "
-                      "incomplete");
+  util::write_file(path,
+                   [&](std::ostream& out) { write_json(result, out, stable); });
 }
 
 util::TextTable to_table(const SweepResult& result) {

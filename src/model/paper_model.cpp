@@ -3,13 +3,21 @@
 #include <cmath>
 
 #include "model/mg1.hpp"
+#include "model/refined_model.hpp"
 #include "model/service_recursion.hpp"
 #include "util/contracts.hpp"
 #include "util/error.hpp"
 
 namespace mcs::model {
 
-const char* PaperModel::unsupported_reason(const topo::SystemConfig& config) {
+const char* PaperModel::unsupported_reason(const topo::SystemConfig& config,
+                                           const sim::TrafficPattern& pattern,
+                                           FlowControl flow) {
+  if (const char* reason = RefinedModel::unsupported_reason(pattern))
+    return reason;
+  if (flow != FlowControl::kWormhole)
+    return "PaperModel: the paper-literal model covers wormhole flow "
+           "control only (use RefinedModel for store-and-forward)";
   if (config.icn2.kind != topo::Icn2Kind::kFatTree)
     return "PaperModel: the paper-literal model only covers the fat-tree "
            "ICN2 (use RefinedModel for graph topologies)";

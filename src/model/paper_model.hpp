@@ -8,6 +8,7 @@
 #include "model/latency.hpp"
 #include "model/pair_classes.hpp"
 #include "model/service_recursion.hpp"
+#include "sim/traffic.hpp"
 
 namespace mcs::model {
 
@@ -21,11 +22,14 @@ class PaperModel final : public LatencyModel {
   PaperModel(topo::SystemConfig config, NetworkParams params,
              std::vector<double> p_out_override = {});
 
-  /// The paper-literal model's domain: a fat-tree ICN2, one network
+  /// The paper-literal model's domain: the refined model's traffic
+  /// patterns, wormhole flow control, a fat-tree ICN2, one network
   /// technology and one offered load everywhere. Returns nullptr inside
   /// it, else the message naming the first condition that fails.
   [[nodiscard]] static const char* unsupported_reason(
-      const topo::SystemConfig& config);
+      const topo::SystemConfig& config,
+      const sim::TrafficPattern& pattern = {},
+      FlowControl flow = FlowControl::kWormhole);
   [[nodiscard]] static bool supports(const topo::SystemConfig& config) {
     return unsupported_reason(config) == nullptr;
   }

@@ -76,6 +76,14 @@ struct RefinedModel::Scratch {
   std::vector<SuffixNode> suffix;  ///< one destination's suffix tree
 };
 
+const char* RefinedModel::unsupported_reason(
+    const sim::TrafficPattern& pattern) {
+  if (pattern.kind == sim::PatternKind::kHotspot)
+    return "the analytical models assume cluster-symmetric destination "
+           "choice, which the hotspot pattern breaks";
+  return nullptr;
+}
+
 RefinedModel::RefinedModel(topo::SystemConfig config, NetworkParams params,
                            std::vector<double> p_out_override,
                            FlowControl flow)

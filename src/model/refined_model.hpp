@@ -37,6 +37,7 @@
 #include "model/latency.hpp"
 #include "model/pair_classes.hpp"
 #include "model/suffix_forest.hpp"
+#include "sim/traffic.hpp"
 #include "topology/fat_tree.hpp"
 #include "topology/graph.hpp"
 
@@ -50,6 +51,13 @@ class RefinedModel final : public LatencyModel {
   RefinedModel(topo::SystemConfig config, NetworkParams params,
                std::vector<double> p_out_override = {},
                FlowControl flow = FlowControl::kWormhole);
+
+  /// The refined model's domain: traffic whose destination choice is
+  /// cluster-symmetric, which every pattern keeps but hotspot (its hot
+  /// node draws a share no other node does). Returns nullptr inside it,
+  /// else the message naming why not.
+  [[nodiscard]] static const char* unsupported_reason(
+      const sim::TrafficPattern& pattern);
 
   [[nodiscard]] LatencyPrediction predict(double lambda_g) const override;
   /// Per-station decomposition of the same prediction (DESIGN.md §13):

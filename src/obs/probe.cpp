@@ -2,9 +2,9 @@
 
 #include <algorithm>
 #include <cmath>
-#include <fstream>
 #include <ostream>
 
+#include "util/atomic_file.hpp"
 #include "util/contracts.hpp"
 #include "util/csv.hpp"
 #include "util/error.hpp"
@@ -95,7 +95,7 @@ void write_probe_csv(std::ostream& out,
   for (const LabeledProbeSeries& s : series) {
     if (s.series == nullptr) continue;
     for (const ProbeSample& p : s.series->samples()) {
-      out << util::CsvWriter::escape(s.label) << "," << p.time << ","
+      out << util::csv_escape(s.label) << "," << p.time << ","
           << p.events << "," << p.queue_depth << "," << p.live_worms << ","
           << p.waiting_worms << "," << p.pool_rows << "," << p.generated
           << "," << p.delivered_measured;
@@ -148,14 +148,14 @@ void write_probe_json(std::ostream& out,
 
 void write_probe_file(const std::string& path,
                       const std::vector<LabeledProbeSeries>& series) {
-  std::ofstream out(path);
-  if (!out) throw ConfigError("cannot open '" + path + "' for writing");
   const bool json =
       path.size() >= 5 && path.compare(path.size() - 5, 5, ".json") == 0;
-  if (json)
-    write_probe_json(out, series);
-  else
-    write_probe_csv(out, series);
+  util::write_file(path, [&](std::ostream& out) {
+    if (json)
+      write_probe_json(out, series);
+    else
+      write_probe_csv(out, series);
+  });
 }
 
 }  // namespace mcs::obs

@@ -106,7 +106,8 @@ void write_probe_json(std::ostream& out,
                       const std::vector<LabeledProbeSeries>& series);
 
 /// Dispatch on the path's extension: ".json" selects JSON, anything else
-/// CSV. Throws mcs::ConfigError when the file cannot be opened.
+/// CSV. Throws mcs::ConfigError when the file cannot be opened or written
+/// in full (util::write_file).
 void write_probe_file(const std::string& path,
                       const std::vector<LabeledProbeSeries>& series);
 

@@ -1,8 +1,8 @@
 #include "obs/trace.hpp"
 
-#include <fstream>
 #include <ostream>
 
+#include "util/atomic_file.hpp"
 #include "util/error.hpp"
 #include "util/json.hpp"
 
@@ -62,9 +62,8 @@ void write_trace_json(std::ostream& out,
 
 void write_trace_file(const std::string& path,
                       const std::vector<const TraceBuffer*>& buffers) {
-  std::ofstream out(path);
-  if (!out) throw ConfigError("cannot open '" + path + "' for writing");
-  write_trace_json(out, buffers);
+  util::write_file(path,
+                   [&](std::ostream& out) { write_trace_json(out, buffers); });
 }
 
 }  // namespace mcs::obs

@@ -75,7 +75,8 @@ class TraceBuffer {
 void write_trace_json(std::ostream& out,
                       const std::vector<const TraceBuffer*>& buffers);
 
-/// write_trace_json to a file. Throws mcs::ConfigError when unwritable.
+/// write_trace_json to a file. Throws mcs::ConfigError when the file
+/// cannot be opened or written in full (util::write_file).
 void write_trace_file(const std::string& path,
                       const std::vector<const TraceBuffer*>& buffers);
 

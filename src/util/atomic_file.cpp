@@ -72,6 +72,18 @@ void append_file(const std::string& path, const std::string& content) {
     throw ConfigError("append to '" + path + "' failed (disk full?)");
 }
 
+void write_file(const std::string& path,
+                const std::function<void(std::ostream&)>& emit) {
+  std::ofstream out(path);
+  if (!out) throw ConfigError("cannot open '" + path + "' for writing");
+  emit(out);
+  out.flush();
+  if (!out)
+    throw ConfigError("write to '" + path +
+                      "' failed (disk full or I/O error); output is "
+                      "incomplete");
+}
+
 std::optional<std::string> read_file(const std::string& path) {
   std::ifstream in(path, std::ios::binary);
   if (!in) return std::nullopt;

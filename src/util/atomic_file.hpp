@@ -1,9 +1,12 @@
-// Small-file IO primitives for checkpoint journals and result caches:
-// atomic whole-file writes (write-temp-then-rename — a reader never sees
-// a half-written file, and a crash mid-write leaves the previous version
-// intact) plus a plain in-place append for line-oriented append segments.
+// Small-file IO primitives for checkpoint journals, result caches and
+// reports: atomic whole-file writes (write-temp-then-rename — a reader
+// never sees a half-written file, and a crash mid-write leaves the
+// previous version intact), a plain in-place append for line-oriented
+// append segments, and an audited in-place write for report files.
 #pragma once
 
+#include <functional>
+#include <iosfwd>
 #include <optional>
 #include <string>
 
@@ -22,6 +25,13 @@ void write_file_atomic(const std::string& path, const std::string& content);
 /// checkpoint journal drops everything after the last newline). Throws
 /// mcs::ConfigError when the file cannot be opened or the write fails.
 void append_file(const std::string& path, const std::string& content);
+
+/// Write what `emit` streams into `path`, in place (the path may be a
+/// device or a pipe, so no rename). Throws mcs::ConfigError when the file
+/// cannot be opened or a write or the final flush fails (disk full, I/O
+/// error): a truncated report must never pass as success.
+void write_file(const std::string& path,
+                const std::function<void(std::ostream&)>& emit);
 
 /// The id of the running process (0 where the platform has none): with a
 /// per-process counter it names files no concurrent process can pick.

@@ -14,6 +14,8 @@ tests cannot see from inside the process:
     typo'd flags with closest-match suggestions),
   * the --progress heartbeat's final N/N line on stderr,
   * warm-cache re-runs executing zero simulations with identical bytes,
+  * a model-only grid (table1) restored from the cache with identical
+    CSV and JSON, and no simulation cell filled on any of its rows,
   * SIGKILL mid-run followed by --resume completing identically,
   * SIGKILL mid-run followed by a rerun from the same --cache completing
     identically,
@@ -32,6 +34,7 @@ upload regardless of outcome.
 """
 
 import argparse
+import csv
 import json
 import math
 import os
@@ -236,6 +239,34 @@ def test_warm_cache_zero_sims(h):
     check(m["restored"] == 0 and m["sim_runs"] == 8,
           f"changed --measured must invalidate the cache: {m}")
     return "warm cache: 4/4 restored, 0 sim runs, bytes identical"
+
+
+def test_model_only_cache_round_trip(h):
+    """table1 runs no simulation: cold and warm (--cache) runs emit the
+    same CSV and stable JSON bytes, and no row carries a simulation
+    count or state."""
+    cache = h.path("table1_cache")
+    outputs = {}
+    for run in ("cold", "warm"):
+        proc = h.run("mcs_sweep", "table1", "--quiet", "--threads=2",
+                     f"--cache={cache}", f"--csv=table1_{run}.csv",
+                     f"--json=table1_{run}.json", "--stable-json")
+        outputs[run] = h.summary_metrics(proc.stdout)
+    check(outputs["warm"]["restored"] == outputs["warm"]["rows"] > 0,
+          f"warm run should restore every row: {outputs['warm']}")
+    for ext in ("csv", "json"):
+        check(h.read(f"table1_cold.{ext}") == h.read(f"table1_warm.{ext}"),
+              f"warm-cache {ext.upper()} differs from the cold run")
+
+    with open(h.path("table1_warm.csv"), newline="") as f:
+        rows = list(csv.DictReader(f))
+    check(len(rows) == outputs["warm"]["rows"], "CSV row count")
+    for column in ("replications", "completed", "saturated", "sim_state"):
+        filled = [row[column] for row in rows if row[column] != ""]
+        check(not filled,
+              f"{len(filled)} model-only rows print {column} "
+              f"(e.g. {filled[:1]})")
+    return f"{len(rows)} rows restored, CSV+JSON identical, sim cells empty"
 
 
 def test_kill_and_resume(h):
@@ -506,6 +537,7 @@ TESTS = [
     test_typo_suggestions,
     test_malformed_scenario_rejected,
     test_warm_cache_zero_sims,
+    test_model_only_cache_round_trip,
     test_kill_and_resume,
     test_kill_and_cache,
     test_kill_cache_vs_journal,

@@ -135,15 +135,46 @@ TEST(RowPayload, EmptySaturationCausesSurvive) {
 TEST(RowPayload, RejectsMalformedAndWrongVersion) {
   SweepRow row;
   EXPECT_FALSE(decode_row_payload("", row));
-  EXPECT_FALSE(decode_row_payload("not-a-payload v1", row));
+  EXPECT_FALSE(decode_row_payload("not-a-payload v2", row));
   EXPECT_FALSE(decode_row_payload("mcs-row-payload v999 sim_state=0", row));
   // Truncated: right magic, missing fields.
-  EXPECT_FALSE(decode_row_payload("mcs-row-payload v1 sim_state=0", row));
+  EXPECT_FALSE(decode_row_payload("mcs-row-payload v2 sim_state=0", row));
+  // A line of the previous version is a miss.
+  std::string v1 = encode_row_payload(SweepRow{});
+  v1.replace(v1.find(" v2 "), 4, " v1 ");
+  EXPECT_FALSE(decode_row_payload(v1, row));
   // Corrupt value.
   std::string payload = encode_row_payload(SweepRow{});
   const std::size_t pos = payload.find("sim_state=");
   payload.replace(pos, std::string::npos, "sim_state=banana");
   EXPECT_FALSE(decode_row_payload(payload, row));
+}
+
+TEST(RowPayload, RejectsCountsOutsideTheirRange) {
+  SweepRow row;
+  row.sim_run = true;
+  row.replications = 2;
+  row.completed = 1;
+  row.saturated = 1;
+  row.sim_state = 2;
+  const std::string payload = encode_row_payload(row);
+  const auto with = [&](const std::string& from, const std::string& to) {
+    std::string edited = payload;
+    edited.replace(edited.find(from), from.size(), to);
+    return edited;
+  };
+  SweepRow restored;
+  // 2^32 + 1 must not wrap to completed = 1.
+  EXPECT_FALSE(decode_row_payload(
+      with(" completed=1 ", " completed=4294967297 "), restored));
+  EXPECT_EQ(restored.completed, 0);  // a miss leaves the row unchanged
+  EXPECT_FALSE(
+      decode_row_payload(with(" saturated=1 ", " saturated=-1 "), restored));
+  EXPECT_FALSE(decode_row_payload(with(" sim_state=2", " sim_state=3"),
+                                  restored));
+  ASSERT_TRUE(decode_row_payload(payload, restored));
+  EXPECT_EQ(restored.completed, 1);
+  EXPECT_EQ(restored.sim_state, 2);
 }
 
 // --- digest sensitivity --------------------------------------------------

@@ -3,6 +3,8 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <optional>
+#include <regex>
 #include <set>
 #include <sstream>
 #include <thread>
@@ -11,6 +13,7 @@
 #include "exp/sweep_io.hpp"
 #include "model/refined_model.hpp"
 #include "model/saturation.hpp"
+#include "util/atomic_file.hpp"
 #include "util/error.hpp"
 
 namespace mcs::exp {
@@ -383,6 +386,92 @@ TEST(SweepRunner, ObservabilityHealthFieldsInJson) {
   const std::string json = out.str();
   EXPECT_NE(json.find("\"probe_decimations\""), std::string::npos);
   EXPECT_NE(json.find("\"trace_dropped\""), std::string::npos);
+}
+
+/// `line` split at every comma, empty trailing cells kept.
+std::vector<std::string> csv_cells(const std::string& line) {
+  std::vector<std::string> cells(1);
+  for (const char c : line) {
+    if (c == ',')
+      cells.emplace_back();
+    else
+      cells.back() += c;
+  }
+  return cells;
+}
+
+TEST(SweepIo, CsvColumnsAreTheJsonKeysAndModelOnlyRowsHaveNoSimCells) {
+  SweepRow full;  // every output field present
+  full.system_id = "h1x2";
+  full.pattern_id = "uniform";
+  full.icn2_kind = "fat_tree";
+  full.lambda = 1e-4;
+  full.paper_run = full.refined_run = full.sim_run = true;
+  full.paper_latency = 20.5;
+  full.refined_latency = 21.5;
+  full.paper_stable = full.refined_stable = true;
+  full.knee_lambda = 2e-4;
+  full.sim_lambda_sat = 1.9e-4;
+  full.sat_ratio = 0.95;
+  full.replications = 3;
+  full.completed = 2;
+  full.saturated = 1;
+  full.saturation_causes = "drift";
+  full.sim_latency = 22.0;
+  full.sim_ci = 1.5;
+  full.sim_p50 = 20.0;
+  full.sim_p95 = 30.0;
+  full.sim_p99 = 40.0;
+  full.sim_internal = 10.0;
+  full.sim_external = 30.0;
+  full.external_share = 0.5;
+  full.sim_state = 2;
+  SweepRow model_only = full;
+  model_only.sim_run = false;
+  model_only.replications = model_only.completed = model_only.saturated = 0;
+  model_only.saturation_causes.clear();
+  model_only.sim_state = 0;
+  SweepResult result;
+  result.rows = {full, model_only};
+
+  const std::string path = ::testing::TempDir() + "mcs_sweep_io.csv";
+  write_csv(result, path);
+  const std::optional<std::string> csv = util::read_file(path);
+  ASSERT_TRUE(csv.has_value());
+  std::istringstream lines(*csv);
+  std::string header, full_line, model_line;
+  std::getline(lines, header);
+  std::getline(lines, full_line);
+  std::getline(lines, model_line);
+
+  std::ostringstream json;
+  write_json(result, json, /*stable=*/true);
+  const std::string text = json.str();
+  const std::string rows_key = "\"rows\":[";
+  const std::size_t begin = text.find(rows_key) + rows_key.size();
+  const std::string first_row =
+      text.substr(begin, text.find('}', begin) - begin);
+  std::vector<std::string> keys;
+  const std::regex key(R"re("(\w+)":)re");
+  for (auto it = std::sregex_iterator(first_row.begin(), first_row.end(),
+                                      key);
+       it != std::sregex_iterator(); ++it)
+    keys.push_back((*it)[1]);
+  const std::vector<std::string> columns = csv_cells(header);
+  EXPECT_EQ(columns, keys);
+
+  // A row without a simulation leaves every simulation cell empty; none
+  // reads "0 replications" or sim_state 0 ("steady").
+  const std::vector<std::string> cells = csv_cells(model_line);
+  ASSERT_EQ(cells.size(), columns.size());
+  for (const char* sim_column :
+       {"replications", "completed", "saturated", "sim_state"}) {
+    const auto at = std::find(columns.begin(), columns.end(), sim_column);
+    ASSERT_NE(at, columns.end()) << sim_column;
+    EXPECT_EQ(cells[static_cast<std::size_t>(at - columns.begin())], "")
+        << sim_column;
+  }
+  EXPECT_EQ(csv_cells(full_line).back(), "2");
 }
 
 TEST(SweepRunner, ModelsOnlySweepSkipsSimulation) {

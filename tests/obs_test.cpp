@@ -6,6 +6,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <filesystem>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -226,6 +227,17 @@ std::string first_csv_cell(const std::string& text, std::size_t pos) {
 
 // Every emitter escapes a label the same way: sweep, probe and trace JSON
 // parse back to the label, and so does the probe CSV's run cell.
+TEST(ObsFiles, AFullDiskFailsTheWrite) {
+  // /dev/full accepts the open and fails the flush: the run must fail,
+  // not report a written file that is empty.
+  if (!std::filesystem::exists("/dev/full"))
+    GTEST_SKIP() << "/dev/full not available on this platform";
+  const ProbeSeries series = small_series();
+  EXPECT_THROW(write_probe_file("/dev/full", {{"run", &series}}),
+               ConfigError);
+  EXPECT_THROW(write_trace_file("/dev/full", {}), ConfigError);
+}
+
 TEST(LabelEscaping, EveryWriterRoundTripsAHostileLabel) {
   const std::string label = "a \"q\" \\ b,c\td\ne";
 

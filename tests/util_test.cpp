@@ -34,26 +34,12 @@ TEST(TextTable, NumberFormatting) {
   EXPECT_EQ(TextTable::sci(0.000125, 2), "1.25e-04");
 }
 
-TEST(CsvWriter, WritesAndEscapes) {
-  const std::string path = ::testing::TempDir() + "mcs_csv_test.csv";
-  {
-    CsvWriter csv(path, {"a", "b"});
-    csv.add_row({"plain", "with,comma"});
-    csv.add_row({"quote\"inside", "line\nbreak"});
-  }
-  std::ifstream in(path);
-  std::stringstream buffer;
-  buffer << in.rdbuf();
-  const std::string content = buffer.str();
-  EXPECT_NE(content.find("a,b\n"), std::string::npos);
-  EXPECT_NE(content.find("plain,\"with,comma\"\n"), std::string::npos);
-  EXPECT_NE(content.find("\"quote\"\"inside\""), std::string::npos);
-  std::remove(path.c_str());
-}
-
-TEST(CsvWriter, FailsOnUnwritablePath) {
-  EXPECT_THROW(CsvWriter("/nonexistent_dir_xyz/file.csv", {"a"}),
-               ConfigError);
+TEST(CsvEscape, QuotesOnlyCellsThatNeedIt) {
+  EXPECT_EQ(csv_escape("plain"), "plain");
+  EXPECT_EQ(csv_escape(""), "");
+  EXPECT_EQ(csv_escape("with,comma"), "\"with,comma\"");
+  EXPECT_EQ(csv_escape("quote\"inside"), "\"quote\"\"inside\"");
+  EXPECT_EQ(csv_escape("line\nbreak"), "\"line\nbreak\"");
 }
 
 TEST(Args, ParsesAllForms) {
@@ -151,19 +137,22 @@ TEST(Args, RequireKnownNamesEveryUnknownOption) {
   }
 }
 
-TEST(CsvWriter, ThrowsOnFailedStreamInsteadOfSilentTruncation) {
+TEST(WriteFile, ThrowsOnFailedStreamInsteadOfSilentTruncation) {
+  const auto emit = [](std::ostream& out) {
+    for (int i = 0; i < 1000; ++i) out << "xxxxxxxxxxxxxxxx\n";
+  };
+  const std::string path = ::testing::TempDir() + "mcs_write_file.txt";
+  write_file(path, [](std::ostream& out) { out << "a,b\n"; });
+  EXPECT_EQ(read_file(path), "a,b\n");
+  std::remove(path.c_str());
+
+  EXPECT_THROW(write_file("/nonexistent_dir_xyz/file.csv", emit),
+               ConfigError);
   // /dev/full accepts the open but fails every flush with ENOSPC — the
   // exact disk-full scenario that used to truncate silently and exit 0.
   if (!std::filesystem::exists("/dev/full"))
     GTEST_SKIP() << "/dev/full not available on this platform";
-  EXPECT_THROW(
-      {
-        CsvWriter csv("/dev/full", {"a", "b"});
-        for (int i = 0; i < 100000; ++i)
-          csv.add_row({"xxxxxxxxxxxxxxxx", "yyyyyyyyyyyyyyyy"});
-        csv.close();
-      },
-      ConfigError);
+  EXPECT_THROW(write_file("/dev/full", emit), ConfigError);
 }
 
 TEST(Sha256, MatchesFipsKnownVectors) {
