@@ -2,9 +2,14 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdio>
 #include <string>
+#include <vector>
 
+#include "exp/scenario_cli.hpp"
+#include "exp/sweep.hpp"
 #include "util/error.hpp"
+#include "util/hash.hpp"
 
 namespace mcs::exp {
 namespace {
@@ -361,6 +366,79 @@ TEST(Scenario, CheckedInScenariosParse) {
       EXPECT_GT(spec.grid_size(), 0) << path;
     }) << path;
   }
+}
+
+/// SHA-256 over everything a bundled scenario resolves to: the sweep
+/// digest of every planned row (with the [search] block hashed, since
+/// find_sim_saturation is forced on) plus the fields the digest leaves
+/// out — the system and pattern ids that label rows, and the [observe]
+/// probe and trace configs.
+std::string resolved_scenario_sha(ScenarioSpec spec) {
+  std::string text;
+  for (const SystemEntry& s : spec.systems) text += "system " + s.id + "\n";
+  for (const PatternEntry& p : spec.patterns) text += "pattern " + p.id + "\n";
+  char observe[128];
+  std::snprintf(observe, sizeof(observe), "observe %a %zu %lld %zu\n",
+                spec.probe.interval, spec.probe.max_samples,
+                static_cast<long long>(spec.trace.sample_every),
+                spec.trace.max_events);
+  text += observe;
+  spec.find_sim_saturation = true;
+  for (const std::string& digest : SweepRunner(spec).plan("pin").digests)
+    text += digest + "\n";
+  return util::sha256_hex(text);
+}
+
+// Every bundled scenario resolves to the same spec it always has: a
+// change to the parser (or to a file under scenarios/) that moves any
+// grid point, search knob, label or observe knob changes a pin.
+TEST(Scenario, BundledScenariosResolveToPinnedSpecs) {
+  struct Pin {
+    const char* path;  ///< relative to the source root
+    const char* name;
+    const char* sha256;
+  };
+  const Pin pins[] = {
+      {"scenarios/fig3_m32.ini", "fig3_m32",
+       "76ad59fa022b3503d6ca1bd9d5e1bf72ce61edbc8b11816d346a22cd4d88e488"},
+      {"scenarios/fig3_m64.ini", "fig3_m64",
+       "7fbfd45a56809498843458dfeac7437240506b5381f9948af7abd9b741fcb55f"},
+      {"scenarios/fig4_m32.ini", "fig4_m32",
+       "f15242ed503a9273ea4edfc3c3c4324320ce7adbedf188500293920885c41ead"},
+      {"scenarios/fig4_m64.ini", "fig4_m64",
+       "ed6b06e608c4b5a7fa801d6ad961ad60ea7d724973c3c2c0d33786833ac4f0cd"},
+      {"scenarios/flow_control.ini", "flow_control",
+       "cf41d6a075d0c213350eba8be67a4c1db8d5c5f0520ae02b91bc708fdbb39546"},
+      {"scenarios/hetero_technology.ini", "hetero_technology",
+       "bd9883a00e0281a849083fab3b6436daf1d383878942a5fa7d44a76060448b6b"},
+      {"scenarios/heterogeneity.ini", "heterogeneity",
+       "41ee78bb500f71d1ebf4d428a65f5c690ee04e63705ef5b40c42dfc69bcfbe88"},
+      {"scenarios/icn2_topologies.ini", "icn2_topologies",
+       "678a2346dccd94cc36eb34ddc177fc6c6abbd1b0b94668659afeb31aeff0c500"},
+      {"scenarios/model_ablation.ini", "model_ablation",
+       "00fad5e87b0289be00ed7e93c1cc50a819dd47c3a228f559123746ab7f8c3891"},
+      {"scenarios/relay_ablation.ini", "relay_ablation",
+       "fa39747ac59d8ed6c6e001a538052f978de294bf3be384d4cc7245440abb3ace"},
+      {"scenarios/smoke.ini", "smoke",
+       "923d4cbb8da17aba6cc41cb314c3f021f8eb416a512fa5f48eda8ef47f4919e3"},
+      {"scenarios/table1.ini", "table1",
+       "eb4302052f78fe7e7d84646dcf042ea331130c961a189bb12cba54069c5a203d"},
+      {"scenarios/traffic_patterns.ini", "traffic_patterns",
+       "904b285e0c62206668d78a2e55f780b3ba8e3cf23bf6ecabcc51d9bb734f31a0"},
+      {"perfbench/scenarios/model_campaign.ini", "model_campaign",
+       "b17ac45aad244535b697dbf6e8b5796885d0af9896aca46d7f276dc76fd8216d"},
+  };
+  std::vector<std::string> pinned;
+  for (const Pin& pin : pins) {
+    if (std::string(pin.path).rfind("scenarios/", 0) == 0)
+      pinned.push_back(pin.name);
+    const ScenarioSpec spec =
+        load_scenario(std::string(MCS_SCENARIO_DIR) + "/../" + pin.path);
+    EXPECT_EQ(spec.name, pin.name) << pin.path;
+    EXPECT_EQ(resolved_scenario_sha(spec), pin.sha256) << pin.path;
+  }
+  // A new file under scenarios/ needs a pin.
+  EXPECT_EQ(pinned, scenario_names_in(MCS_SCENARIO_DIR));
 }
 
 }  // namespace
