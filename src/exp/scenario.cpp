@@ -1,11 +1,19 @@
 #include "exp/scenario.hpp"
 
+#include <algorithm>
 #include <cctype>
 #include <fstream>
+#include <iterator>
+#include <span>
 #include <sstream>
 
 #include "util/cli.hpp"
 #include "util/error.hpp"
+
+// Every vocabulary of the INI dialect is one constant table below: the
+// section headers, each section's keys and each enum's words. Dispatch,
+// the "did you mean" for an unknown name and the duplicate rule all read
+// the same table, so adding a key or a word is adding one entry.
 
 namespace mcs::exp {
 
@@ -34,121 +42,110 @@ std::vector<std::string> split_list(const std::string& s, char sep = ',') {
   throw ConfigError(source + ":" + std::to_string(line) + ": " + what);
 }
 
-/// "did you mean ...?" suffix for an unrecognized name, ranked by edit
-/// distance over the vocabulary that is legal in this position. Empty when
-/// nothing is plausibly close (then the bare error stands).
-std::string suggest(const std::string& name,
-                    const std::vector<std::string>& known) {
+/// The entry of `table` called `name`, or null.
+template <typename Table>
+auto find(const Table& table, const std::string& name)
+    -> decltype(&*std::begin(table)) {
+  for (const auto& entry : table)
+    if (name == entry.name) return &entry;
+  return nullptr;
+}
+
+/// "; did you mean ...?" for an unknown name, ranked by edit distance over
+/// the names of `table`; when nothing is plausibly close, "; expected"
+/// and every name.
+template <typename Table>
+std::string hint(const std::string& name, const Table& table) {
+  std::vector<std::string> known;
+  for (const auto& entry : table) known.emplace_back(entry.name);
   const std::vector<std::string> close = util::closest_matches(name, known);
-  if (close.empty()) return "";
-  std::string hint = "; did you mean";
+  std::string out = close.empty() ? "; expected" : "; did you mean";
   for (std::size_t i = 0; i < close.size(); ++i)
-    hint += (i == 0 ? " '" : ", '") + close[i] + "'";
-  hint += "?";
-  return hint;
+    out += (i == 0 ? " '" : ", '") + close[i] + "'";
+  if (!close.empty()) return out + "?";
+  for (std::size_t i = 0; i < known.size(); ++i)
+    out += (i == 0 ? " " : ", ") + known[i];
+  return out;
 }
 
-[[noreturn]] void fail_unknown(const std::string& source, int line,
-                               const std::string& what,
-                               const std::string& name,
-                               const std::vector<std::string>& known) {
-  fail(source, line, what + " '" + name + "'" + suggest(name, known));
-}
+// --- enum vocabularies -------------------------------------------------
 
-const std::vector<std::string>& sweep_keys() {
-  static const std::vector<std::string> keys = {
-      "name",      "seed",       "replications", "warmup",
-      "measured",  "message_flits", "flit_bytes", "loads",
-      "load_grid", "knee_loads", "models",       "sim",          "knee",
-      "find_saturation",         "relay",        "flow",
-      "alpha_net", "alpha_sw",   "beta_net"};
-  return keys;
-}
-
-const std::vector<std::string>& search_keys() {
-  static const std::vector<std::string> keys = {
-      "rel_precision", "r_min", "r_max", "warmup", "rel_tol", "blowup"};
-  return keys;
-}
-
-const std::vector<std::string>& observe_keys() {
-  static const std::vector<std::string> keys = {
-      "probe_interval", "probe_max_samples", "trace_sample",
-      "trace_max_events"};
-  return keys;
-}
-
-sim::WarmupDeletion parse_warmup_deletion(const std::string& source, int line,
-                                          const std::string& value) {
-  if (value == "off") return sim::WarmupDeletion::kOff;
-  if (value == "mser5") return sim::WarmupDeletion::kMser5;
-  fail(source, line,
-       "unknown warmup deletion mode '" + value + "'; expected off, mser5");
-}
-
-const std::vector<std::string>& system_keys() {
-  static const std::vector<std::string> keys = {
-      "preset",     "m",         "height",        "clusters",
-      "heights",    "icn2",      "icn2_switches", "icn2_rows",
-      "icn2_cols",  "icn2_wrap", "icn2_degree",   "icn2_seed"};
-  return keys;
-}
-
-const std::vector<std::string>& pattern_keys() {
-  static const std::vector<std::string> keys = {
-      "kind", "hotspot_fraction", "hotspot_node", "local_fraction",
-      "cluster_shift"};
-  return keys;
-}
-
-const std::vector<std::string>& cluster_keys() {
-  static const std::vector<std::string> keys = {
-      "alpha_net", "alpha_sw", "beta_net", "flit_bytes", "load_scale"};
-  return keys;
-}
-
-const std::vector<std::string>& icn2_params_keys() {
-  static const std::vector<std::string> keys = {"alpha_net", "alpha_sw",
-                                                "beta_net", "flit_bytes"};
-  return keys;
-}
-
-/// util::parse_int / parse_double located at `source:line`.
+/// One word of an enum vocabulary: each value's canonical word comes
+/// first, then its aliases. Output prints the canonical word.
 template <typename T>
-T parse_int(const std::string& source, int line, const std::string& value) {
-  return util::parse_int<T>(value, source + ":" + std::to_string(line));
+struct Word {
+  const char* name;
+  T value;
+};
+
+constexpr Word<sim::RelayMode> kRelayWords[] = {
+    {"store_forward", sim::RelayMode::kStoreForward},
+    {"store-forward", sim::RelayMode::kStoreForward},
+    {"cut_through", sim::RelayMode::kCutThrough},
+    {"cut-through", sim::RelayMode::kCutThrough},
+};
+
+constexpr Word<sim::FlowControl> kFlowWords[] = {
+    {"wormhole", sim::FlowControl::kWormhole},
+    {"store_and_forward", sim::FlowControl::kStoreAndForward},
+    {"store-and-forward", sim::FlowControl::kStoreAndForward},
+};
+
+constexpr Word<sim::PatternKind> kPatternWords[] = {
+    {"uniform", sim::PatternKind::kUniform},
+    {"hotspot", sim::PatternKind::kHotspot},
+    {"local_favor", sim::PatternKind::kLocalFavor},
+    {"cluster_permutation", sim::PatternKind::kClusterPermutation},
+};
+
+constexpr Word<sim::WarmupDeletion> kWarmupWords[] = {
+    {"off", sim::WarmupDeletion::kOff},
+    {"mser5", sim::WarmupDeletion::kMser5},
+};
+
+enum class Preset : std::uint8_t { kNone, kOrgA, kOrgB, kHomogeneous };
+
+constexpr Word<Preset> kPresetWords[] = {
+    {"table1_org_a", Preset::kOrgA},
+    {"table1_org_b", Preset::kOrgB},
+    {"homogeneous", Preset::kHomogeneous},
+};
+
+/// `models` entries, as bits of the models they enable.
+constexpr unsigned kPaperBit = 1, kRefinedBit = 2;
+
+constexpr Word<unsigned> kModelWords[] = {
+    {"paper", kPaperBit}, {"refined", kRefinedBit}, {"none", 0}};
+
+/// An ICN2 kind and the wrap it implies: a mesh is the unwrapped torus.
+struct Icn2Word {
+  topo::Icn2Kind kind;
+  bool wrap;
+};
+
+constexpr Word<Icn2Word> kIcn2Words[] = {
+    {"fat_tree", {topo::Icn2Kind::kFatTree, true}},
+    {"fat-tree", {topo::Icn2Kind::kFatTree, true}},
+    {"torus", {topo::Icn2Kind::kTorus, true}},
+    {"mesh", {topo::Icn2Kind::kTorus, false}},
+    {"dragonfly", {topo::Icn2Kind::kDragonfly, true}},
+    {"random", {topo::Icn2Kind::kRandomRegular, true}},
+    {"random_regular", {topo::Icn2Kind::kRandomRegular, true}},
+};
+
+constexpr Word<bool> kBoolWords[] = {
+    {"true", true},   {"1", true},  {"yes", true}, {"on", true},
+    {"false", false}, {"0", false}, {"no", false}, {"off", false},
+};
+
+template <typename T, std::size_t N>
+const char* canonical(const Word<T> (&words)[N], T value) {
+  for (const Word<T>& w : words)
+    if (w.value == value) return w.name;
+  return "?";
 }
 
-double parse_double(const std::string& source, int line,
-                    const std::string& value) {
-  return util::parse_double(value, source + ":" + std::to_string(line));
-}
-
-bool parse_bool(const std::string& source, int line,
-                const std::string& value) {
-  if (value == "true" || value == "1" || value == "yes" || value == "on")
-    return true;
-  if (value == "false" || value == "0" || value == "no" || value == "off")
-    return false;
-  fail(source, line, "expected a boolean, got '" + value + "'");
-}
-
-sim::RelayMode parse_relay(const std::string& source, int line,
-                           const std::string& value) {
-  if (value == "store_forward" || value == "store-forward")
-    return sim::RelayMode::kStoreForward;
-  if (value == "cut_through" || value == "cut-through")
-    return sim::RelayMode::kCutThrough;
-  fail(source, line, "unknown relay mode '" + value + "'");
-}
-
-sim::FlowControl parse_flow(const std::string& source, int line,
-                            const std::string& value) {
-  if (value == "wormhole") return sim::FlowControl::kWormhole;
-  if (value == "store_and_forward" || value == "store-and-forward")
-    return sim::FlowControl::kStoreAndForward;
-  fail(source, line, "unknown flow control '" + value + "'");
-}
+// --- parser state ------------------------------------------------------
 
 // State of one in-progress [cluster.<i>] sub-section.
 struct ClusterSection {
@@ -158,12 +155,15 @@ struct ClusterSection {
   double load_scale = -1.0;  ///< < 0 = unset
 };
 
+struct Section;
+struct Key;
+
 // State of one in-progress [system <id>] section (including its
 // [cluster.<i>] / [icn2_params] sub-sections).
 struct SystemDraft {
-  std::string id;
-  int line = 0;  ///< section header line (for error reporting)
-  std::string preset;
+  std::string id;  ///< empty = no [system] open
+  int line = 0;    ///< section header line (for error reporting)
+  Preset preset = Preset::kNone;
   int m = 0;
   int height = 0;
   int clusters = 0;
@@ -176,9 +176,257 @@ struct SystemDraft {
   bool seed_set = false;
   std::vector<ClusterSection> cluster_sections;
   model::NetworkParamsOverride icn2_net;
-  bool icn2_params_seen = false;
-  int icn2_params_line = 0;
+  int icn2_params_line = 0;  ///< 0 = no [icn2_params]
+  std::vector<const Section*> once_seen;  ///< its once-only sub-sections
 };
+
+struct PatternDraft {
+  std::string id;  ///< empty = no [pattern] open
+  int line = 0;
+  bool kind_set = false;
+  sim::TrafficPattern pattern;
+};
+
+using V = const std::string&;
+
+struct Parser {
+  explicit Parser(V name) : source(name) {}
+
+  const std::string& source;
+  int line = 0;
+  std::string key;  ///< the key being set, for value errors
+  ScenarioSpec spec;
+  SystemDraft system;
+  PatternDraft pattern;
+  /// The open [cluster.<i>] or [icn2_params] timing override.
+  model::NetworkParamsOverride* net = nullptr;
+  /// The first load key (loads / load_grid / knee_loads), for the error
+  /// that rejects mixing absolute and knee-relative loads.
+  std::string load_key;
+  const Section* section = nullptr;
+  std::vector<const Section*> once_seen;  ///< once-only top-level sections
+  std::vector<const Key*> keys_seen;      ///< keys set in the open section
+
+  [[noreturn]] void fail(V what) const { exp::fail(source, line, what); }
+  template <typename T>
+  [[nodiscard]] T integer(V v) const {
+    return util::parse_int<T>(v, source + ":" + std::to_string(line));
+  }
+  [[nodiscard]] double real(V v) const {
+    return util::parse_double(v, source + ":" + std::to_string(line));
+  }
+  /// The value of word `v` in `words`, or a ConfigError naming `what`.
+  template <typename T, std::size_t N>
+  [[nodiscard]] T word(const Word<T> (&words)[N], const char* what,
+                       V v) const {
+    if (const Word<T>* w = find(words, v)) return w->value;
+    fail(std::string("unknown ") + what + " '" + v + "'" + hint(v, words));
+  }
+  [[nodiscard]] bool flag(V v) const { return word(kBoolWords, "boolean", v); }
+  /// A timing override: >= 0, or > 0 when `positive`. A negative value
+  /// would read as "inherit" downstream, so a typo would be a no-op.
+  [[nodiscard]] double timing(V v, bool positive) const {
+    const double x = real(v);
+    if (positive ? !(x > 0.0) : !(x >= 0.0))
+      fail(key + (positive ? " must be > 0" : " must be >= 0") + ", got '" +
+           v + "'");
+    return x;
+  }
+  /// Absolute and knee-relative loads cannot share one grid: the runner
+  /// scales every load point by the knee or none.
+  void load_kind(bool relative) {
+    if (!load_key.empty() && (load_key == "knee_loads") != relative)
+      fail("knee_loads cannot be combined with " +
+           (relative ? load_key : key));
+    if (load_key.empty()) load_key = key;
+  }
+};
+
+// --- section keys ------------------------------------------------------
+
+using P = Parser&;
+
+/// One key of a section: at most once per section, except the `repeats`
+/// keys, whose lines accumulate.
+struct Key {
+  const char* name;
+  void (*set)(P p, V value);
+  bool repeats = false;
+};
+
+constexpr Key kSweepKeys[] = {
+    {"name", [](P p, V v) { p.spec.name = v; }},
+    {"seed",
+     [](P p, V v) {
+       p.spec.seed = static_cast<std::uint64_t>(p.integer<std::int64_t>(v));
+     }},
+    {"replications", [](P p, V v) { p.spec.replications = p.integer<int>(v); }},
+    {"warmup", [](P p, V v) { p.spec.warmup = p.integer<std::int64_t>(v); }},
+    {"measured",
+     [](P p, V v) { p.spec.measured = p.integer<std::int64_t>(v); }},
+    {"message_flits",
+     [](P p, V v) {
+       for (V s : split_list(v))
+         p.spec.message_flits.push_back(p.integer<int>(s));
+     }},
+    {"flit_bytes",
+     [](P p, V v) {
+       for (V s : split_list(v)) p.spec.flit_bytes.push_back(p.real(s));
+     }},
+    {"loads",
+     [](P p, V v) {
+       p.load_kind(false);
+       for (V s : split_list(v)) p.spec.loads.push_back(p.real(s));
+     },
+     true},
+    // step : count, expanding to {s/4, s/2, s, 2s, ..., count*s}: two
+    // sub-step points sample the steady low-load region, then the
+    // paper's axis grid.
+    {"load_grid",
+     [](P p, V v) {
+       p.load_kind(false);
+       const std::vector<std::string> parts = split_list(v, ':');
+       if (parts.size() != 2) p.fail("load_grid wants '<step> : <count>'");
+       const double step = p.real(parts[0]);
+       const auto count = p.integer<long long>(parts[1]);
+       if (step <= 0.0 || count < 1)
+         p.fail("load_grid wants step > 0 and count >= 1");
+       p.spec.loads.push_back(0.25 * step);
+       p.spec.loads.push_back(0.5 * step);
+       for (long long i = 1; i <= count; ++i)
+         p.spec.loads.push_back(step * static_cast<double>(i));
+     },
+     true},
+    {"knee_loads",
+     [](P p, V v) {
+       p.load_kind(true);
+       p.spec.knee_relative_loads = true;
+       for (V s : split_list(v)) {
+         const double f = p.real(s);
+         if (f <= 0.0)
+           p.fail("knee_loads fractions must be > 0, got '" + s + "'");
+         p.spec.loads.push_back(f);
+       }
+       if (p.spec.loads.empty()) p.fail("knee_loads lists no fractions");
+     }},
+    {"models",
+     [](P p, V v) {
+       unsigned bits = 0;
+       for (V s : split_list(v)) bits |= p.word(kModelWords, "model", s);
+       p.spec.run_paper_model = (bits & kPaperBit) != 0;
+       p.spec.run_refined_model = (bits & kRefinedBit) != 0;
+     }},
+    {"sim", [](P p, V v) { p.spec.run_sim = p.flag(v); }},
+    {"knee", [](P p, V v) { p.spec.find_knee = p.flag(v); }},
+    {"find_saturation",
+     [](P p, V v) { p.spec.find_sim_saturation = p.flag(v); }},
+    {"relay",
+     [](P p, V v) {
+       for (V s : split_list(v))
+         p.spec.relay_modes.push_back(p.word(kRelayWords, "relay mode", s));
+     }},
+    {"flow",
+     [](P p, V v) {
+       for (V s : split_list(v))
+         p.spec.flow_controls.push_back(
+             p.word(kFlowWords, "flow control", s));
+     }},
+    {"alpha_net", [](P p, V v) { p.spec.base_params.alpha_net = p.real(v); }},
+    {"alpha_sw", [](P p, V v) { p.spec.base_params.alpha_sw = p.real(v); }},
+    {"beta_net", [](P p, V v) { p.spec.base_params.beta_net = p.real(v); }},
+};
+
+constexpr Key kSystemKeys[] = {
+    {"preset",
+     [](P p, V v) { p.system.preset = p.word(kPresetWords, "preset", v); }},
+    {"m", [](P p, V v) { p.system.m = p.integer<int>(v); }},
+    {"height", [](P p, V v) { p.system.height = p.integer<int>(v); }},
+    {"clusters", [](P p, V v) { p.system.clusters = p.integer<int>(v); }},
+    {"heights",
+     [](P p, V v) {
+       for (V s : split_list(v)) p.system.heights.push_back(p.integer<int>(s));
+     }},
+    {"icn2",
+     [](P p, V v) {
+       const Icn2Word w = p.word(kIcn2Words, "icn2 kind", v);
+       p.system.icn2.kind = w.kind;
+       p.system.icn2.torus_wrap = w.wrap;
+     }},
+    {"icn2_switches",
+     [](P p, V v) { p.system.icn2.switches = p.integer<int>(v); }},
+    {"icn2_rows",
+     [](P p, V v) { p.system.icn2.torus_rows = p.integer<int>(v); }},
+    {"icn2_cols",
+     [](P p, V v) { p.system.icn2.torus_cols = p.integer<int>(v); }},
+    {"icn2_wrap",
+     [](P p, V v) {
+       p.system.wrap_set = true;
+       p.system.wrap_value = p.flag(v);
+     }},
+    {"icn2_degree", [](P p, V v) { p.system.icn2.degree = p.integer<int>(v); }},
+    {"icn2_seed",
+     [](P p, V v) {
+       p.system.seed_set = true;
+       p.system.icn2.seed =
+           static_cast<std::uint64_t>(p.integer<std::int64_t>(v));
+     }},
+};
+
+// [cluster.<i>] keys. [icn2_params] reads the first four: the same
+// timing keys, without the cluster property load_scale.
+constexpr Key kClusterKeys[] = {
+    {"alpha_net", [](P p, V v) { p.net->alpha_net = p.timing(v, false); }},
+    {"alpha_sw", [](P p, V v) { p.net->alpha_sw = p.timing(v, false); }},
+    {"beta_net", [](P p, V v) { p.net->beta_net = p.timing(v, true); }},
+    {"flit_bytes", [](P p, V v) { p.net->flit_bytes = p.timing(v, true); }},
+    {"load_scale",
+     [](P p, V v) {
+       p.system.cluster_sections.back().load_scale = p.timing(v, true);
+     }},
+};
+
+constexpr Key kPatternKeys[] = {
+    {"kind",
+     [](P p, V v) {
+       p.pattern.kind_set = true;
+       p.pattern.pattern.kind = p.word(kPatternWords, "pattern kind", v);
+     }},
+    {"hotspot_fraction",
+     [](P p, V v) { p.pattern.pattern.hotspot_fraction = p.real(v); }},
+    {"hotspot_node",
+     [](P p, V v) {
+       p.pattern.pattern.hotspot_node = p.integer<std::int64_t>(v);
+     }},
+    {"local_fraction",
+     [](P p, V v) { p.pattern.pattern.local_fraction = p.real(v); }},
+    {"cluster_shift",
+     [](P p, V v) { p.pattern.pattern.cluster_shift = p.integer<int>(v); }},
+};
+
+constexpr Key kSearchKeys[] = {
+    {"rel_precision",
+     [](P p, V v) { p.spec.search.seq.rel_precision = p.real(v); }},
+    {"r_min", [](P p, V v) { p.spec.search.seq.r_min = p.integer<int>(v); }},
+    {"r_max", [](P p, V v) { p.spec.search.seq.r_max = p.integer<int>(v); }},
+    {"warmup",
+     [](P p, V v) {
+       p.spec.search_warmup = p.word(kWarmupWords, "warmup deletion mode", v);
+     }},
+    {"rel_tol", [](P p, V v) { p.spec.search.rel_tol = p.real(v); }},
+    {"blowup", [](P p, V v) { p.spec.search.latency_blowup = p.real(v); }},
+};
+
+constexpr Key kObserveKeys[] = {
+    {"probe_interval", [](P p, V v) { p.spec.probe.interval = p.real(v); }},
+    {"probe_max_samples",
+     [](P p, V v) { p.spec.probe.max_samples = p.integer<std::size_t>(v); }},
+    {"trace_sample",
+     [](P p, V v) { p.spec.trace.sample_every = p.integer<std::int64_t>(v); }},
+    {"trace_max_events",
+     [](P p, V v) { p.spec.trace.max_events = p.integer<std::size_t>(v); }},
+};
+
+// --- sections ----------------------------------------------------------
 
 /// A knob the selected ICN2 kind never reads is a silent no-op — the
 /// author believes they shaped the topology. Fail loudly instead.
@@ -218,27 +466,27 @@ void check_icn2_params(const std::string& source, const SystemDraft& d) {
 topo::SystemConfig finish_system(const std::string& source,
                                  const SystemDraft& d) {
   topo::SystemConfig config;
-  if (d.preset == "table1_org_a") {
-    config = topo::SystemConfig::table1_org_a();
-  } else if (d.preset == "table1_org_b") {
-    config = topo::SystemConfig::table1_org_b();
-  } else if (d.preset == "homogeneous") {
-    if (d.m <= 0 || d.height <= 0 || d.clusters <= 0)
-      fail(source, d.line,
-           "[system " + d.id +
-               "]: preset homogeneous needs m, height and clusters");
-    config = topo::SystemConfig::homogeneous(d.m, d.height, d.clusters);
-  } else if (!d.preset.empty()) {
-    fail(source, d.line,
-         "[system " + d.id + "]: unknown preset '" + d.preset + "'" +
-             suggest(d.preset,
-                     {"table1_org_a", "table1_org_b", "homogeneous"}));
-  } else {
-    if (d.m <= 0 || d.heights.empty())
-      fail(source, d.line,
-           "[system " + d.id + "]: need either a preset or m plus heights");
-    config.m = d.m;
-    config.cluster_heights = d.heights;
+  switch (d.preset) {
+    case Preset::kOrgA:
+      config = topo::SystemConfig::table1_org_a();
+      break;
+    case Preset::kOrgB:
+      config = topo::SystemConfig::table1_org_b();
+      break;
+    case Preset::kHomogeneous:
+      if (d.m <= 0 || d.height <= 0 || d.clusters <= 0)
+        fail(source, d.line,
+             "[system " + d.id +
+                 "]: preset homogeneous needs m, height and clusters");
+      config = topo::SystemConfig::homogeneous(d.m, d.height, d.clusters);
+      break;
+    case Preset::kNone:
+      if (d.m <= 0 || d.heights.empty())
+        fail(source, d.line,
+             "[system " + d.id + "]: need either a preset or m plus heights");
+      config.m = d.m;
+      config.cluster_heights = d.heights;
+      break;
   }
   check_icn2_params(source, d);
   config.icn2 = d.icn2;
@@ -274,7 +522,7 @@ topo::SystemConfig finish_system(const std::string& source,
     if (cs.load_scale >= 0.0)
       config.load_scale[static_cast<std::size_t>(cs.index)] = cs.load_scale;
   }
-  if (d.icn2_params_seen && !d.icn2_net.any())
+  if (d.icn2_params_line != 0 && !d.icn2_net.any())
     fail(source, d.icn2_params_line,
          "[icn2_params]: empty override (set alpha_net, alpha_sw, beta_net "
          "or flit_bytes)");
@@ -282,14 +530,123 @@ topo::SystemConfig finish_system(const std::string& source,
   return config;
 }
 
-struct PatternDraft {
-  std::string id;
-  int line = 0;
-  bool kind_set = false;
-  sim::TrafficPattern pattern;
+/// Closes the open [system] draft (with its sub-sections) and the open
+/// [pattern] draft into the spec.
+void close_drafts(P p) {
+  if (!p.system.id.empty())
+    p.spec.systems.push_back({p.system.id, finish_system(p.source, p.system)});
+  p.system = SystemDraft{};
+  if (!p.pattern.id.empty()) {
+    if (!p.pattern.kind_set)
+      fail(p.source, p.pattern.line,
+           "[pattern " + p.pattern.id + "]: missing kind");
+    p.spec.patterns.push_back({p.pattern.id, p.pattern.pattern});
+  }
+  p.pattern = PatternDraft{};
+}
+
+/// One section header: `[name]`, `[name <id>]` (arg ' ') or `[name.<i>]`
+/// (arg '.'). A sub-section extends the open [system]; any other section
+/// closes the open drafts. A once-only section may appear once per file,
+/// or once per system when it is a sub-section.
+struct Section {
+  const char* name;
+  char arg;  ///< '\0': takes no argument
+  std::span<const Key> keys;
+  bool once;
+  bool sub;
+  void (*open)(P p, V arg);
 };
 
+constexpr Section kSections[] = {
+    {"sweep", '\0', kSweepKeys, true, false, [](P, V) {}},
+    {"system", ' ', kSystemKeys, false, false,
+     [](P p, V id) {
+       for (const SystemEntry& s : p.spec.systems)
+         if (s.id == id) p.fail("duplicate system id '" + id + "'");
+       p.system.id = id;
+       p.system.line = p.line;
+     }},
+    {"cluster", '.', kClusterKeys, false, true,
+     [](P p, V index) {
+       ClusterSection cs;
+       cs.index = p.integer<int>(index);
+       cs.line = p.line;
+       for (const ClusterSection& seen : p.system.cluster_sections)
+         if (seen.index == cs.index)
+           p.fail("duplicate [cluster." + std::to_string(cs.index) +
+                  "] in system '" + p.system.id + "'");
+       p.system.cluster_sections.push_back(cs);
+       p.net = &p.system.cluster_sections.back().net;
+     }},
+    {"icn2_params", '\0', std::span<const Key>(kClusterKeys, 4), true, true,
+     [](P p, V) {
+       p.system.icn2_params_line = p.line;
+       p.net = &p.system.icn2_net;
+     }},
+    {"pattern", ' ', kPatternKeys, false, false,
+     [](P p, V id) {
+       for (const PatternEntry& entry : p.spec.patterns)
+         if (entry.id == id) p.fail("duplicate pattern id '" + id + "'");
+       p.pattern.id = id;
+       p.pattern.line = p.line;
+     }},
+    {"search", '\0', kSearchKeys, true, false, [](P, V) {}},
+    {"observe", '\0', kObserveKeys, true, false, [](P, V) {}},
+};
+
+void open_section(P p, V header) {
+  const std::size_t cut = header.find_first_of(" \t.");
+  const std::string name = header.substr(0, cut);
+  const std::string arg =
+      cut == std::string::npos ? "" : trim(header.substr(cut + 1));
+  const char form = cut == std::string::npos ? '\0'
+                    : header[cut] == '.'     ? '.'
+                                             : ' ';
+  const Section* s = find(kSections, name);
+  if (s == nullptr)
+    p.fail("unknown section [" + header + "]" + hint(name, kSections));
+  if (form != s->arg || (form != '\0' && arg.empty()))
+    p.fail("[" + header + "] must be written [" + s->name +
+           (s->arg == '.' ? ".<i>" : s->arg == ' ' ? " <id>" : "") + "]");
+  if (!s->sub)
+    close_drafts(p);
+  else if (p.system.id.empty())
+    p.fail("[" + header + "] must follow a [system <id>] section");
+  std::vector<const Section*>& seen = s->sub ? p.system.once_seen : p.once_seen;
+  if (s->once && std::find(seen.begin(), seen.end(), s) != seen.end())
+    p.fail("duplicate [" + header + "] section" +
+           (s->sub ? " in system '" + p.system.id + "'" : ""));
+  if (s->once) seen.push_back(s);
+  p.section = s;
+  p.keys_seen.clear();
+  s->open(p, arg);
+}
+
+void set_key(P p, V key, V value) {
+  if (p.section == nullptr) p.fail("key outside any section: '" + key + "'");
+  const std::string where = std::string("[") + p.section->name +
+                            (p.section->arg == '.' ? ".<i>" : "") + "] key '" +
+                            key + "'";
+  const Key* k = find(p.section->keys, key);
+  if (k == nullptr) p.fail("unknown " + where + hint(key, p.section->keys));
+  std::vector<const Key*>& seen = p.keys_seen;
+  if (!k->repeats && std::find(seen.begin(), seen.end(), k) != seen.end())
+    p.fail("duplicate " + where);
+  seen.push_back(k);
+  p.key = key;
+  k->set(p, value);
+}
+
 }  // namespace
+
+const char* to_string(sim::RelayMode mode) {
+  return canonical(kRelayWords, mode);
+}
+
+const char* to_string(sim::FlowControl flow) {
+  return canonical(kFlowWords, flow);
+}
 
 void ScenarioSpec::validate() const {
   if (systems.empty()) throw ConfigError("ScenarioSpec: no [system] section");
@@ -338,397 +695,36 @@ std::int64_t ScenarioSpec::grid_size() const {
 }
 
 ScenarioSpec parse_scenario(std::istream& in, const std::string& source) {
-  ScenarioSpec spec;
+  Parser p(source);
+  ScenarioSpec& spec = p.spec;
   spec.message_flits.clear();
   spec.flit_bytes.clear();
   spec.relay_modes.clear();
   spec.flow_controls.clear();
 
-  // kCluster / kIcn2Params are sub-sections of the still-open [system]
-  // draft: they extend it rather than closing it.
-  enum class Section { kNone, kSweep, kSystem, kCluster, kIcn2Params,
-                       kPattern, kSearch, kObserve };
-  bool search_seen = false;
-  bool observe_seen = false;
-  Section section = Section::kNone;
-  SystemDraft system;
-  PatternDraft pattern;
-  const auto in_system = [&] {
-    return section == Section::kSystem || section == Section::kCluster ||
-           section == Section::kIcn2Params;
-  };
-
-  // List-valued [sweep] keys replace the whole list, so a repeat is a
-  // copy-paste error (it would silently multiply the grid). loads and
-  // load_grid are accumulative by design and may repeat.
-  std::vector<std::string> seen_list_keys;
-  // The first load key seen (loads / load_grid / knee_loads), for the
-  // error that rejects mixing absolute and knee-relative loads.
-  std::string load_key;
-
-  auto flush_section = [&] {
-    if (in_system())
-      spec.systems.push_back({system.id, finish_system(source, system)});
-    if (section == Section::kPattern) {
-      if (!pattern.kind_set)
-        fail(source, pattern.line,
-             "[pattern " + pattern.id + "]: missing kind");
-      spec.patterns.push_back({pattern.id, pattern.pattern});
-    }
-  };
-
   std::string raw;
-  int line_no = 0;
   while (std::getline(in, raw)) {
-    ++line_no;
+    ++p.line;
     // Strip comments (# and ;) and whitespace.
     std::size_t cut = raw.find_first_of("#;");
     std::string line = trim(cut == std::string::npos ? raw : raw.substr(0, cut));
     if (line.empty()) continue;
 
     if (line.front() == '[') {
-      if (line.back() != ']')
-        fail(source, line_no, "unterminated section header");
-      const std::string header = trim(line.substr(1, line.size() - 2));
-      if (header == "sweep") {
-        flush_section();
-        section = Section::kSweep;
-      } else if (header == "search") {
-        flush_section();
-        if (search_seen)
-          fail(source, line_no, "duplicate [search] section");
-        search_seen = true;
-        section = Section::kSearch;
-      } else if (header == "observe") {
-        flush_section();
-        if (observe_seen)
-          fail(source, line_no, "duplicate [observe] section");
-        observe_seen = true;
-        section = Section::kObserve;
-      } else if (header.rfind("cluster.", 0) == 0) {
-        // Sub-section of the open [system]: do NOT flush it.
-        if (!in_system())
-          fail(source, line_no,
-               "[" + header + "] must follow a [system <id>] section");
-        ClusterSection cs;
-        cs.index = parse_int<int>(source, line_no, trim(header.substr(8)));
-        cs.line = line_no;
-        for (const ClusterSection& seen : system.cluster_sections)
-          if (seen.index == cs.index)
-            fail(source, line_no,
-                 "duplicate [cluster." + std::to_string(cs.index) +
-                     "] in system '" + system.id + "'");
-        system.cluster_sections.push_back(cs);
-        section = Section::kCluster;
-      } else if (header == "icn2_params") {
-        if (!in_system())
-          fail(source, line_no,
-               "[icn2_params] must follow a [system <id>] section");
-        if (system.icn2_params_seen)
-          fail(source, line_no,
-               "duplicate [icn2_params] in system '" + system.id + "'");
-        system.icn2_params_seen = true;
-        system.icn2_params_line = line_no;
-        section = Section::kIcn2Params;
-      } else if (header.rfind("system", 0) == 0) {
-        flush_section();
-        section = Section::kSystem;
-        system = SystemDraft{};
-        system.id = trim(header.substr(6));
-        system.line = line_no;
-        if (system.id.empty())
-          fail(source, line_no, "[system] needs an id: [system <id>]");
-        for (const SystemEntry& s : spec.systems)
-          if (s.id == system.id)
-            fail(source, line_no, "duplicate system id '" + system.id + "'");
-      } else if (header.rfind("pattern", 0) == 0) {
-        flush_section();
-        section = Section::kPattern;
-        pattern = PatternDraft{};
-        pattern.id = trim(header.substr(7));
-        pattern.line = line_no;
-        if (pattern.id.empty())
-          fail(source, line_no, "[pattern] needs an id: [pattern <id>]");
-        for (const PatternEntry& p : spec.patterns)
-          if (p.id == pattern.id)
-            fail(source, line_no, "duplicate pattern id '" + pattern.id + "'");
-      } else {
-        fail(source, line_no,
-             "unknown section [" + header + "]" +
-                 suggest(header, {"sweep", "system", "pattern", "cluster.0",
-                                  "icn2_params", "search", "observe"}));
-      }
+      if (line.back() != ']') p.fail("unterminated section header");
+      open_section(p, trim(line.substr(1, line.size() - 2)));
       continue;
     }
 
     const std::size_t eq = line.find('=');
     if (eq == std::string::npos)
-      fail(source, line_no, "expected 'key = value', got '" + line + "'");
+      p.fail("expected 'key = value', got '" + line + "'");
     const std::string key = trim(line.substr(0, eq));
     const std::string value = trim(line.substr(eq + 1));
-    if (key.empty() || value.empty())
-      fail(source, line_no, "empty key or value");
-
-    switch (section) {
-      case Section::kNone:
-        fail(source, line_no, "key outside any section: '" + key + "'");
-
-      case Section::kSweep: {
-        if (key == "message_flits" || key == "flit_bytes" ||
-            key == "models" || key == "relay" || key == "flow" ||
-            key == "knee_loads") {
-          for (const std::string& seen : seen_list_keys)
-            if (seen == key)
-              fail(source, line_no, "duplicate [sweep] key '" + key + "'");
-          seen_list_keys.push_back(key);
-        }
-        if (key == "loads" || key == "load_grid" || key == "knee_loads") {
-          // Absolute and knee-relative loads cannot share one grid: the
-          // runner scales every load point by the knee or none.
-          const bool relative = key == "knee_loads";
-          const std::string& other = relative ? load_key : key;
-          if (!load_key.empty() && (load_key == "knee_loads") != relative)
-            fail(source, line_no, "knee_loads cannot be combined with " + other);
-          if (load_key.empty()) load_key = key;
-        }
-        if (key == "name") {
-          spec.name = value;
-        } else if (key == "seed") {
-          spec.seed = static_cast<std::uint64_t>(
-              parse_int<std::int64_t>(source, line_no, value));
-        } else if (key == "replications") {
-          spec.replications = parse_int<int>(source, line_no, value);
-        } else if (key == "warmup") {
-          spec.warmup = parse_int<std::int64_t>(source, line_no, value);
-        } else if (key == "measured") {
-          spec.measured = parse_int<std::int64_t>(source, line_no, value);
-        } else if (key == "message_flits") {
-          for (const std::string& v : split_list(value))
-            spec.message_flits.push_back(parse_int<int>(source, line_no, v));
-        } else if (key == "flit_bytes") {
-          for (const std::string& v : split_list(value))
-            spec.flit_bytes.push_back(parse_double(source, line_no, v));
-        } else if (key == "loads") {
-          for (const std::string& v : split_list(value))
-            spec.loads.push_back(parse_double(source, line_no, v));
-        } else if (key == "load_grid") {
-          // step : count, expanding to {s/4, s/2, s, 2s, ..., count*s}:
-          // two sub-step points sample the steady low-load region, then
-          // the paper's axis grid.
-          const std::vector<std::string> parts = split_list(value, ':');
-          if (parts.size() != 2)
-            fail(source, line_no, "load_grid wants '<step> : <count>'");
-          const double step = parse_double(source, line_no, parts[0]);
-          const auto count = parse_int<long long>(source, line_no, parts[1]);
-          if (step <= 0.0 || count < 1)
-            fail(source, line_no, "load_grid wants step > 0 and count >= 1");
-          spec.loads.push_back(0.25 * step);
-          spec.loads.push_back(0.5 * step);
-          for (long long i = 1; i <= count; ++i)
-            spec.loads.push_back(step * static_cast<double>(i));
-        } else if (key == "knee_loads") {
-          spec.knee_relative_loads = true;
-          for (const std::string& v : split_list(value)) {
-            const double f = parse_double(source, line_no, v);
-            if (f <= 0.0)
-              fail(source, line_no, "knee_loads fractions must be > 0, got '" +
-                                        v + "'");
-            spec.loads.push_back(f);
-          }
-          if (spec.loads.empty())
-            fail(source, line_no, "knee_loads lists no fractions");
-        } else if (key == "models") {
-          spec.run_paper_model = false;
-          spec.run_refined_model = false;
-          for (const std::string& v : split_list(value)) {
-            if (v == "paper")
-              spec.run_paper_model = true;
-            else if (v == "refined")
-              spec.run_refined_model = true;
-            else if (v == "none")
-              ;  // keep both disabled
-            else
-              fail(source, line_no, "unknown model '" + v + "'");
-          }
-        } else if (key == "sim") {
-          spec.run_sim = parse_bool(source, line_no, value);
-        } else if (key == "knee") {
-          spec.find_knee = parse_bool(source, line_no, value);
-        } else if (key == "find_saturation") {
-          spec.find_sim_saturation = parse_bool(source, line_no, value);
-        } else if (key == "relay") {
-          for (const std::string& v : split_list(value))
-            spec.relay_modes.push_back(parse_relay(source, line_no, v));
-        } else if (key == "flow") {
-          for (const std::string& v : split_list(value))
-            spec.flow_controls.push_back(parse_flow(source, line_no, v));
-        } else if (key == "alpha_net") {
-          spec.base_params.alpha_net = parse_double(source, line_no, value);
-        } else if (key == "alpha_sw") {
-          spec.base_params.alpha_sw = parse_double(source, line_no, value);
-        } else if (key == "beta_net") {
-          spec.base_params.beta_net = parse_double(source, line_no, value);
-        } else {
-          fail_unknown(source, line_no, "unknown [sweep] key", key,
-                       sweep_keys());
-        }
-        break;
-      }
-
-      case Section::kSystem: {
-        if (key == "preset") {
-          system.preset = value;
-        } else if (key == "m") {
-          system.m = parse_int<int>(source, line_no, value);
-        } else if (key == "height") {
-          system.height = parse_int<int>(source, line_no, value);
-        } else if (key == "clusters") {
-          system.clusters = parse_int<int>(source, line_no, value);
-        } else if (key == "heights") {
-          for (const std::string& v : split_list(value))
-            system.heights.push_back(parse_int<int>(source, line_no, v));
-        } else if (key == "icn2") {
-          if (!topo::parse_icn2_kind(value, system.icn2.kind,
-                                     system.icn2.torus_wrap))
-            fail_unknown(source, line_no, "unknown icn2 kind", value,
-                         {"fat_tree", "torus", "mesh", "dragonfly",
-                          "random_regular"});
-        } else if (key == "icn2_switches") {
-          system.icn2.switches = parse_int<int>(source, line_no, value);
-        } else if (key == "icn2_rows") {
-          system.icn2.torus_rows = parse_int<int>(source, line_no, value);
-        } else if (key == "icn2_cols") {
-          system.icn2.torus_cols = parse_int<int>(source, line_no, value);
-        } else if (key == "icn2_wrap") {
-          system.wrap_set = true;
-          system.wrap_value = parse_bool(source, line_no, value);
-        } else if (key == "icn2_degree") {
-          system.icn2.degree = parse_int<int>(source, line_no, value);
-        } else if (key == "icn2_seed") {
-          system.seed_set = true;
-          system.icn2.seed = static_cast<std::uint64_t>(
-              parse_int<std::int64_t>(source, line_no, value));
-        } else {
-          fail_unknown(source, line_no, "unknown [system] key", key,
-                       system_keys());
-        }
-        break;
-      }
-
-      case Section::kCluster:
-      case Section::kIcn2Params: {
-        // A negative value would read as "inherit" downstream — reject it
-        // here so a typo cannot become a silent no-op.
-        const auto checked = [&](bool strictly_positive) {
-          const double v = parse_double(source, line_no, value);
-          const bool ok = strictly_positive ? v > 0.0 : v >= 0.0;
-          if (!ok)
-            fail(source, line_no,
-                 key + (strictly_positive ? " must be > 0" : " must be >= 0") +
-                     ", got '" + value + "'");
-          return v;
-        };
-        model::NetworkParamsOverride& net =
-            section == Section::kCluster ? system.cluster_sections.back().net
-                                         : system.icn2_net;
-        if (key == "alpha_net") {
-          net.alpha_net = checked(false);
-        } else if (key == "alpha_sw") {
-          net.alpha_sw = checked(false);
-        } else if (key == "beta_net") {
-          net.beta_net = checked(true);
-        } else if (key == "flit_bytes") {
-          net.flit_bytes = checked(true);
-        } else if (key == "load_scale" && section == Section::kCluster) {
-          system.cluster_sections.back().load_scale = checked(true);
-        } else {
-          fail_unknown(source, line_no,
-                       section == Section::kCluster
-                           ? "unknown [cluster.<i>] key"
-                           : "unknown [icn2_params] key",
-                       key,
-                       section == Section::kCluster ? cluster_keys()
-                                                    : icn2_params_keys());
-        }
-        break;
-      }
-
-      case Section::kSearch: {
-        if (key == "rel_precision") {
-          spec.search.seq.rel_precision =
-              parse_double(source, line_no, value);
-        } else if (key == "r_min") {
-          spec.search.seq.r_min = parse_int<int>(source, line_no, value);
-        } else if (key == "r_max") {
-          spec.search.seq.r_max = parse_int<int>(source, line_no, value);
-        } else if (key == "warmup") {
-          spec.search_warmup = parse_warmup_deletion(source, line_no, value);
-        } else if (key == "rel_tol") {
-          spec.search.rel_tol = parse_double(source, line_no, value);
-        } else if (key == "blowup") {
-          spec.search.latency_blowup = parse_double(source, line_no, value);
-        } else {
-          fail_unknown(source, line_no, "unknown [search] key", key,
-                       search_keys());
-        }
-        break;
-      }
-
-      case Section::kObserve: {
-        if (key == "probe_interval") {
-          spec.probe.interval = parse_double(source, line_no, value);
-        } else if (key == "probe_max_samples") {
-          spec.probe.max_samples =
-              parse_int<std::size_t>(source, line_no, value);
-        } else if (key == "trace_sample") {
-          spec.trace.sample_every =
-              parse_int<std::int64_t>(source, line_no, value);
-        } else if (key == "trace_max_events") {
-          spec.trace.max_events =
-              parse_int<std::size_t>(source, line_no, value);
-        } else {
-          fail_unknown(source, line_no, "unknown [observe] key", key,
-                       observe_keys());
-        }
-        break;
-      }
-
-      case Section::kPattern: {
-        if (key == "kind") {
-          pattern.kind_set = true;
-          if (value == "uniform")
-            pattern.pattern.kind = sim::PatternKind::kUniform;
-          else if (value == "hotspot")
-            pattern.pattern.kind = sim::PatternKind::kHotspot;
-          else if (value == "local_favor")
-            pattern.pattern.kind = sim::PatternKind::kLocalFavor;
-          else if (value == "cluster_permutation")
-            pattern.pattern.kind = sim::PatternKind::kClusterPermutation;
-          else
-            fail_unknown(source, line_no, "unknown pattern kind", value,
-                         {"uniform", "hotspot", "local_favor",
-                          "cluster_permutation"});
-        } else if (key == "hotspot_fraction") {
-          pattern.pattern.hotspot_fraction =
-              parse_double(source, line_no, value);
-        } else if (key == "hotspot_node") {
-          pattern.pattern.hotspot_node =
-              parse_int<std::int64_t>(source, line_no, value);
-        } else if (key == "local_fraction") {
-          pattern.pattern.local_fraction =
-              parse_double(source, line_no, value);
-        } else if (key == "cluster_shift") {
-          pattern.pattern.cluster_shift =
-              parse_int<int>(source, line_no, value);
-        } else {
-          fail_unknown(source, line_no, "unknown [pattern] key", key,
-                       pattern_keys());
-        }
-        break;
-      }
-    }
+    if (key.empty() || value.empty()) p.fail("empty key or value");
+    set_key(p, key, value);
   }
-  flush_section();
+  close_drafts(p);
 
   // Restore defaults for list keys the file left unset.
   if (spec.message_flits.empty()) spec.message_flits = {32};
@@ -739,7 +735,7 @@ ScenarioSpec parse_scenario(std::istream& in, const std::string& source) {
     spec.flow_controls = {sim::FlowControl::kWormhole};
 
   spec.validate();
-  return spec;
+  return std::move(spec);
 }
 
 ScenarioSpec parse_scenario_string(const std::string& text) {

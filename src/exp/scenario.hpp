@@ -34,10 +34,13 @@
 // `icn2_wrap`, `icn2_degree`, `icn2_seed`). `[pattern <id>]` sections
 // accept `kind = uniform | hotspot | local_favor | cluster_permutation`
 // plus the kind's parameters (`hotspot_fraction`, `hotspot_node`,
-// `local_fraction`, `cluster_shift`). `loads`/`load_grid` lines may
-// repeat and accumulate grid points; the other list keys
-// (`message_flits`, `flit_bytes`, `models`, `relay`, `flow`,
-// `knee_loads`) set the whole list and may appear only once.
+// `local_fraction`, `cluster_shift`). One duplicate rule holds: a key
+// appears at most once per section, except `loads`/`load_grid`, whose
+// lines accumulate grid points; `[sweep]`, `[search]` and `[observe]`
+// appear at most once per file and `[icn2_params]` once per system.
+// The parser (scenario.cpp) is one table per section, one of section
+// headers and one per word vocabulary; an unknown key, section or word
+// fails with its closest matches from the same table.
 //
 // Knee-relative loads: `knee_loads = 0.2, 0.5, 0.9` replaces
 // `loads`/`load_grid` (mixing them is an error) with fractions (> 0) of a
@@ -188,6 +191,11 @@ struct ScenarioSpec {
   /// |relays| x |flow_controls| x |loads|.
   [[nodiscard]] std::int64_t grid_size() const;
 };
+
+/// The canonical scenario word of a relay mode or flow control, as tables,
+/// CSV and JSON print it (read from the parser's word tables).
+[[nodiscard]] const char* to_string(sim::RelayMode mode);
+[[nodiscard]] const char* to_string(sim::FlowControl flow);
 
 /// Parse the INI dialect described above. `source` names the input in
 /// error messages. Throws mcs::ConfigError on malformed input (unknown

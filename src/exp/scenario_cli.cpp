@@ -53,24 +53,50 @@ std::string resolve_scenario_path(const std::string& arg,
   return arg;  // load_scenario reports unreadable paths
 }
 
+namespace {
+
+using A = const util::Args&;
+using F = const std::string&;
+using S = ScenarioSpec&;
+
+/// The spec-shaping flags: each one's name and how it shapes the spec.
+/// Applied in table order, so an explicit --warmup/--measured wins over
+/// --paper-scale.
+constexpr struct {
+  const char* name;
+  void (*apply)(A args, F flag, S spec);
+} kSpecFlags[] = {
+    {"seed",
+     [](A a, F f, S s) {
+       s.seed = static_cast<std::uint64_t>(
+           a.get_int(f, static_cast<std::int64_t>(s.seed)));
+     }},
+    {"replications",
+     [](A a, F f, S s) { s.replications = a.get_int(f, s.replications); }},
+    {"paper-scale",
+     [](A a, F f, S s) {
+       if (!a.get_flag(f)) return;
+       s.warmup = 10'000;
+       s.measured = 100'000;
+     }},
+    {"warmup", [](A a, F f, S s) { s.warmup = a.get_int(f, s.warmup); }},
+    {"measured", [](A a, F f, S s) { s.measured = a.get_int(f, s.measured); }},
+    {"no-sim", [](A a, F f, S s) { if (a.get_flag(f)) s.run_sim = false; }},
+    {"knee", [](A a, F f, S s) { if (a.get_flag(f)) s.find_knee = true; }},
+    {"find-saturation",
+     [](A a, F f, S s) { if (a.get_flag(f)) s.find_sim_saturation = true; }},
+};
+
+}  // namespace
+
 void apply_spec_flags(const util::Args& args, ScenarioSpec& spec) {
-  spec.seed = static_cast<std::uint64_t>(
-      args.get_int("seed", static_cast<std::int64_t>(spec.seed)));
-  spec.replications = args.get_int("replications", spec.replications);
-  if (args.get_flag("paper-scale")) {
-    spec.warmup = 10'000;
-    spec.measured = 100'000;
-  }
-  spec.warmup = args.get_int("warmup", spec.warmup);
-  spec.measured = args.get_int("measured", spec.measured);
-  if (args.get_flag("no-sim")) spec.run_sim = false;
-  if (args.get_flag("knee")) spec.find_knee = true;
-  if (args.get_flag("find-saturation")) spec.find_sim_saturation = true;
+  for (const auto& flag : kSpecFlags) flag.apply(args, flag.name, spec);
 }
 
 std::vector<std::string> spec_flag_names() {
-  return {"seed",     "replications", "paper-scale", "warmup",
-          "measured", "no-sim",       "knee",        "find-saturation"};
+  std::vector<std::string> names;
+  for (const auto& flag : kSpecFlags) names.emplace_back(flag.name);
+  return names;
 }
 
 }  // namespace mcs::exp

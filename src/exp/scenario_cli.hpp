@@ -37,7 +37,7 @@ namespace mcs::exp {
 void apply_spec_flags(const util::Args& args, ScenarioSpec& spec);
 
 /// The spec-shaping flag names accepted by apply_spec_flags (for
-/// Args::require_known lists).
+/// Args::require_known lists), read from the same flag table.
 [[nodiscard]] std::vector<std::string> spec_flag_names();
 
 }  // namespace mcs::exp

@@ -45,8 +45,10 @@ struct ModelGroup {
 
 /// The analytical models a group runs.
 struct GroupModels {
-  GroupModels(const ModelGroup& group, const topo::SystemConfig& config) {
-    if (group.paper)
+  /// With `knee_only`, builds just the model knee() reads.
+  GroupModels(const ModelGroup& group, const topo::SystemConfig& config,
+              bool knee_only = false) {
+    if (group.paper && !(knee_only && group.refined))
       paper = std::make_unique<model::PaperModel>(config, group.params,
                                                   group.p_out_override);
     if (group.refined)
@@ -71,8 +73,8 @@ struct GroupModels {
 // One (system, message_flits, flit_bytes, pattern, relay, flow)
 // combination: the simulation-side saturation knee depends on the relay
 // mode too (unlike the analytical models), so search groups refine the
-// model groups by the relay dimension. Borrows the model group's models
-// for the analytical seed knee.
+// model groups by the relay dimension. The search task bisects its model
+// group's knee (the search seed and its rows' knee column).
 struct SearchGroup {
   std::size_t model_group = 0;  ///< index into the ModelGroup vector
   int pattern_idx = 0;
@@ -626,10 +628,11 @@ SweepResult SweepRunner::run(const SweepRunOptions& options) const {
                                   &search_sims] {
       const topo::SystemConfig& config =
           spec_.systems[static_cast<std::size_t>(mg.system_idx)].config;
-      // Analytical seed knee, the knee column's (GroupModels::knee).
-      // <= 0 makes SaturationSearch fall back to the closed-form
-      // estimate.
-      const double model_sat = GroupModels(mg, config).knee();
+      // Analytical seed knee, which is also the knee column of the
+      // group's rows (GroupModels::knee). <= 0 makes SaturationSearch
+      // fall back to the closed-form estimate.
+      const double model_sat =
+          GroupModels(mg, config, /*knee_only=*/true).knee();
 
       sim::SimConfig cfg;
       cfg.seed = derive_seed(
@@ -651,6 +654,7 @@ SweepResult SweepRunner::run(const SweepRunOptions& options) const {
       for (const SaturationProbe& p : found.trace)
         search_sims[g] += p.replications;
       for (const std::size_t r : sg.row_indices) {
+        rows[r].knee_lambda = model_sat;
         // Negative = missing, like every other output column: a search
         // that found no stable load reports no knee (never a
         // confident-looking 0.0), and the ratio is only published
@@ -669,21 +673,24 @@ SweepResult SweepRunner::run(const SweepRunOptions& options) const {
 
   // Model tasks: one per group with uncomputed rows (construction
   // dominates; predictions for the group's loads ride along). Each row's
-  // model fields are written by exactly one task, so no synchronization.
+  // model fields are written by exactly one task, so no synchronization:
+  // with the saturation search on, the search tasks write the knee
+  // column, and the model task does not bisect.
+  const bool model_knee = spec_.find_knee && !spec_.find_sim_saturation;
   if (run_models) {
     for (std::size_t g = 0; g < groups.size(); ++g) {
       if (!model_submitted[g]) continue;
       ModelGroup& group = groups[g];
       pool->submit(instrument('m', [this, &group, &rows, &row_breakdown,
                                     &restored, &complete_row,
-                                    explain_model] {
+                                    explain_model, model_knee] {
         const GroupModels models(
             group,
             spec_.systems[static_cast<std::size_t>(group.system_idx)].config);
-        const double knee = spec_.find_knee ? models.knee() : -1.0;
+        const double knee = model_knee ? models.knee() : -1.0;
         for (const std::size_t r : group.row_indices) {
           SweepRow& row = rows[r];
-          row.knee_lambda = knee;
+          if (model_knee) row.knee_lambda = knee;
           if (models.paper) {
             const model::LatencyPrediction p =
                 models.paper->predict(row.lambda);

@@ -16,22 +16,6 @@
 
 namespace mcs::exp {
 
-const char* to_string(sim::RelayMode mode) {
-  switch (mode) {
-    case sim::RelayMode::kStoreForward: return "store_forward";
-    case sim::RelayMode::kCutThrough: return "cut_through";
-  }
-  return "?";
-}
-
-const char* to_string(sim::FlowControl flow) {
-  switch (flow) {
-    case sim::FlowControl::kWormhole: return "wormhole";
-    case sim::FlowControl::kStoreAndForward: return "store_and_forward";
-  }
-  return "?";
-}
-
 using util::json_escape;
 using util::json_field;
 

@@ -12,10 +12,6 @@
 
 namespace mcs::exp {
 
-/// Human-readable names used in tables, CSV and JSON.
-[[nodiscard]] const char* to_string(sim::RelayMode mode);
-[[nodiscard]] const char* to_string(sim::FlowControl flow);
-
 /// One CSV row per SweepRow with the full coordinate + output schema
 /// (a field that is absent for the row, such as a model that did not run
 /// or the simulation columns of a model-only row, is an empty cell).

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <string>
 
 #include "topology/dragonfly.hpp"
 #include "topology/random_regular.hpp"
@@ -20,25 +19,6 @@ const char* to_string(Icn2Kind kind) {
     case Icn2Kind::kRandomRegular: return "random";
   }
   return "?";
-}
-
-bool parse_icn2_kind(const std::string& name, Icn2Kind& kind, bool& wrap) {
-  if (name == "fat_tree" || name == "fat-tree") {
-    kind = Icn2Kind::kFatTree;
-  } else if (name == "torus") {
-    kind = Icn2Kind::kTorus;
-    wrap = true;
-  } else if (name == "mesh") {
-    kind = Icn2Kind::kTorus;
-    wrap = false;
-  } else if (name == "dragonfly") {
-    kind = Icn2Kind::kDragonfly;
-  } else if (name == "random" || name == "random_regular") {
-    kind = Icn2Kind::kRandomRegular;
-  } else {
-    return false;
-  }
-  return true;
 }
 
 const char* Icn2Config::label() const {

@@ -6,7 +6,6 @@
 
 #include <cstdint>
 #include <memory>
-#include <string>
 #include <utility>
 #include <vector>
 
@@ -29,14 +28,6 @@ enum class Icn2Kind : std::uint8_t {
 };
 
 [[nodiscard]] const char* to_string(Icn2Kind kind);
-
-/// Parse the user-facing kind vocabulary of the scenario INI key `icn2`:
-/// fat_tree | fat-tree | torus | mesh | dragonfly | random |
-/// random_regular. "mesh" selects the torus generator and clears `wrap`;
-/// "torus" sets it. Returns false on an unknown name (kind/wrap
-/// untouched).
-[[nodiscard]] bool parse_icn2_kind(const std::string& name, Icn2Kind& kind,
-                                   bool& wrap);
 
 /// Parameters of the selected ICN2. Zero-valued sizing fields are derived
 /// from the cluster count: `switches` defaults to one switch per

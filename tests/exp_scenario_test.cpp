@@ -342,6 +342,35 @@ TEST(Scenario, ErrorsNameSourceAndLine) {
   }
 }
 
+// The ICN2 word picks the generator and the wrap it implies: a mesh is
+// the torus generator without wrap.
+TEST(Scenario, Icn2WordsImplyTheWrap) {
+  const auto icn2 = [](const std::string& word) {
+    return parse_scenario_string(
+               "[sweep]\nloads = 1e-4\n[system s]\npreset = table1_org_a\n"
+               "icn2 = " +
+               word + "\n")
+        .systems[0]
+        .config.icn2;
+  };
+  EXPECT_EQ(icn2("mesh").kind, topo::Icn2Kind::kTorus);
+  EXPECT_FALSE(icn2("mesh").torus_wrap);
+  EXPECT_EQ(icn2("torus").kind, topo::Icn2Kind::kTorus);
+  EXPECT_TRUE(icn2("torus").torus_wrap);
+  EXPECT_EQ(icn2("fat-tree").kind, topo::Icn2Kind::kFatTree);
+  EXPECT_EQ(icn2("random").kind, topo::Icn2Kind::kRandomRegular);
+  EXPECT_THROW((void)icn2("hypercube"), ConfigError);
+}
+
+// Output prints each relay and flow value's canonical scenario word.
+TEST(Scenario, CanonicalWordsNameRelayAndFlow) {
+  EXPECT_STREQ(to_string(sim::RelayMode::kStoreForward), "store_forward");
+  EXPECT_STREQ(to_string(sim::RelayMode::kCutThrough), "cut_through");
+  EXPECT_STREQ(to_string(sim::FlowControl::kWormhole), "wormhole");
+  EXPECT_STREQ(to_string(sim::FlowControl::kStoreAndForward),
+               "store_and_forward");
+}
+
 TEST(Scenario, KneeLoadsParseAsFractions) {
   const ScenarioSpec spec = parse_scenario_string(
       "[sweep]\nknee_loads = 0.25, 0.5\n[system a]\npreset = "

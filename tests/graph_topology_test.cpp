@@ -157,17 +157,6 @@ TEST(Icn2ConfigLabel, MeshIsDistinguishedFromTorus) {
   EXPECT_STREQ(icn2.label(), "torus");
   icn2.torus_wrap = false;
   EXPECT_STREQ(icn2.label(), "mesh");
-
-  // The kind parser behind the INI key `icn2`: "torus" must re-arm wrap
-  // after "mesh".
-  bool wrap = true;
-  Icn2Kind kind = Icn2Kind::kFatTree;
-  ASSERT_TRUE(parse_icn2_kind("mesh", kind, wrap));
-  EXPECT_EQ(kind, Icn2Kind::kTorus);
-  EXPECT_FALSE(wrap);
-  ASSERT_TRUE(parse_icn2_kind("torus", kind, wrap));
-  EXPECT_TRUE(wrap);
-  EXPECT_FALSE(parse_icn2_kind("hypercube", kind, wrap));
 }
 
 TEST(GeneratorStructure, InfeasibleParametersThrow) {

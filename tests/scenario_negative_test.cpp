@@ -74,6 +74,66 @@ TEST(ScenarioNegative, RemovedFractionWarmupModeIsRejected) {
   EXPECT_NE(msg.find("off, mser5"), std::string::npos) << msg;
 }
 
+// One repeat rule: a key at most once per section (loads and load_grid
+// lines accumulate), and [sweep] at most once per file. A repeat used to
+// win silently.
+TEST(ScenarioNegative, RepeatedKeysAndSectionsAreRejected) {
+  const std::string sweep = error_of(valid_spec() + "[sweep]\nseed = 7\n");
+  EXPECT_NE(sweep.find("<string>:5: duplicate [sweep] section"),
+            std::string::npos)
+      << sweep;
+  const std::string r_max =
+      error_of(valid_spec() + "[search]\nr_max = 6\nr_max = 8\n");
+  EXPECT_NE(r_max.find("<string>:7: duplicate [search] key 'r_max'"),
+            std::string::npos)
+      << r_max;
+  const std::string name = error_of("[sweep]\nname = a\nloads = 0.001\n"
+                                    "name = b\n" +
+                                    std::string(kMinimalSystem));
+  EXPECT_NE(name.find("duplicate [sweep] key 'name'"), std::string::npos)
+      << name;
+  const std::string preset =
+      error_of(valid_spec() + "preset = table1_org_b\n");
+  EXPECT_NE(preset.find("duplicate [system] key 'preset'"), std::string::npos)
+      << preset;
+
+  const ScenarioSpec spec = parse_scenario_string(
+      "[sweep]\nloads = 0.001\nload_grid = 1e-4 : 1\nloads = 0.002\n"
+      "load_grid = 1e-4 : 1\n" +
+      std::string(kMinimalSystem));
+  EXPECT_EQ(spec.loads.size(), 8u);
+}
+
+// Every word vocabulary answers an unknown word with its closest words.
+TEST(ScenarioNegative, EveryVocabularyGetsSuggestion) {
+  const std::string sweep = "[sweep]\nloads = 0.001\n";
+  const std::pair<std::string, std::string> cases[] = {
+      {sweep + "relay = cut_thru\n" + kMinimalSystem,
+       "unknown relay mode 'cut_thru'; did you mean 'cut_through'"},
+      {sweep + "flow = wormhol\n" + kMinimalSystem,
+       "unknown flow control 'wormhol'; did you mean 'wormhole'"},
+      {sweep + "models = paper, refind\n" + kMinimalSystem,
+       "unknown model 'refind'; did you mean 'refined'"},
+      {sweep + "sim = ture\n" + kMinimalSystem,
+       "unknown boolean 'ture'; did you mean 'true'"},
+      {valid_spec() + "[search]\nwarmup = msr5\n",
+       "unknown warmup deletion mode 'msr5'; did you mean 'mser5'"},
+      {valid_spec() + "[pattern p]\nkind = hotspt\n",
+       "unknown pattern kind 'hotspt'; did you mean 'hotspot'"},
+      {sweep + "[system a]\npreset = homogenous\n",
+       "unknown preset 'homogenous'; did you mean 'homogeneous'"},
+      {valid_spec() + "icn2 = randm\n",
+       "unknown icn2 kind 'randm'; did you mean 'random'"},
+      {valid_spec() + "icn2 = hypercube\n",
+       "unknown icn2 kind 'hypercube'; expected fat_tree, fat-tree, torus, "
+       "mesh, dragonfly, random, random_regular"},
+  };
+  for (const auto& [text, want] : cases) {
+    const std::string msg = error_of(text);
+    EXPECT_NE(msg.find(want), std::string::npos) << msg;
+  }
+}
+
 TEST(ScenarioNegative, KneeLoadsRejectNonPositiveAndEmptyLists) {
   for (const char* bad : {"0", "-0.5", "0.5, 0"}) {
     const std::string msg = error_of(std::string("[sweep]\nknee_loads = ") +
