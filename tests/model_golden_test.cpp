@@ -13,7 +13,9 @@
 // knee, so one load per config sits past saturation and pins the unstable
 // branch as well. Per-cluster fields are folded into a SHA-256 digest of
 // their hexfloat rendering (the 128-cluster system would otherwise pin
-// ~4k numbers); the system mean is pinned in the clear. If a change
+// ~4k numbers); the system mean is pinned in the clear. The graph ICN2
+// configurations also pin breakdown()'s concentrator terms (the ICN2 leg)
+// at 0.5x and 1.5x the knee, where the P_B and rho clamps fire. If a change
 // intentionally alters a model's numbers, regenerate the strings from the
 // test failure output and say so in the change description.
 #include <gtest/gtest.h>
@@ -78,6 +80,42 @@ std::string fingerprint(const LatencyModel& model) {
   return s;
 }
 
+/// breakdown()'s station 2 (the concentrator, whose service is the
+/// destination-averaged ICN2 leg) of every cluster at 0.5x and 1.5x the
+/// model's knee: one "station2 x<f> stable=<0|1> unstable=<n>
+/// terms=<digest>" line per load (stable: the whole breakdown's flag; n:
+/// clusters whose station 2 is unstable), the digest over each cluster's
+/// s_mean, s_zero, r_mean, rho and stable flag. Past the knee predict() reads only mean=inf, so these
+/// lines are what pins the clamped (P_B and rho) station terms there.
+std::string station2_fingerprint(const RefinedModel& model) {
+  const double knee = find_saturation(model).lambda_sat;
+  std::string s;
+  for (const double fraction : {0.5, 1.5}) {
+    const ModelBreakdown b = model.breakdown(fraction * knee);
+    std::string terms;
+    int unstable = 0;
+    for (const ClusterBreakdown& c : b.clusters) {
+      const StationTerm& t = c.stations[2];
+      unstable += t.stable ? 0 : 1;
+      terms += hex(t.s_mean);
+      terms += ' ';
+      terms += hex(t.s_zero);
+      terms += ' ';
+      terms += hex(t.r_mean);
+      terms += ' ';
+      terms += hex(t.rho);
+      terms += t.stable ? " 1\n" : " 0\n";
+    }
+    s += "\n  station2 x";
+    s += fraction == 0.5 ? "0.5" : "1.5";
+    s += b.stable ? " stable=1" : " stable=0";
+    s += " unstable=" + std::to_string(unstable);
+    s += " terms=";
+    s += util::sha256_hex(terms).substr(0, 16);
+  }
+  return s;
+}
+
 std::string paper(const topo::SystemConfig& system,
                   std::vector<double> p_out = {}) {
   return fingerprint(PaperModel(system, NetworkParams{}, std::move(p_out)));
@@ -88,6 +126,13 @@ std::string refined(const topo::SystemConfig& system,
                     FlowControl flow = FlowControl::kWormhole) {
   return fingerprint(
       RefinedModel(system, NetworkParams{}, std::move(p_out), flow));
+}
+
+/// refined() followed by station2_fingerprint() of the same model.
+std::string refined_graph(const topo::SystemConfig& system,
+                          FlowControl flow = FlowControl::kWormhole) {
+  const RefinedModel model(system, NetworkParams{}, {}, flow);
+  return fingerprint(model) + station2_fingerprint(model);
 }
 
 topo::SystemConfig tree_system() {
@@ -210,34 +255,44 @@ TEST(ModelGolden, StoreAndForward) {
 }
 
 TEST(ModelGolden, GraphIcn2s) {
-  EXPECT_EQ(refined(graph_system(topo::Icn2Kind::kTorus)),
+  EXPECT_EQ(refined_graph(graph_system(topo::Icn2Kind::kTorus)),
             "refined sat=0x1.61b7b9611a7bbp-9 it=12\n"
             "  mean=0x1.8ed4262c192b7p+5 stable=1 clusters=8f82e5186f4886d1\n"
             "  mean=0x1.0b668292f1d71p+6 stable=1 clusters=8720fe7f6bff0b07\n"
-            "  mean=inf stable=0 clusters=037dbc24455a0c71");
-  EXPECT_EQ(refined(graph_system(topo::Icn2Kind::kDragonfly)),
+            "  mean=inf stable=0 clusters=037dbc24455a0c71\n"
+            "  station2 x0.5 stable=1 unstable=0 terms=8e561b631832a075\n"
+            "  station2 x1.5 stable=0 unstable=8 terms=967edbada84c6854");
+  EXPECT_EQ(refined_graph(graph_system(topo::Icn2Kind::kDragonfly)),
             "refined sat=0x1.ffda7b9611a7cp-10 it=13\n"
             "  mean=0x1.8abf6cc42c981p+5 stable=1 clusters=e2b55ce997fade84\n"
             "  mean=0x1.ff39a320f5b2ep+5 stable=1 clusters=4a9e0cebb417fad6\n"
-            "  mean=inf stable=0 clusters=f5709aa473d0f82e");
-  EXPECT_EQ(refined(graph_system(topo::Icn2Kind::kRandomRegular)),
+            "  mean=inf stable=0 clusters=f5709aa473d0f82e\n"
+            "  station2 x0.5 stable=1 unstable=0 terms=75d5b73a76fb37a9\n"
+            "  station2 x1.5 stable=0 unstable=8 terms=48507b7a8162bf11");
+  EXPECT_EQ(refined_graph(graph_system(topo::Icn2Kind::kRandomRegular)),
             "refined sat=0x1.b7ecb08d3dcb1p-9 it=12\n"
             "  mean=0x1.919b57b7c40c3p+5 stable=1 clusters=86b807eec19dc034\n"
             "  mean=0x1.12192c205d15dp+6 stable=1 clusters=15bbf572e3047b3c\n"
-            "  mean=inf stable=0 clusters=2e3b2df1b6b983cf");
-  EXPECT_EQ(refined(graph_system(topo::Icn2Kind::kTorus), {},
-                    FlowControl::kStoreAndForward),
+            "  mean=inf stable=0 clusters=2e3b2df1b6b983cf\n"
+            "  station2 x0.5 stable=1 unstable=0 terms=351e2c32530984aa\n"
+            "  station2 x1.5 stable=0 unstable=8 terms=4d85dbabb5efeb36");
+  EXPECT_EQ(refined_graph(graph_system(topo::Icn2Kind::kTorus),
+                          FlowControl::kStoreAndForward),
             "refined sat=0x1.6d4d3dcb08d3fp-9 it=12\n"
             "  mean=0x1.f5143155c907ap+6 stable=1 clusters=aa8d487540ea10d6\n"
             "  mean=0x1.13758218348f4p+7 stable=1 clusters=27ffaeaf200c5fd4\n"
-            "  mean=inf stable=0 clusters=96b3dcf5beaa0ca3");
+            "  mean=inf stable=0 clusters=96b3dcf5beaa0ca3\n"
+            "  station2 x0.5 stable=1 unstable=0 terms=7425555bfbc29bc4\n"
+            "  station2 x1.5 stable=0 unstable=8 terms=5e68bf2a4302f99f");
   topo::SystemConfig mesh = graph_system(topo::Icn2Kind::kTorus);
   mesh.icn2.torus_wrap = false;
-  EXPECT_EQ(refined(mesh),
+  EXPECT_EQ(refined_graph(mesh),
             "refined sat=0x1.f91e58469ee59p-10 it=13\n"
             "  mean=0x1.8a5fc43cab862p+5 stable=1 clusters=0b35353b36bc92ab\n"
             "  mean=0x1.000b75cc52dfep+6 stable=1 clusters=e0960ab7201dfe27\n"
-            "  mean=inf stable=0 clusters=c67ff384dfdb8503");
+            "  mean=inf stable=0 clusters=c67ff384dfdb8503\n"
+            "  station2 x0.5 stable=1 unstable=0 terms=1c339753fa63c110\n"
+            "  station2 x1.5 stable=0 unstable=8 terms=0a6d1e9b4759ddbd");
 
   // A torus whose clusters differ in height and load, behind an ICN2 of
   // its own technology: every per-source and per-destination input of
@@ -249,22 +304,26 @@ TEST(ModelGolden, GraphIcn2s) {
   cfg.icn2_net.alpha_net = 0.04;
   cfg.icn2_net.beta_net = 0.001;
   cfg.load_scale = {2.0, 0.5, 1.0, 1.5, 0.75, 1.0};
-  EXPECT_EQ(refined(cfg),
+  EXPECT_EQ(refined_graph(cfg),
             "refined sat=0x1.76b8f1d286494p-9 it=11\n"
             "  mean=0x1.4958373d406a6p+5 stable=1 clusters=d8dfa7c5c90eb658\n"
             "  mean=0x1.150d6df43ae8cp+6 stable=1 clusters=612ff156a11cb8b9\n"
-            "  mean=inf stable=0 clusters=d9ae3b97628b9521");
+            "  mean=inf stable=0 clusters=d9ae3b97628b9521\n"
+            "  station2 x0.5 stable=1 unstable=0 terms=fd048fad450a2a74\n"
+            "  station2 x1.5 stable=0 unstable=0 terms=1af546306b84520e");
 
   // The 128-cluster 16x8 torus of the model campaign: 16,256 routed pairs.
   topo::SystemConfig big = topo::SystemConfig::homogeneous(8, 2, 128);
   big.icn2.kind = topo::Icn2Kind::kTorus;
   big.icn2.torus_rows = 16;
   big.icn2.torus_cols = 8;
-  EXPECT_EQ(refined(big),
+  EXPECT_EQ(refined_graph(big),
             "refined sat=0x1.cb2cdf8a1d0dfp-16 it=17\n"
             "  mean=0x1.bc4ee83d9dcf7p+5 stable=1 clusters=7a8e595d13870187\n"
             "  mean=0x1.e23c51686f264p+5 stable=1 clusters=1b715f662917ee6e\n"
-            "  mean=inf stable=0 clusters=72a9ccedd910fcf0");
+            "  mean=inf stable=0 clusters=72a9ccedd910fcf0\n"
+            "  station2 x0.5 stable=1 unstable=0 terms=fa39b528a0b65853\n"
+            "  station2 x1.5 stable=0 unstable=71 terms=2bf34fb8d94aa6a4");
 }
 
 }  // namespace
