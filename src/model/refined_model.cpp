@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <span>
 
 #include "model/icn2_funnel.hpp"
 #include "model/mg1.hpp"
@@ -60,20 +61,16 @@ RecursionResult run_stages(const std::vector<PhysStage>& phys, int flits,
   return {s, state.stable};
 }
 
-/// One node of a graph ICN2 suffix tree under evaluation: run_stages'
-/// running values after stepping the node's channel.
-struct SuffixNode {
-  double suffix_max = 0.0;
-  SuffixState state;
-  double base = 0.0;  ///< the channel's occupancy
-  double s = 0.0;     ///< its service time S_k
-};
-
 }  // namespace
 
 struct RefinedModel::Scratch {
   std::vector<PhysStage> phys;
-  std::vector<SuffixNode> suffix;  ///< one destination's suffix tree
+  /// One destination's suffix tree under evaluation, by node: run_stages'
+  /// running waits and stability after stepping the node's channel, and
+  /// its service time S_k.
+  std::vector<double> waits;
+  std::vector<std::uint8_t> stable;
+  std::vector<double> s;
 };
 
 const char* RefinedModel::unsupported_reason(
@@ -198,16 +195,57 @@ RefinedModel::RefinedModel(topo::SystemConfig config, NetworkParams params,
     // One suffix tree per destination (suffix_forest.hpp), so the leg's
     // recursion steps each distinct route suffix once.
     icn2_suffixes_ = SuffixForest(icn2_graph_->channel_count());
-    std::vector<topo::ChannelId> route;
+    std::vector<std::vector<topo::ChannelId>> routes(
+        static_cast<std::size_t>(c_count) - 1);
+    icn2_graph_legs_.reserve(static_cast<std::size_t>(c_count) *
+                             routes.size());
     for (int v = 0; v < c_count; ++v) {
-      icn2_suffixes_.begin_tree();
+      std::vector<int> stages;
       for (int i = 0; i < c_count; ++i) {
         if (i == v) continue;
+        std::vector<topo::ChannelId>& route = routes[stages.size()];
         route.clear();
-        const int stages =
-            icn2_graph_->route_into(static_cast<topo::EndpointId>(i),
-                                    static_cast<topo::EndpointId>(v), route);
-        icn2_graph_legs_.push_back({icn2_suffixes_.add(route), stages});
+        stages.push_back(icn2_graph_->route_into(
+            static_cast<topo::EndpointId>(i),
+            static_cast<topo::EndpointId>(v), route));
+      }
+      const std::vector<std::int32_t> leaves =
+          icn2_suffixes_.add_tree(routes);
+      for (std::size_t r = 0; r < leaves.size(); ++r) {
+        icn2_graph_legs_.push_back({leaves[r], stages[r]});
+        while (icn2_leg_r_.size() <= static_cast<std::size_t>(stages[r]))
+          icn2_leg_r_.push_back(pipeline_r(
+              static_cast<int>(icn2_leg_r_.size()), icn2_params_, flow_));
+      }
+    }
+
+    // Each node's occupancy, by run_stages' rule from its parent's running
+    // max, is one of two values: store its index into the table.
+    const int flits = params_.message_flits;
+    const double tcn = icn2_params_.t_cn();
+    const double tcs = icn2_params_.t_cs();
+    const auto lone_occupancy = [&](double t) {
+      double suffix_max = 0.0;
+      return occupancy(t, suffix_max, flits, flow_);
+    };
+    icn2_occupancy_ = {lone_occupancy(tcn), lone_occupancy(tcs)};
+    icn2_node_occupancy_.reserve(icn2_suffixes_.node_count());
+    std::vector<double> suffix_max;
+    for (std::size_t v = 0; v < icn2_suffixes_.tree_count(); ++v) {
+      const auto parents = icn2_suffixes_.parents(v);
+      const auto channels = icn2_suffixes_.channels(v);
+      suffix_max.assign(parents.size(), 0.0);
+      for (std::size_t k = 0; k < parents.size(); ++k) {
+        if (parents[k] >= 0)
+          suffix_max[k] = suffix_max[static_cast<std::size_t>(parents[k])];
+        const topo::ChannelKind kind = icn2_graph_->channel(channels[k]).kind;
+        const bool endpoint = kind == topo::ChannelKind::kInjection ||
+                              kind == topo::ChannelKind::kEjection;
+        const double base =
+            occupancy(endpoint ? tcn : tcs, suffix_max[k], flits, flow_);
+        const std::uint8_t index = same_bits(base, icn2_occupancy_[0]) ? 0 : 1;
+        MCS_ENSURES(same_bits(base, icn2_occupancy_[index]));
+        icn2_node_occupancy_.push_back(index);
       }
     }
   }
@@ -402,39 +440,43 @@ std::vector<RefinedModel::SegmentResult> RefinedModel::icn2_averages(
 
   // Graph ICN2: every channel's rate is its routing-table flow coefficient
   // (graph_load.hpp). Per destination, one recursion step per suffix-tree
-  // node, parents first: each pair's whole-route node then holds what
-  // run_stages returns for its route [injection, switch route, ejection],
-  // bit for bit (DESIGN.md §3.2).
-  const double tcn = icn2_params_.t_cn();
-  const double tcs = icn2_params_.t_cs();
-  std::vector<SuffixNode>& nodes = scratch.suffix;
+  // node in level order, each reading its parent's final state: each
+  // pair's whole-route node then holds what run_stages returns for its
+  // route [injection, switch route, ejection], bit for bit, and the nodes
+  // of one level carry no dependency between them (DESIGN.md §3.2).
   std::size_t pair = 0;
+  std::size_t first = 0;  // the tree's first node in the forest
   for (int v = 0; v < c_count; ++v) {
     const auto parents = icn2_suffixes_.parents(static_cast<std::size_t>(v));
     const auto channels =
         icn2_suffixes_.channels(static_cast<std::size_t>(v));
-    nodes.resize(parents.size());
+    const auto base =
+        std::span(icn2_node_occupancy_).subspan(first, parents.size());
+    first += parents.size();
+    scratch.waits.resize(parents.size());
+    scratch.stable.resize(parents.size());
+    scratch.s.resize(parents.size());
     for (std::size_t k = 0; k < parents.size(); ++k) {
-      SuffixNode& node = nodes[k];
-      node = parents[k] < 0 ? SuffixNode{}
-                            : nodes[static_cast<std::size_t>(parents[k])];
-      const topo::ChannelId c = channels[k];
-      const topo::ChannelKind kind = icn2_graph_->channel(c).kind;
-      const bool endpoint = kind == topo::ChannelKind::kInjection ||
-                            kind == topo::ChannelKind::kEjection;
-      node.base = occupancy(endpoint ? tcn : tcs, node.suffix_max,
-                            params_.message_flits, flow_);
-      node.s = recursion_step(
-          {node.base, icn2_coeff_[static_cast<std::size_t>(c)] * lambda_g},
-          WaitModel::kResidual, node.state);
+      SuffixState state;
+      if (parents[k] >= 0) {
+        const auto p = static_cast<std::size_t>(parents[k]);
+        state = {scratch.waits[p], scratch.stable[p] != 0};
+      }
+      scratch.s[k] = recursion_step(
+          {icn2_occupancy_[base[k]],
+           icn2_coeff_[static_cast<std::size_t>(channels[k])] * lambda_g},
+          WaitModel::kResidual, state);
+      scratch.waits[k] = state.waits;
+      scratch.stable[k] = state.stable ? 1 : 0;
     }
     for (int i = 0; i < c_count; ++i) {
       if (i == v) continue;
       const GraphLeg& leg = icn2_graph_legs_[pair++];
-      const SuffixNode& node = nodes[static_cast<std::size_t>(leg.node)];
+      const auto node = static_cast<std::size_t>(leg.node);
       add(i, v,
-          {node.s, node.base, pipeline_r(leg.stages, icn2_params_, flow_),
-           node.state.stable});
+          {scratch.s[node], icn2_occupancy_[base[node]],
+           icn2_leg_r_[static_cast<std::size_t>(leg.stages)],
+           scratch.stable[node] != 0});
     }
   }
   return avg;

@@ -28,6 +28,7 @@
 //    matrix sum rather than the uniform-load shortcut N_v * P_o^v.
 #pragma once
 
+#include <array>
 #include <cstdint>
 #include <memory>
 #include <vector>
@@ -147,6 +148,13 @@ class RefinedModel final : public LatencyModel {
   /// order.
   SuffixForest icn2_suffixes_;
   std::vector<GraphLeg> icn2_graph_legs_;
+  /// The λ-independent terms of the tree pass: the two occupancies a
+  /// node can have (M*t_cn, M*t_cs under either flow control), each
+  /// forest node's index into them in forest order, and pipeline_r by a
+  /// leg's channel count.
+  std::array<double, 2> icn2_occupancy_{};
+  std::vector<std::uint8_t> icn2_node_occupancy_;
+  std::vector<double> icn2_leg_r_;
   double total_nodes_ = 0.0;
   double gen_weight_ = 0.0;  ///< sum_i N_i * scale_i: Eq. (36) denominator
 

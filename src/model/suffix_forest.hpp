@@ -8,7 +8,9 @@
 // A node is a suffix: its first channel, and as parent the suffix one
 // channel shorter (-1 at a root, the routes' last channel). Routes need
 // not be suffix-consistent: a channel reached with two different suffixes
-// gets two nodes.
+// gets two nodes. Each tree is stored in level order — by depth, roots
+// first — so a node's parent lies in the level before it and the nodes of
+// one level depend on none of each other.
 #pragma once
 
 #include <cstddef>
@@ -26,16 +28,15 @@ class SuffixForest {
   /// An empty forest over channel ids [0, channel_count).
   explicit SuffixForest(std::size_t channel_count = 0);
 
-  /// Start the next tree; add() merges routes into it.
-  void begin_tree();
-  /// Merge `route` (channels in travel order) into the current tree and
-  /// return the tree-local node of the whole route.
-  std::int32_t add(std::span<const topo::ChannelId> route);
+  /// Merge `routes` (each its channels in travel order) into a new tree
+  /// and return, per route, the tree-local node of the whole route.
+  std::vector<std::int32_t> add_tree(
+      std::span<const std::vector<topo::ChannelId>> routes);
 
   [[nodiscard]] std::size_t tree_count() const { return tree_begin_.size(); }
   [[nodiscard]] std::size_t node_count() const { return parent_.size(); }
-  /// Tree t's nodes by tree-local index, parents before children:
-  /// each node's tree-local parent (-1 at a root) and channel.
+  /// Tree t's nodes by tree-local index, in level order: each node's
+  /// tree-local parent (-1 at a root) and channel.
   [[nodiscard]] std::span<const std::int32_t> parents(std::size_t t) const;
   [[nodiscard]] std::span<const topo::ChannelId> channels(
       std::size_t t) const;
@@ -46,10 +47,9 @@ class SuffixForest {
   std::vector<std::int32_t> parent_;
   std::vector<topo::ChannelId> channel_;
   std::vector<std::size_t> tree_begin_;  ///< first node of each tree
-  // Build state of the current tree: head_[channel] is its newest node on
-  // that channel and next_[node] the one before, -1 ending the list.
+  /// Build state, cleared per tree: head_[channel] is the newest
+  /// insertion-order node on that channel, -1 when none.
   std::vector<std::int32_t> head_;
-  std::vector<std::int32_t> next_;
 };
 
 }  // namespace mcs::model

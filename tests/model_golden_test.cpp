@@ -85,8 +85,9 @@ std::string fingerprint(const LatencyModel& model) {
 /// model's knee: one "station2 x<f> stable=<0|1> unstable=<n>
 /// terms=<digest>" line per load (stable: the whole breakdown's flag; n:
 /// clusters whose station 2 is unstable), the digest over each cluster's
-/// s_mean, s_zero, r_mean, rho and stable flag. Past the knee predict() reads only mean=inf, so these
-/// lines are what pins the clamped (P_B and rho) station terms there.
+/// s_mean, s_zero, r_mean, rho and stable flag. Past the knee predict()
+/// reads only mean=inf, so these lines are what pins the clamped (P_B and
+/// rho) station terms there.
 std::string station2_fingerprint(const RefinedModel& model) {
   const double knee = find_saturation(model).lambda_sat;
   std::string s;

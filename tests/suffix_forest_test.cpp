@@ -1,9 +1,10 @@
 // The route suffix trees behind RefinedModel's graph ICN2 leg
 // (model/suffix_forest): every route's leaf-to-root chain gives back the
-// route, each distinct suffix is one node, and parents precede their
-// children — on hand-written routes (including a channel reached with two
-// different suffixes, which no bundled ICN2 produces) and on every graph
-// ICN2's routing tables.
+// route, each distinct suffix is one node, and each tree is stored in
+// level order (every node one level below its parent, levels in
+// increasing depth) — on hand-written routes (including a channel reached
+// with two different suffixes, which no bundled ICN2 produces) and on
+// every graph ICN2's routing tables.
 #include <gtest/gtest.h>
 
 #include <set>
@@ -28,15 +29,14 @@ Route chain(const SuffixForest& forest, std::size_t tree, std::int32_t node) {
 }
 
 /// Merge `trees` (one route list per tree) and check every route's chain,
-/// the parents-first order and one node per distinct suffix.
+/// the level order and one node per distinct suffix.
 void expect_suffix_forest(const std::vector<std::vector<Route>>& trees,
                           std::size_t channel_count) {
   SuffixForest forest(channel_count);
-  std::vector<std::vector<std::int32_t>> leaves(trees.size());
-  for (std::size_t t = 0; t < trees.size(); ++t) {
-    forest.begin_tree();
-    for (const Route& route : trees[t])
-      leaves[t].push_back(forest.add(route));
+  std::vector<std::vector<std::int32_t>> leaves;
+  for (const std::vector<Route>& routes : trees) {
+    leaves.push_back(forest.add_tree(routes));
+    ASSERT_EQ(leaves.back().size(), routes.size());
   }
   ASSERT_EQ(forest.tree_count(), trees.size());
 
@@ -54,8 +54,15 @@ void expect_suffix_forest(const std::vector<std::vector<Route>>& trees,
     }
     const auto parents = forest.parents(t);
     EXPECT_EQ(parents.size(), suffixes.size()) << "tree " << t;
-    for (std::size_t k = 0; k < parents.size(); ++k)
-      EXPECT_LT(parents[k], static_cast<std::int32_t>(k));
+    std::vector<int> depth(parents.size());
+    for (std::size_t k = 0; k < parents.size(); ++k) {
+      ASSERT_LT(parents[k], static_cast<std::int32_t>(k));
+      depth[k] =
+          parents[k] < 0 ? 0 : depth[static_cast<std::size_t>(parents[k])] + 1;
+      if (k > 0) {
+        EXPECT_LE(depth[k - 1], depth[k]) << "tree " << t;
+      }
+    }
     total += parents.size();
   }
   EXPECT_EQ(forest.node_count(), total);
@@ -82,11 +89,23 @@ TEST(SuffixForest, MergesSharedSuffixesOnly) {
 
 TEST(SuffixForest, RepeatedRouteMapsToOneNode) {
   SuffixForest forest(8);
-  forest.begin_tree();
   const Route route = {0, 3, 5, 7};
-  const std::int32_t first = forest.add(route);
-  EXPECT_EQ(forest.add(route), first);
+  const std::vector<Route> routes = {route, route};
+  const std::vector<std::int32_t> leaves = forest.add_tree(routes);
+  EXPECT_EQ(leaves[0], leaves[1]);
   EXPECT_EQ(forest.node_count(), route.size());
+}
+
+TEST(SuffixForest, LevelOrderPutsSiblingBranchesBeforeTheirTails) {
+  // Inserted one route after another, the first route's nodes would come
+  // before the second's; in level order each level's nodes are adjacent.
+  SuffixForest forest(8);
+  const std::vector<Route> routes = {{0, 1, 2, 7}, {3, 4, 5, 7}};
+  const std::vector<std::int32_t> leaves = forest.add_tree(routes);
+  const auto channels = forest.channels(0);
+  EXPECT_EQ(Route(channels.begin(), channels.end()),
+            (Route{7, 2, 5, 1, 4, 0, 3}));
+  EXPECT_EQ(leaves, (std::vector<std::int32_t>{5, 6}));
 }
 
 TEST(SuffixForest, EveryGraphIcn2RoutingTable) {
